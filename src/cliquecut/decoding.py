@@ -17,6 +17,7 @@ import numpy as np
 from .distributions import (
     CliqueLossParams,
     VolumeConstraint,
+    _penalty_value,
     check_probs,
     sample,
     weighted_neighbor_sums,
@@ -61,7 +62,7 @@ class CliquePenaltyObjective:
 
     def value(self) -> float:
         pairs = self.sum_p * self.sum_p - self.sum_sq
-        return self.params.gamma - (self.params.beta + 1.0) * self.edge_term + 0.5 * self.params.beta * pairs
+        return _penalty_value(self.params, self.edge_term, pairs)
 
     def _value_with(self, i: int, v: float) -> float:
         old = self.p[i]
@@ -69,8 +70,7 @@ class CliquePenaltyObjective:
         edge = self.edge_term + d * self.s[i]
         sp = self.sum_p + d
         sq = self.sum_sq + v * v - old * old
-        pairs = sp * sp - sq
-        return self.params.gamma - (self.params.beta + 1.0) * edge + 0.5 * self.params.beta * pairs
+        return _penalty_value(self.params, edge, sp * sp - sq)
 
     def branch(self, i: int) -> tuple[float, float]:
         return self._value_with(i, 1.0), self._value_with(i, 0.0)

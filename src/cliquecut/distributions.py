@@ -123,6 +123,11 @@ def _pair_sum(probs: np.ndarray) -> float:
     return s * s - float(np.sum(probs * probs))
 
 
+def _penalty_value(params: CliqueLossParams, ew: float, pairs: float) -> float:
+    """gamma - (beta + 1) * E[weight in S] + (beta / 2) * (ordered-pair mass)."""
+    return params.gamma - (params.beta + 1.0) * ew + 0.5 * params.beta * pairs
+
+
 def clique_violation_bound(graph: Graph, p) -> float:
     """Expected shortfall from cliqueness: E of (pairs in S) minus (weight in S).
 
@@ -143,7 +148,7 @@ def clique_loss(graph: Graph, p, params: CliqueLossParams) -> LossReport:
     probs = check_probs(graph, p)
     ew = expected_set_weight(graph, probs)
     pairs = _pair_sum(probs)
-    value = params.gamma - (params.beta + 1.0) * ew + 0.5 * params.beta * pairs
+    value = _penalty_value(params, ew, pairs)
     s = weighted_neighbor_sums(graph, probs)
     gradient = -(params.beta + 1.0) * s + params.beta * (probs.sum() - probs)
     return LossReport(

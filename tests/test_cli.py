@@ -229,6 +229,15 @@ def test_unreadable_graph_is_input_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_nan_weight_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nan.edges"
+    path.write_text("# nodes 4\n0 1 nan\n0 2 1\n1 2 1\n2 3 1\n", encoding="utf-8")
+    code, _, err = run(capsys, ["solve", "--graph", str(path), "--out", str(tmp_path / "nan.json")])
+    assert code == 1
+    assert err.splitlines()[0].startswith("error:")
+    assert "non-finite edge weight" in err
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 

@@ -59,6 +59,16 @@ def test_graph_rejects_bad_input():
         Graph(2, [0], [1, 0], [1.0])
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_weights_are_rejected(bad):
+    with pytest.raises(ValueError, match="weights"):
+        Graph(3, [0, 1], [1, 2], [1.0, float(bad)])
+    with pytest.raises(GraphFormatError, match=f"line 3: non-finite edge weight {bad}"):
+        load_edge_list(f"# nodes 3\n0 1 1\n1 2 {bad}\n")
+    with pytest.raises(GraphFormatError, match=f"line 3: non-finite edge weight {bad}"):
+        load_dimacs(f"p edge 3 2\ne 1 2\ne 2 3 {bad}\n")
+
+
 def test_graph_arrays_immutable():
     g = complete_graph(3)
     with pytest.raises(ValueError):

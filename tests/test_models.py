@@ -10,6 +10,7 @@ from cliquecut import (
     MpnnParams,
     OptimState,
     VolumeConstraint,
+    clique_loss,
     expected_volume,
     load_checkpoint,
     mpnn_forward,
@@ -45,6 +46,8 @@ def test_cut_loss_spec_requires_interval():
     g = two_triangles()
     with pytest.raises(ValueError, match="interval"):
         CutLossSpec().evaluate(g, np.full(6, 0.5))
+    with pytest.raises(ValueError, match="interval"):
+        CutLossSpec().step_kernel(g)
     spec = CutLossSpec(VolumeConstraint(5.0, 9.0))
     rep = spec.evaluate(g, np.full(6, 0.5))
     assert rep.value >= 0.0
@@ -134,6 +137,67 @@ def test_optimize_direct_pin_keeps_node_in():
     )
     assert p[3] == pytest.approx(sigmoid(np.array([12.0]))[0])
     assert p[3] > 0.999
+
+
+def reference_optimize_direct(graph, evaluate, steps, *, lr, rng, init_scale, pin=None):
+    """optimize_direct as it ran before the step kernel: the public loss, then OptimState.apply."""
+    logits = init_scale * rng.standard_normal(graph.n)
+    if pin is not None:
+        logits[pin] = 12.0
+    state = OptimState(lr=lr)
+    losses = []
+    for _ in range(steps):
+        p = sigmoid(logits)
+        rep = evaluate(p)
+        losses.append(rep.value)
+        state.apply({"logits": logits}, {"logits": rep.gradient * p * (1.0 - p)})
+        if pin is not None:
+            logits[pin] = 12.0
+    p = sigmoid(logits)
+    losses.append(evaluate(p).value)
+    return p, losses
+
+
+def assert_same_run(fused, reference):
+    (p, losses), (p_ref, losses_ref) = fused, reference
+    assert np.array_equal(p, p_ref)
+    assert len(losses) == len(losses_ref)
+    for got, want in zip(losses, losses_ref):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_optimize_direct_clique_kernel_matches_public_loss():
+    g = random_graph(np.random.default_rng(11), 60, 0.3)
+    spec = CliqueLossSpec(beta=2.0)
+    fused = optimize_direct(g, spec, 50, lr=0.1, rng=np.random.default_rng(3), init_scale=1.0)
+    reference = reference_optimize_direct(
+        g,
+        lambda p: clique_loss(g, p, spec.resolve(g)),
+        50,
+        lr=0.1,
+        rng=np.random.default_rng(3),
+        init_scale=1.0,
+    )
+    assert_same_run(fused, reference)
+
+
+def test_optimize_direct_cut_kernel_matches_public_loss():
+    g = random_graph(np.random.default_rng(12), 60, 0.1, weighted=True)
+    interval = VolumeConstraint(0.1 * g.degree.sum(), 0.2 * g.degree.sum())
+    pin = int(np.argmax(g.degree))
+    fused = optimize_direct(
+        g, CutLossSpec(interval), 50, lr=0.1, rng=np.random.default_rng(4), init_scale=1.0, pin=pin
+    )
+    reference = reference_optimize_direct(
+        g,
+        lambda p: rescaled_cut_loss(g, p, interval),
+        50,
+        lr=0.1,
+        rng=np.random.default_rng(4),
+        init_scale=1.0,
+        pin=pin,
+    )
+    assert_same_run(fused, reference)
 
 
 def test_sigmoid_extremes():
