@@ -158,40 +158,60 @@ def _visit_order(probs: np.ndarray, order: str) -> np.ndarray:
     raise ValueError(f"unknown visit order {order!r}")
 
 
-def _decide(objective, i: int, p_i: float) -> float:
-    """One conditioning decision; returns the committed bit.
-
-    Probability-0 and probability-1 nodes are forced (conditioning on the
-    other branch would condition on a null event), which is what makes decode
-    of an integral vector return exactly its support.
-    """
-    if p_i == 0.0:
-        bit = 0.0
-    elif p_i == 1.0:
-        bit = 1.0
-    else:
-        v_in, v_out = objective.branch(i)
-        bit = 1.0 if v_in < v_out else 0.0
-    objective.commit(i, bit)
-    return bit
-
-
-def decode_conditional(graph: Graph, p, objective, *, order: str = "prob") -> tuple[NodeSet, DecodeTrace]:
+def decode_conditional(
+    graph: Graph,
+    p,
+    objective,
+    *,
+    order: str = "prob",
+    first: int | None = None,
+    cap: float | None = None,
+) -> tuple[NodeSet, DecodeTrace]:
     """Derandomize a product distribution against a multilinear objective.
 
     Nodes are visited in decreasing-probability order (ties broken by index;
     ``order="index"`` visits in natural order instead).  Each node is included
     iff inclusion gives a strictly smaller conditional expectation, so ties
-    bias toward sparser sets.
+    bias toward sparser sets.  Probability-0 and probability-1 nodes are
+    forced (conditioning on the other branch would condition on a null
+    event), which is what makes decode of an integral vector return exactly
+    its support.
+
+    ``first`` is visited before every other node and included whatever its
+    probability.  With ``cap`` set, an inclusion that would push the summed
+    weighted degree of the included nodes above ``cap`` becomes an exclusion,
+    even for a probability-1 node, so the cap holds unconditionally once
+    ``first`` alone fits under it.
     """
     probs = check_probs(graph, p)
     visit = _visit_order(probs, order)
+    if first is not None:
+        if not (0 <= first < graph.n):
+            raise ValueError(f"first node {first} out of range")
+        visit = np.concatenate([[first], visit[visit != first]])
+    degree = graph.degree
     path = np.empty(graph.n + 1)
     decisions = np.zeros(graph.n, dtype=bool)
     path[0] = objective.start(probs)
+    vol = 0.0
     for k, i in enumerate(visit):
-        bit = _decide(objective, int(i), probs[i])
-        decisions[k] = bit == 1.0
+        i = int(i)
+        p_i = probs[i]
+        if i == first:
+            bit = 1.0
+        elif p_i == 0.0:
+            bit = 0.0
+        elif cap is not None and vol + degree[i] > cap:
+            bit = 0.0
+        elif p_i == 1.0:
+            bit = 1.0
+        else:
+            v_in, v_out = objective.branch(i)
+            bit = 1.0 if v_in < v_out else 0.0
+        objective.commit(i, bit)
+        if bit == 1.0:
+            vol += float(degree[i])
+            decisions[k] = True
         path[k + 1] = objective.value()
     mask = np.zeros(graph.n, dtype=bool)
     mask[visit[decisions]] = True
@@ -281,7 +301,6 @@ def decode_cut_with_volume(
     Raises:
         ValueError: if the seed's degree alone exceeds the upper bound.
     """
-    probs = check_probs(graph, p)
     if not (0 <= seed_node < graph.n):
         raise ValueError(f"seed node {seed_node} out of range")
     d_seed = float(graph.degree[seed_node])
@@ -289,43 +308,11 @@ def decode_cut_with_volume(
         raise ValueError(
             f"seed degree {d_seed} exceeds the volume upper bound {interval.upper}"
         )
-    objective = CutObjective(graph)
-    order = _visit_order(probs, "prob")
-    visit = np.concatenate([[seed_node], order[order != seed_node]])
-    path = np.empty(graph.n + 1)
-    decisions = np.zeros(graph.n, dtype=bool)
-    path[0] = objective.start(probs)
-
-    objective.commit(seed_node, 1.0)
-    decisions[0] = True
-    path[1] = objective.value()
-    vol = d_seed
-
-    for k, i in enumerate(visit[1:], start=1):
-        i = int(i)
-        p_i = probs[i]
-        if p_i == 0.0:
-            bit = 0.0
-        elif vol + graph.degree[i] > interval.upper:
-            bit = 0.0  # would bust the cap, regardless of expectation or forcing
-        elif p_i == 1.0:
-            bit = 1.0
-        else:
-            v_in, v_out = objective.branch(i)
-            bit = 1.0 if v_in < v_out else 0.0
-        objective.commit(i, bit)
-        if bit == 1.0:
-            vol += float(graph.degree[i])
-            decisions[k] = True
-        path[k + 1] = objective.value()
-
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[visit[decisions]] = True
-    trace = DecodeTrace(visit_order=visit, decisions=decisions, expectation_path=path)
+    node_set, trace = decode_conditional(
+        graph, p, CutObjective(graph), first=seed_node, cap=interval.upper
+    )
     return VolumeDecodeResult(
-        node_set=NodeSet.from_mask(graph, mask),
-        trace=trace,
-        lower_met=vol >= interval.lower,
+        node_set=node_set, trace=trace, lower_met=node_set.volume >= interval.lower
     )
 
 

@@ -226,7 +226,7 @@ def rescale_to_target(p0, a, b: float, *, rel_tol: float = 1e-9, with_info: bool
         raise ValueError("coefficients must be non-negative")
     if b <= 0.0:
         raise ValueError("target must be positive")
-    if float(coeff @ p) == 0.0 and b > 0.0:
+    if float(coeff @ p) == 0.0:
         raise ValueError("cannot rescale an all-zero distribution to a positive target")
 
     n = p.size
@@ -253,11 +253,7 @@ def rescale_to_target(p0, a, b: float, *, rel_tol: float = 1e-9, with_info: bool
         p[idx] = np.minimum(scaled, 1.0)
         scale[idx] *= c
         saturated[idx[clamped]] = True
-        p[idx[clamped]] = 1.0
         history.append(saturated.copy())
-        if not clamped.any():
-            # Exact landing: one more pass through the loop confirms convergence.
-            continue
 
     scale[saturated] = 0.0
     if with_info:

@@ -176,21 +176,36 @@ def _run_indexed(worker, count: int, threads: int, time_budget: float | None) ->
     return [worker(i) for i in range(count)]
 
 
-def _produce(graph: Graph, config: SolveConfig, rng: np.random.Generator, restart: int, loss_spec) -> np.ndarray:
+def _check_producer(config: SolveConfig) -> None:
+    if config.producer not in ("direct", "mpnn", "uniform"):
+        raise ValueError(f"unknown producer {config.producer!r}")
+    if config.producer == "mpnn" and config.mpnn is None:
+        raise ValueError("mpnn producer needs trained parameters (load a checkpoint)")
+
+
+def _produce(
+    graph: Graph,
+    config: SolveConfig,
+    rng: np.random.Generator,
+    loss_spec,
+    init_scale: float,
+    seed_node: int | None = None,
+) -> np.ndarray:
+    """Probabilities from the configured producer (checked by ``_check_producer``).
+
+    ``seed_node`` is pinned by the direct producer and seeds the MPNN; without
+    it the MPNN draws its seed from ``rng``.
+    """
     if config.producer == "direct":
-        init_scale = 0.0 if restart == 0 else config.init_jitter
         p, _ = optimize_direct(
-            graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale
+            graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale, pin=seed_node
         )
         return p
     if config.producer == "mpnn":
-        if config.mpnn is None:
-            raise ValueError("mpnn producer needs trained parameters (load a checkpoint)")
-        seed_node = int(rng.integers(graph.n))
+        if seed_node is None:
+            seed_node = int(rng.integers(graph.n))
         return mpnn_forward(graph, config.mpnn, seed_node)
-    if config.producer == "uniform":
-        return rng.random(graph.n)
-    raise ValueError(f"unknown producer {config.producer!r}")
+    return rng.random(graph.n)
 
 
 def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -218,6 +233,7 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         raise ValueError("cannot solve on an empty graph")
     if config.restarts < 1:
         raise ValueError("need at least one restart")
+    _check_producer(config)
     t0 = time.perf_counter()
     cert_params = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
     opt_spec = CliqueLossSpec(beta=config.opt_beta)
@@ -226,7 +242,7 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
 
     def worker(i: int):
         rng = np.random.default_rng(seqs[i])
-        p = _produce(graph, config, rng, i, opt_spec)
+        p = _produce(graph, config, rng, opt_spec, 0.0 if i == 0 else config.init_jitter)
         candidates: list[NodeSet] = []
         if decode in ("conditional", "hybrid"):
             ns, _ = decode_conditional(graph, p, CliquePenaltyObjective(graph, cert_params))
@@ -326,6 +342,11 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
     decode = config.decode or "conditional"
     if decode not in ("conditional", "sampled"):
         raise ValueError(f"unknown partition decode {decode!r}")
+    if config.num_intervals < 1:
+        raise ValueError("need at least one volume interval (num_intervals >= 1)")
+    if config.k_samples < 1:
+        raise ValueError("need at least one sample (k_samples >= 1)")
+    _check_producer(config)
     if graph.n == 0:
         raise ValueError("cannot solve on an empty graph")
     if not (0 <= seed_node < graph.n):
@@ -348,29 +369,14 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
     def worker(i: int):
         vc = usable[i]
         rng = np.random.default_rng(seqs[i])
-        if config.producer == "direct":
-            # The symmetric p = 0.5 start is a stationary point of the cut
-            # loss (every node sees half its degree on each side), so this
-            # path always jitters, unlike the clique path.  Pinning the seed
-            # keeps the optimizer on the seed's side of the graph; decode
-            # forces the seed into the set regardless.
-            p, _ = optimize_direct(
-                graph,
-                CutLossSpec(vc),
-                config.steps,
-                lr=config.lr,
-                rng=rng,
-                init_scale=max(config.init_jitter, 1e-3),
-                pin=seed_node,
-            )
-        elif config.producer == "mpnn":
-            if config.mpnn is None:
-                raise ValueError("mpnn producer needs trained parameters (load a checkpoint)")
-            p = mpnn_forward(graph, config.mpnn, seed_node)
-        elif config.producer == "uniform":
-            p = rng.random(graph.n)
-        else:
-            raise ValueError(f"unknown producer {config.producer!r}")
+        # The symmetric p = 0.5 start is a stationary point of the cut loss
+        # (every node sees half its degree on each side), so the direct
+        # producer always jitters here, unlike the clique path.  Pinning the
+        # seed keeps the optimizer on the seed's side of the graph; decode
+        # forces the seed into the set regardless.
+        p = _produce(
+            graph, config, rng, CutLossSpec(vc), max(config.init_jitter, 1e-3), seed_node
+        )
         q = rescale_to_target(p, graph.degree, vc.target)
         loss_value = expected_cut(graph, q)
         if decode == "conditional":

@@ -198,6 +198,73 @@ def test_volume_decode_trace_shape():
     assert sorted(res.trace.visit_order.tolist()) == [0, 1, 2, 3, 4]
 
 
+def _reference_volume_decode(graph, probs, interval, seed_node):
+    """The volume decode as its own loop, before it was folded into
+    ``decode_conditional``: returns (visit, decisions, path, lower_met)."""
+    objective = CutObjective(graph)
+    order = _visit_order(probs, "prob")
+    visit = np.concatenate([[seed_node], order[order != seed_node]])
+    path = np.empty(graph.n + 1)
+    decisions = np.zeros(graph.n, dtype=bool)
+    path[0] = objective.start(probs)
+    objective.commit(seed_node, 1.0)
+    decisions[0] = True
+    path[1] = objective.value()
+    vol = float(graph.degree[seed_node])
+    for k, i in enumerate(visit[1:], start=1):
+        i = int(i)
+        p_i = probs[i]
+        if p_i == 0.0:
+            bit = 0.0
+        elif vol + graph.degree[i] > interval.upper:
+            bit = 0.0
+        elif p_i == 1.0:
+            bit = 1.0
+        else:
+            v_in, v_out = objective.branch(i)
+            bit = 1.0 if v_in < v_out else 0.0
+        objective.commit(i, bit)
+        if bit == 1.0:
+            vol += float(graph.degree[i])
+            decisions[k] = True
+        path[k + 1] = objective.value()
+    return visit, decisions, path, vol >= interval.lower
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_volume_decode_matches_reference_loop(weighted):
+    rng = np.random.default_rng(17 + weighted)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        g = random_graph(rng, n, density=float(rng.uniform(0.1, 0.6)), weighted=weighted)
+        p = rng.random(n)
+        p[rng.random(n) < 0.2] = 0.0
+        p[rng.random(n) < 0.2] = 1.0
+        p[rng.random(n) < 0.1] = 0.5  # ties in the visit order
+        total = float(g.degree.sum())
+        for _ in range(4):
+            seed = int(rng.integers(n))
+            lo = float(rng.uniform(0.0, total))
+            interval = VolumeConstraint(lo, lo + float(rng.uniform(0.0, total)) + 1e-9)
+            if g.degree[seed] > interval.upper:
+                continue
+            res = decode_cut_with_volume(g, p, interval, seed)
+            visit, decisions, path, lower_met = _reference_volume_decode(g, p, interval, seed)
+            assert np.array_equal(res.trace.visit_order, visit)
+            assert np.array_equal(res.trace.decisions, decisions)
+            assert np.array_equal(res.trace.expectation_path, path)
+            assert res.lower_met == lower_met
+            checked += 1
+    assert checked > 100
+
+
+def test_conditional_first_node_range_checked():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="out of range"):
+        decode_conditional(g, np.full(3, 0.5), CutObjective(g), first=3)
+
+
 def test_best_of_k_improves_and_reproduces():
     g = complete_graph(5)
     p = np.full(5, 0.6)

@@ -1,9 +1,10 @@
 """Golden result payloads: refactors of the solve path must keep them byte-identical.
 
 Each hash is the sha256 of ``json.dumps(result.payload(), sort_keys=True)``
-for a seeded instance under the default ``SolveConfig``.  They were recorded
-before the optimizer step was fused and must not move under behaviour-
-preserving changes.  An intended payload change re-records them and says why
+for a seeded instance.  The default-config hashes were recorded before the
+optimizer step was fused; the per-producer and per-decode hashes were
+recorded before the two conditional-decode loops and the two producer
+dispatches were merged.  None may move under behaviour-preserving changes.  An intended payload change re-records them and says why
 in CHANGES.md.  The payloads carry float losses, so a numpy build whose
 elementwise ``exp`` rounds differently in the last bit can also move them.
 """
@@ -14,7 +15,14 @@ import json
 import numpy as np
 import pytest
 
-from cliquecut import gen_gnp, gen_planted_clique, solve_local_partition, solve_max_clique
+from cliquecut import (
+    MpnnParams,
+    SolveConfig,
+    gen_gnp,
+    gen_planted_clique,
+    solve_local_partition,
+    solve_max_clique,
+)
 
 CLIQUE_GOLDEN = {
     1: "8a3c4730128639cb598afccb5a5c8e1e6fc74ce653fb4451f56a23e0ac97d9b6",
@@ -22,6 +30,26 @@ CLIQUE_GOLDEN = {
     3: "47e9624443f07bbc55eb43fca6d3e7b744271f3fd6146d16afaa911ea5c8897d",
 }
 PARTITION_GOLDEN = "8e6b6810d5418ff27221f59a4e0c05c8bb52b8059c11995d7a04e80c92962348"
+
+# Non-default paths, on the seed-1 clique instance and the partition instance.
+CLIQUE_PATH_GOLDEN = {
+    "uniform": "f43d8198a928303c7b4652fa26c2c0fa905caa622a51fee2ad09fc5a3fa1f553",
+    "mpnn": "ca1fc03689a02fe53ce76b74c1d40a31a37c7f905af075be865a81a83a62aabf",
+    "conditional": "d8ff32789868e15c0c4f71c31b9da2aea58c42a6db9769b9450605982b25dedd",
+    "sweep": "167e3634bc5035ef06f621ddf870c12a782c49ac9182e05820ba345fb30e5d13",
+}
+PARTITION_PATH_GOLDEN = {
+    "uniform": "f1e217dd50e3c80ddefd34da12eb26a482b1a74e90d05661ec3de053b9c673fe",
+    "mpnn": "02e2f712a682bf63827a86b13913c5d76a912cc38352ccd4a70a459f7b181cae",
+    "sampled": "5d9b31db300cf5bc568ed0135b4b71227b2206c12d01d067e969c9c390e0739b",
+}
+
+
+def path_config(name: str) -> SolveConfig:
+    if name in ("uniform", "mpnn"):
+        mpnn = MpnnParams.init(np.random.default_rng(0), hidden=8, layers=2) if name == "mpnn" else None
+        return SolveConfig(producer=name, mpnn=mpnn)
+    return SolveConfig(decode=name)
 
 
 def payload_sha256(result) -> str:
@@ -37,3 +65,16 @@ def test_clique_payload_is_golden(seed):
 def test_partition_payload_is_golden():
     graph = gen_gnp(60, 0.1, np.random.default_rng(5))
     assert payload_sha256(solve_local_partition(graph, 0)) == PARTITION_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(CLIQUE_PATH_GOLDEN))
+def test_clique_path_payload_is_golden(name):
+    graph, _ = gen_planted_clique(40, 8, 0.3, np.random.default_rng(1))
+    assert payload_sha256(solve_max_clique(graph, path_config(name))) == CLIQUE_PATH_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_PATH_GOLDEN))
+def test_partition_path_payload_is_golden(name):
+    graph = gen_gnp(60, 0.1, np.random.default_rng(5))
+    result = solve_local_partition(graph, 0, path_config(name))
+    assert payload_sha256(result) == PARTITION_PATH_GOLDEN[name]

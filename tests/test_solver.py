@@ -206,6 +206,16 @@ def test_partition_input_validation():
         solve_local_partition(g, 0, SolveConfig(decode="magic"))
     with pytest.raises(ValueError, match="exceeds every interval"):
         solve_local_partition(g, 0, SolveConfig(intervals=((0.0, 1.0),)))
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="num_intervals"):
+            solve_local_partition(g, 0, SolveConfig(num_intervals=count))
+    with pytest.raises(ValueError, match="k_samples"):
+        solve_local_partition(g, 0, SolveConfig(decode="sampled", k_samples=0))
+    # The producer is checked before any interval is scanned.
+    with pytest.raises(ValueError, match="unknown producer"):
+        solve_local_partition(g, 0, SolveConfig(producer="magic", intervals=((0.0, 1.0),)))
+    with pytest.raises(ValueError, match="checkpoint"):
+        solve_local_partition(g, 0, SolveConfig(producer="mpnn", steps=1))
 
 
 def test_partition_payload_thread_invariant():
