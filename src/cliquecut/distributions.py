@@ -103,13 +103,6 @@ class LossReport:
     gradient: np.ndarray
     terms: dict[str, float]
 
-    def to_json(self) -> dict:
-        return {
-            "value": float(self.value),
-            "gradient": [float(g) for g in self.gradient],
-            "terms": {k: float(v) for k, v in self.terms.items()},
-        }
-
 
 def expected_set_weight(graph: Graph, p) -> float:
     """E of the weight inside the sampled set: sum over edges of w_ij p_i p_j."""

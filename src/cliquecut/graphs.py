@@ -128,9 +128,6 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.targets[self.offsets[i] : self.offsets[i + 1]]
 
-    def neighbor_weights(self, i: int) -> np.ndarray:
-        return self.weights[self.offsets[i] : self.offsets[i + 1]]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(np.any(self.neighbors(u) == v))
 

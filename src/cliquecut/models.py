@@ -18,11 +18,11 @@ import numpy as np
 
 from .distributions import (
     CliqueLossParams,
-    LossReport,
     VolumeConstraint,
     _penalty_value,
-    clique_loss,
-    cut_loss,
+    # Unused here, but bench/spans.py wraps these two in this namespace by name.
+    clique_loss,  # noqa: F401
+    cut_loss,  # noqa: F401
     rescale_to_target,
     weighted_neighbor_sums,
 )
@@ -35,7 +35,6 @@ __all__ = [
     "MpnnParams",
     "TrainResult",
     "sigmoid",
-    "rescaled_cut_loss",
     "optimize_direct",
     "mpnn_forward",
     "mpnn_backward",
@@ -79,15 +78,12 @@ class CliqueLossSpec:
         gamma = min(default, self.beta) if self.gamma is None else self.gamma
         return CliqueLossParams(gamma=gamma, beta=self.beta)
 
-    def evaluate(self, graph: Graph, p: np.ndarray) -> LossReport:
-        return clique_loss(graph, p, self.resolve(graph))
-
     def step_kernel(self, graph: Graph):
         """Bind the loss to ``graph`` for an optimizer loop: returns p -> (value, gradient).
 
         The kernel trusts p (no validation, no LossReport) and needs one
         neighbour-sum pass s = A p, taking E[weight in S] = p.s / 2 instead of
-        a second edge scan.  Its gradient is bit-identical to ``evaluate``'s;
+        a second edge scan.  Its gradient is bit-identical to ``clique_loss``'s;
         its value agrees up to rounding in the summation order.
         """
         params = self.resolve(graph)
@@ -101,40 +97,27 @@ class CliqueLossSpec:
         return step
 
 
-def rescaled_cut_loss(graph: Graph, p, interval: VolumeConstraint) -> LossReport:
+@dataclass(frozen=True)
+class CutLossSpec:
     """Expected cut after rescaling the volume to the interval midpoint.
 
     The gradient treats the rescaling as a constant per-coordinate multiplier
     (straight-through): identity scaling on unsaturated coordinates, zero on
-    coordinates clamped at 1.
+    coordinates clamped at 1.  The interval may be bound later.
     """
-    q, info = rescale_to_target(p, graph.degree, interval.target, with_info=True)
-    rep = cut_loss(graph, q)
-    return LossReport(value=rep.value, gradient=rep.gradient * info.scale, terms=rep.terms)
-
-
-@dataclass(frozen=True)
-class CutLossSpec:
-    """Cut loss under a volume interval; the interval may be bound later."""
 
     interval: VolumeConstraint | None = None
 
-    def _bound(self) -> VolumeConstraint:
-        if self.interval is None:
-            raise ValueError("cut loss evaluation requires a bound volume interval")
-        return self.interval
-
-    def evaluate(self, graph: Graph, p: np.ndarray) -> LossReport:
-        return rescaled_cut_loss(graph, p, self._bound())
-
     def step_kernel(self, graph: Graph):
-        """``evaluate`` as an unvalidated p -> (value, gradient) kernel bound to ``graph``.
+        """Bind the loss to ``graph``: an unvalidated p -> (value, gradient) kernel.
 
         After rescaling p to q, the value is d.q - q.s (the expected cut, with
         s = A q) and the gradient is (d - 2 s) * scale, bit-identical to
-        ``evaluate``'s.
+        ``cut_loss(graph, q).gradient * scale``.
         """
-        target = self._bound().target
+        if self.interval is None:
+            raise ValueError("cut loss evaluation requires a bound volume interval")
+        target = self.interval.target
 
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
             q, info = rescale_to_target(p, graph.degree, target, with_info=True)
@@ -199,9 +182,9 @@ def optimize_direct(
     Each step calls the spec's ``step_kernel``, bound once per call, which
     skips validation and takes E[weight in S] = p.s / 2 from the one
     neighbour-sum pass s = A p.  The probabilities are bit-identical to
-    stepping on ``loss_spec.evaluate``; the recorded losses can differ from
-    ``evaluate(...).value`` by rounding (measured at most 2e-15 relative,
-    9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
+    stepping on the validated public losses (``clique_loss``, ``cut_loss``);
+    the recorded losses can differ from theirs by rounding (measured at most
+    2e-15 relative, 9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
 
     Raises:
         FloatingPointError: if the loss stops being finite.
@@ -243,22 +226,33 @@ class MpnnParams:
     layers: int
     weights: dict[str, np.ndarray]
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, hidden: int = 16, layers: int = 3) -> "MpnnParams":
+    @staticmethod
+    def shapes(hidden: int, layers: int) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every weight, in initialization order."""
         if hidden < 1 or layers < 0:
             raise ValueError("need hidden >= 1 and layers >= 0")
-        bound = 1.0 / np.sqrt(hidden)
-        w: dict[str, np.ndarray] = {
-            "embed_w": rng.uniform(-bound, bound, (hidden, 2)),
-            "embed_b": np.zeros(hidden),
-            "head1_w": rng.uniform(-bound, bound, (hidden, hidden)),
-            "head1_b": np.zeros(hidden),
-            "head2_w": rng.uniform(-bound, bound, hidden),
-            "head2_b": np.zeros(1),
+        shapes = {
+            "embed_w": (hidden, 2),
+            "embed_b": (hidden,),
+            "head1_w": (hidden, hidden),
+            "head1_b": (hidden,),
+            "head2_w": (hidden,),
+            "head2_b": (1,),
         }
         for k in range(layers):
-            w[f"layer{k}_w"] = rng.uniform(-bound, bound, (hidden, hidden))
-            w[f"layer{k}_b"] = np.zeros(hidden)
+            shapes[f"layer{k}_w"] = (hidden, hidden)
+            shapes[f"layer{k}_b"] = (hidden,)
+        return shapes
+
+    @classmethod
+    def init(cls, rng: np.random.Generator, hidden: int = 16, layers: int = 3) -> "MpnnParams":
+        """Uniform(+-1/sqrt(hidden)) matrices, zero biases."""
+        shapes = cls.shapes(hidden, layers)
+        bound = 1.0 / np.sqrt(hidden)
+        w = {
+            key: rng.uniform(-bound, bound, shape) if key.endswith("_w") else np.zeros(shape)
+            for key, shape in shapes.items()
+        }
         return cls(hidden=hidden, layers=layers, weights=w)
 
     def copy(self) -> "MpnnParams":
@@ -329,7 +323,6 @@ def mpnn_forward(
         "masks": masks,
         "r_pre": r_pre,
         "r": r,
-        "y": y,
         "span": span,
         "jmin": int(np.argmin(y)),
         "jmax": int(np.argmax(y)),
@@ -416,13 +409,15 @@ def _pick_seed(graph: Graph, rng: np.random.Generator, need_degree: bool) -> int
 
 
 def _sample_context(loss_spec, graph: Graph, rng: np.random.Generator, hops: int):
-    """Pick a (seed, bound loss spec) pair for one training or validation pass."""
-    if isinstance(loss_spec, CutLossSpec):
-        seed = _pick_seed(graph, rng, need_degree=True)
-        spec = loss_spec if loss_spec.interval is not None else CutLossSpec(_draw_interval(graph, seed, hops, rng))
-        return seed, spec
-    seed = _pick_seed(graph, rng, need_degree=False)
-    return seed, loss_spec
+    """Pick a seed and bind the loss kernel for one training or validation pass.
+
+    A cut spec without a pinned interval gets one drawn around the seed.
+    """
+    cut = isinstance(loss_spec, CutLossSpec)
+    seed = _pick_seed(graph, rng, need_degree=cut)
+    if cut and loss_spec.interval is None:
+        loss_spec = CutLossSpec(_draw_interval(graph, seed, hops, rng))
+    return seed, loss_spec.step_kernel(graph)
 
 
 def train_mpnn(
@@ -444,7 +439,8 @@ def train_mpnn(
     losses without a pinned interval, a volume interval inside the seed's
     receptive field).  Validation contexts are drawn once up front so the
     selection criterion is stable; without a validation split the training
-    loss is used instead.
+    loss is used instead.  Losses come from the spec's ``step_kernel``, as in
+    ``optimize_direct``.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     train_graphs = [g for g, s in zip(corpus.graphs, corpus.splits) if s == "train"]
@@ -457,11 +453,7 @@ def train_mpnn(
 
     val_ctx = [(g, *_sample_context(loss_spec, g, rng, hops)) for g in val_graphs]
     history: dict[str, list[float]] = {"train": [], "val": []}
-    best_params = params.copy()
-    if epochs == 0:
-        return TrainResult(params=best_params, history=history, optimizer=state, epochs_trained=0)
-
-    best_score = np.inf
+    best_params, best_score = params.copy(), np.inf
     for _ in range(epochs):
         order = rng.permutation(len(train_graphs))
         epoch_losses: list[float] = []
@@ -470,32 +462,22 @@ def train_mpnn(
             acc: dict[str, np.ndarray] = {}
             for j in batch:
                 g = train_graphs[int(j)]
-                seed, spec = _sample_context(loss_spec, g, rng, hops)
+                seed, step = _sample_context(loss_spec, g, rng, hops)
                 p, cache = mpnn_forward(g, params, seed, want_cache=True)
-                rep = spec.evaluate(g, p)
-                epoch_losses.append(rep.value)
-                grads = mpnn_backward(g, params, cache, rep.gradient)
-                for key, val in grads.items():
-                    if key in acc:
-                        acc[key] += val
-                    else:
-                        acc[key] = val
+                value, gradient = step(p)
+                epoch_losses.append(value)
+                for key, val in mpnn_backward(g, params, cache, gradient).items():
+                    acc[key] = acc[key] + val if key in acc else val
             for key in acc:
                 acc[key] /= batch.size
             state.apply(params.weights, acc)
-        train_mean = float(np.mean(epoch_losses))
-        history["train"].append(train_mean)
+        score = float(np.mean(epoch_losses))
+        history["train"].append(score)
         if val_ctx:
-            val_mean = float(
-                np.mean([spec.evaluate(g, mpnn_forward(g, params, seed)).value for g, seed, spec in val_ctx])
-            )
-            history["val"].append(val_mean)
-            score = val_mean
-        else:
-            score = train_mean
+            score = float(np.mean([step(mpnn_forward(g, params, seed))[0] for g, seed, step in val_ctx]))
+            history["val"].append(score)
         if score < best_score:
-            best_score = score
-            best_params = params.copy()
+            best_score, best_params = score, params.copy()
     return TrainResult(params=best_params, history=history, optimizer=state, epochs_trained=epochs)
 
 
@@ -503,32 +485,7 @@ def train_mpnn(
 # checkpoints
 
 
-def _optimizer_to_json(state: OptimState | None) -> dict | None:
-    if state is None:
-        return None
-    return {
-        "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "step": state.step,
-        "m": {k: v.tolist() for k, v in state.m.items()},
-        "v": {k: v.tolist() for k, v in state.v.items()},
-    }
-
-
-def _optimizer_from_json(data: dict | None) -> OptimState | None:
-    if data is None:
-        return None
-    return OptimState(
-        lr=float(data["lr"]),
-        beta1=float(data["beta1"]),
-        beta2=float(data["beta2"]),
-        eps=float(data["eps"]),
-        step=int(data["step"]),
-        m={k: np.asarray(v, dtype=np.float64) for k, v in data["m"].items()},
-        v={k: np.asarray(v, dtype=np.float64) for k, v in data["v"].items()},
-    )
+_OPTIM_SCALARS = {"lr": float, "beta1": float, "beta2": float, "eps": float, "step": int}
 
 
 def save_checkpoint(
@@ -538,77 +495,106 @@ def save_checkpoint(
     optimizer: OptimState | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write weights (and optionally optimizer state) to .json or .npz."""
+    """Write weights (and optionally optimizer state) to .json or .npz.
+
+    Both formats hold one header (format version, hidden, layers, the Adam
+    scalars or None, meta) and named arrays: the weights and Adam's m and v.
+    ``.npz`` stores the header as JSON bytes under ``__header__`` and the
+    arrays as ``weights/<name>``, ``optim_m/<name>`` and ``optim_v/<name>``;
+    ``.json`` inlines the arrays as nested lists at ``weights``,
+    ``optimizer.m`` and ``optimizer.v``.
+    """
     path = Path(path)
-    doc = {
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "hidden": params.hidden,
         "layers": params.layers,
-        "weights": {k: v.tolist() for k, v in params.weights.items()},
-        "optimizer": _optimizer_to_json(optimizer),
+        "optimizer": None if optimizer is None else {k: getattr(optimizer, k) for k in _OPTIM_SCALARS},
         "meta": meta or {},
     }
+    groups = {"weights": params.weights}
+    if optimizer is not None:
+        groups.update(optim_m=optimizer.m, optim_v=optimizer.v)
     if path.suffix == ".npz":
-        arrays = {f"weights/{k}": v for k, v in params.weights.items()}
-        if optimizer is not None:
-            arrays.update({f"optim_m/{k}": v for k, v in optimizer.m.items()})
-            arrays.update({f"optim_v/{k}": v for k, v in optimizer.v.items()})
-        header = dict(doc)
-        header.pop("weights")
-        header["optimizer"] = None if optimizer is None else {
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "step": optimizer.step,
-        }
+        arrays = {f"{group}/{k}": v for group, named in groups.items() for k, v in named.items()}
         arrays["__header__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
-    else:
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        return
+    lists = {group: {k: v.tolist() for k, v in named.items()} for group, named in groups.items()}
+    doc = dict(header, weights=lists["weights"])
+    if optimizer is not None:
+        doc["optimizer"] = dict(header["optimizer"], m=lists["optim_m"], v=lists["optim_v"])
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _read_checkpoint(path: Path) -> tuple[dict, dict]:
+    """Either layout as (header, {group: {name: array-like}}).
+
+    A .json document serves as its own header; the arrays inlined in it are
+    ignored there.
+    """
+    if path.suffix == ".npz":
+        with np.load(path) as data:
+            if "__header__" not in data.files:
+                raise ValueError("checkpoint has no __header__ member")
+            groups: dict = {"weights": {}, "optim_m": {}, "optim_v": {}}
+            for name in data.files:
+                group, _, key = name.partition("/")
+                if group in groups:
+                    groups[group][key] = data[name]
+            return _object(json.loads(bytes(data["__header__"]).decode()), "header"), groups
+    doc = _object(json.loads(path.read_text(encoding="utf-8")), "top level")
+    optimizer = doc.get("optimizer") if isinstance(doc.get("optimizer"), dict) else {}
+    return doc, {"weights": doc.get("weights"), "optim_m": optimizer.get("m"), "optim_v": optimizer.get("v")}
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"checkpoint {what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _number(obj: dict, key: str, kind: type):
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"checkpoint field {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+def _arrays(named, what: str, shapes: dict) -> dict[str, np.ndarray]:
+    """float64 arrays, required to match ``shapes`` name for name and shape for shape."""
+    named = _object(named, what)
+    if named.keys() != shapes.keys():
+        missing, unexpected = sorted(shapes.keys() - named.keys()), sorted(named.keys() - shapes.keys())
+        raise ValueError(f"checkpoint {what} do not fit the network: missing {missing}, unexpected {unexpected}")
+    try:
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in named.items()}
+    except TypeError as exc:
+        raise ValueError(f"checkpoint {what} hold a non-numeric value: {exc}") from None
+    for k, a in arrays.items():
+        if a.shape != shapes[k]:
+            raise ValueError(f"checkpoint {what} {k!r} has shape {a.shape}, expected {shapes[k]}")
+    return arrays
 
 
 def load_checkpoint(path) -> tuple[MpnnParams, OptimState | None, dict]:
-    """Read a checkpoint back; raises on unknown format versions."""
-    path = Path(path)
-    if path.suffix == ".npz":
-        with np.load(path) as data:
-            header = json.loads(bytes(data["__header__"]).decode())
-            if header.get("format_version") != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-            weights = {
-                k.split("/", 1)[1]: np.asarray(data[k], dtype=np.float64)
-                for k in data.files
-                if k.startswith("weights/")
-            }
-            params = MpnnParams(hidden=int(header["hidden"]), layers=int(header["layers"]), weights=weights)
-            state = None
-            if header.get("optimizer") is not None:
-                o = header["optimizer"]
-                state = OptimState(
-                    lr=float(o["lr"]),
-                    beta1=float(o["beta1"]),
-                    beta2=float(o["beta2"]),
-                    eps=float(o["eps"]),
-                    step=int(o["step"]),
-                    m={
-                        k.split("/", 1)[1]: np.asarray(data[k], dtype=np.float64)
-                        for k in data.files
-                        if k.startswith("optim_m/")
-                    },
-                    v={
-                        k.split("/", 1)[1]: np.asarray(data[k], dtype=np.float64)
-                        for k in data.files
-                        if k.startswith("optim_v/")
-                    },
-                )
-            return params, state, header.get("meta", {})
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    params = MpnnParams(
-        hidden=int(doc["hidden"]),
-        layers=int(doc["layers"]),
-        weights={k: np.asarray(v, dtype=np.float64) for k, v in doc["weights"].items()},
-    )
-    return params, _optimizer_from_json(doc.get("optimizer")), doc.get("meta", {})
+    """Read a checkpoint in either format back.
+
+    Raises:
+        ValueError: on an unknown format version, or a field, weight or
+            moment that is missing, unexpected or of the wrong type or shape.
+    """
+    header, groups = _read_checkpoint(Path(path))
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
+    hidden, layers = _number(header, "hidden", int), _number(header, "layers", int)
+    shapes = MpnnParams.shapes(hidden, layers)
+    params = MpnnParams(hidden, layers, _arrays(groups["weights"], "weights", shapes))
+    if header.get("optimizer") is None:
+        return params, None, header.get("meta", {})
+    optimizer = _object(header["optimizer"], "optimizer")
+    scalars = {k: _number(optimizer, k, kind) for k, kind in _OPTIM_SCALARS.items()}
+    # Adam holds moments for every weight once it has taken a step, none before.
+    moment_shapes = shapes if scalars["step"] else {}
+    m, v = (_arrays(groups[g], f"optimizer {g[-1]}", moment_shapes) for g in ("optim_m", "optim_v"))
+    return params, OptimState(**scalars, m=m, v=v), header.get("meta", {})

@@ -295,6 +295,8 @@ def default_interval_schedule(
     """Geometric volume-interval grid from twice the seed degree up to the
     receptive-field ball volume (capped at half the total volume to keep the
     scan local); each interval spans +/-25% of its center."""
+    if count < 1:
+        raise ValueError(f"need at least one volume interval (count >= 1), got {count}")
     d_s = float(graph.degree[seed_node])
     if d_s <= 0.0:
         raise ValueError("seed node is isolated; no volume scale to scan")

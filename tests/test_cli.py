@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cliquecut import graph_digest, to_edge_list_text
+from cliquecut import MpnnParams, graph_digest, save_checkpoint, to_edge_list_text
 from cliquecut.cli import main
 
 from helpers import complete_graph, path_graph, two_triangles
@@ -342,3 +342,36 @@ def test_mpnn_without_checkpoint_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, ["solve", "--graph", str(graph_path), "--producer", "mpnn"])
     assert code == 1
     assert "checkpoint" in err
+
+
+def _drop_npz_member(path, name):
+    with np.load(path) as data:
+        members = {k: data[k] for k in data.files if k != name}
+    np.savez(path, **members)
+
+
+@pytest.mark.parametrize(
+    "suffix, damage, message",
+    [
+        (".json", lambda doc: {**doc, "weights": {k: v for k, v in doc["weights"].items() if k != "head2_b"}}, "head2_b"),
+        (".json", lambda doc: {k: v for k, v in doc.items() if k != "hidden"}, "hidden"),
+        (".json", lambda doc: {**doc, "layers": 3}, "layer2_w"),
+        (".json", lambda doc: [doc], "object"),
+        (".json", lambda doc: {**doc, "weights": {**doc["weights"], "embed_b": {"x": 1.0}}}, "non-numeric"),
+        (".npz", "weights/head2_b", "head2_b"),
+    ],
+    ids=["missing-weight", "missing-hidden", "layers-mismatch", "top-level-list", "non-numeric", "npz-missing-weight"],
+)
+def test_malformed_checkpoint_is_input_error(tmp_path, capsys, suffix, damage, message):
+    ckpt = tmp_path / f"bad{suffix}"
+    save_checkpoint(ckpt, MpnnParams.init(np.random.default_rng(0), hidden=4, layers=2))
+    if suffix == ".npz":
+        _drop_npz_member(ckpt, damage)
+    else:
+        ckpt.write_text(json.dumps(damage(json.loads(ckpt.read_text()))))
+    graph_path = write_graph(tmp_path, complete_graph(4))
+    code, _, err = run(
+        capsys, ["solve", "--graph", str(graph_path), "--producer", "mpnn", "--checkpoint", str(ckpt)]
+    )
+    assert code == 1
+    assert err.startswith("error:") and message in err

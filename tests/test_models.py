@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,15 +13,16 @@ from cliquecut import (
     OptimState,
     VolumeConstraint,
     clique_loss,
+    cut_loss,
     expected_volume,
     load_checkpoint,
     mpnn_forward,
     optimize_direct,
-    rescaled_cut_loss,
+    rescale_to_target,
     save_checkpoint,
     train_mpnn,
 )
-from cliquecut.models import mpnn_backward, sigmoid
+from cliquecut.models import _draw_interval, _pick_seed, mpnn_backward, sigmoid
 
 from helpers import complete_graph, path_graph, random_graph, two_triangles
 
@@ -42,53 +45,51 @@ def test_clique_loss_spec_resolution():
     assert CliqueLossSpec().resolve(empty) == CliqueLossParams(gamma=1.0, beta=1.0)
 
 
+def reference_cut_loss(graph, p, interval):
+    """The rescaled cut loss from the public pieces: expected cut at the midpoint
+    rescale, gradient scaled straight through (zero on clamped coordinates)."""
+    q, info = rescale_to_target(p, graph.degree, interval.target, with_info=True)
+    rep = cut_loss(graph, q)
+    return rep.value, rep.gradient * info.scale
+
+
 def test_cut_loss_spec_requires_interval():
     g = two_triangles()
     with pytest.raises(ValueError, match="interval"):
-        CutLossSpec().evaluate(g, np.full(6, 0.5))
-    with pytest.raises(ValueError, match="interval"):
         CutLossSpec().step_kernel(g)
-    spec = CutLossSpec(VolumeConstraint(5.0, 9.0))
-    rep = spec.evaluate(g, np.full(6, 0.5))
-    assert rep.value >= 0.0
+    interval = VolumeConstraint(5.0, 9.0)
+    value, gradient = CutLossSpec(interval).step_kernel(g)(np.full(6, 0.5))
+    assert value >= 0.0
+    ref_value, ref_gradient = reference_cut_loss(g, np.full(6, 0.5), interval)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert np.array_equal(gradient, ref_gradient)
 
 
 def test_rescaled_cut_loss_hits_midpoint():
     g = two_triangles()
     interval = VolumeConstraint(5.0, 9.0)
+    step = CutLossSpec(interval).step_kernel(g)
     rng = np.random.default_rng(2)
     for _ in range(20):
         p = rng.uniform(0.05, 1.0, 6)
-        rescaled_cut_loss(g, p, interval)
-        # The evaluation rescales internally; replicate to confirm the target.
-        from cliquecut import rescale_to_target
-
+        value, _ = step(p)
+        # The kernel rescales internally; replicate to confirm the target.
         q = rescale_to_target(p, g.degree, interval.target)
         assert expected_volume(g, q) == pytest.approx(interval.target, rel=1e-9)
+        assert value == pytest.approx(cut_loss(g, q).value, rel=1e-12)
 
 
 def test_rescaled_cut_loss_straight_through_gradient():
-    # On unsaturated coordinates the multiplier is the scalar scale; finite
-    # differences of the composed map recover gradient * scale only where the
-    # rescale is locally linear, which a small h keeps true.
+    # Straight-through ignores the renormalization coupling, so the gradient
+    # is the partial derivative holding the rescale multiplier fixed.
     g = two_triangles()
     interval = VolumeConstraint(3.0, 5.0)
     p = np.array([0.3, 0.4, 0.5, 0.3, 0.4, 0.5])
-    rep = rescaled_cut_loss(g, p, interval)
-    h = 1e-7
+    _, gradient = CutLossSpec(interval).step_kernel(g)(p)
+    q, info = rescale_to_target(p, g.degree, interval.target, with_info=True)
     for i in range(6):
-        up, dn = p.copy(), p.copy()
-        up[i] += h
-        dn[i] -= h
-        fd = (rescaled_cut_loss(g, up, interval).value - rescaled_cut_loss(g, dn, interval).value) / (2 * h)
-        # Straight-through ignores the renormalization coupling, so compare
-        # against the partial derivative holding the scale fixed.
-        from cliquecut import cut_loss, rescale_to_target
-        from cliquecut.distributions import rescale_to_target as _r
-
-        q, info = _r(p, g.degree, interval.target, with_info=True)
         direct = cut_loss(g, q).gradient[i] * info.scale[i]
-        assert rep.gradient[i] == pytest.approx(direct, abs=1e-9)
+        assert gradient[i] == pytest.approx(direct, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,10 @@ def test_optimize_direct_pin_keeps_node_in():
 
 
 def reference_optimize_direct(graph, evaluate, steps, *, lr, rng, init_scale, pin=None):
-    """optimize_direct as it ran before the step kernel: the public loss, then OptimState.apply."""
+    """optimize_direct as it ran before the step kernel: the public loss, then OptimState.apply.
+
+    ``evaluate`` maps p to (value, gradient).
+    """
     logits = init_scale * rng.standard_normal(graph.n)
     if pin is not None:
         logits[pin] = 12.0
@@ -148,14 +152,24 @@ def reference_optimize_direct(graph, evaluate, steps, *, lr, rng, init_scale, pi
     losses = []
     for _ in range(steps):
         p = sigmoid(logits)
-        rep = evaluate(p)
-        losses.append(rep.value)
-        state.apply({"logits": logits}, {"logits": rep.gradient * p * (1.0 - p)})
+        value, gradient = evaluate(p)
+        losses.append(value)
+        state.apply({"logits": logits}, {"logits": gradient * p * (1.0 - p)})
         if pin is not None:
             logits[pin] = 12.0
     p = sigmoid(logits)
-    losses.append(evaluate(p).value)
+    losses.append(evaluate(p)[0])
     return p, losses
+
+
+def public_clique_loss(graph, spec):
+    params = spec.resolve(graph)
+
+    def evaluate(p):
+        rep = clique_loss(graph, p, params)
+        return rep.value, rep.gradient
+
+    return evaluate
 
 
 def assert_same_run(fused, reference):
@@ -172,7 +186,7 @@ def test_optimize_direct_clique_kernel_matches_public_loss():
     fused = optimize_direct(g, spec, 50, lr=0.1, rng=np.random.default_rng(3), init_scale=1.0)
     reference = reference_optimize_direct(
         g,
-        lambda p: clique_loss(g, p, spec.resolve(g)),
+        public_clique_loss(g, spec),
         50,
         lr=0.1,
         rng=np.random.default_rng(3),
@@ -190,7 +204,7 @@ def test_optimize_direct_cut_kernel_matches_public_loss():
     )
     reference = reference_optimize_direct(
         g,
-        lambda p: rescaled_cut_loss(g, p, interval),
+        lambda p: reference_cut_loss(g, p, interval),
         50,
         lr=0.1,
         rng=np.random.default_rng(4),
@@ -348,6 +362,83 @@ def test_train_mpnn_resume_from_init():
     assert second.optimizer.step > first.epochs_trained  # state carried over
 
 
+def reference_train_mpnn(corpus, loss_spec, epochs, *, hidden, layers, batch_size, lr, rng):
+    """train_mpnn as it ran on the validated public losses (clique_loss, and
+    cut_loss after the midpoint rescale), before it stepped on step_kernel."""
+
+    def sample_context(g):
+        if isinstance(loss_spec, CutLossSpec):
+            seed = _pick_seed(g, rng, need_degree=True)
+            interval = loss_spec.interval or _draw_interval(g, seed, hops, rng)
+            return seed, lambda p: reference_cut_loss(g, p, interval)
+        seed = _pick_seed(g, rng, need_degree=False)
+        return seed, public_clique_loss(g, loss_spec)
+
+    train_graphs = [g for g, s in zip(corpus.graphs, corpus.splits) if s == "train"]
+    val_graphs = [g for g, s in zip(corpus.graphs, corpus.splits) if s == "val"]
+    params = MpnnParams.init(rng, hidden, layers)
+    state = OptimState(lr=lr)
+    hops = max(params.layers, 1)
+    val_ctx = [(g, *sample_context(g)) for g in val_graphs]
+    history = {"train": [], "val": []}
+    best_params, best_score = params.copy(), np.inf
+    for _ in range(epochs):
+        order = rng.permutation(len(train_graphs))
+        epoch_losses = []
+        for start in range(0, order.size, batch_size):
+            batch = order[start : start + batch_size]
+            acc = {}
+            for j in batch:
+                g = train_graphs[int(j)]
+                seed, evaluate = sample_context(g)
+                p, cache = mpnn_forward(g, params, seed, want_cache=True)
+                value, gradient = evaluate(p)
+                epoch_losses.append(value)
+                for key, val in mpnn_backward(g, params, cache, gradient).items():
+                    if key in acc:
+                        acc[key] += val
+                    else:
+                        acc[key] = val
+            for key in acc:
+                acc[key] /= batch.size
+            state.apply(params.weights, acc)
+        score = float(np.mean(epoch_losses))
+        history["train"].append(score)
+        if val_ctx:
+            score = float(np.mean([evaluate(mpnn_forward(g, params, seed))[0] for g, seed, evaluate in val_ctx]))
+            history["val"].append(score)
+        if score < best_score:
+            best_score, best_params = score, params.copy()
+    return best_params, state, history
+
+
+@pytest.mark.parametrize(
+    "objective, splits",
+    [("clique", ["train"] * 6 + ["val"] * 3), ("cut", ["train"] * 6 + ["val"] * 2)],
+)
+def test_train_mpnn_matches_public_loss_reference(objective, splits):
+    # The cut spec is unbound, so every training and validation pass draws an interval.
+    rng = np.random.default_rng(31)
+    graphs = [random_graph(rng, int(rng.integers(8, 16)), density=0.4, weighted=True) for _ in splits]
+    corpus = _tiny_corpus(graphs, splits)
+    spec = CliqueLossSpec(beta=2.0) if objective == "clique" else CutLossSpec()
+    kwargs = dict(hidden=6, layers=2, batch_size=4, lr=0.02)
+    result = train_mpnn(corpus, spec, 12, rng=np.random.default_rng(7), **kwargs)
+    params, state, history = reference_train_mpnn(corpus, spec, 12, rng=np.random.default_rng(7), **kwargs)
+    assert list(result.params.weights) == list(params.weights)
+    for key, w in params.weights.items():
+        assert np.array_equal(result.params.weights[key], w), key
+    assert result.optimizer.step == state.step
+    for key in state.m:
+        assert np.array_equal(result.optimizer.m[key], state.m[key]), key
+        assert np.array_equal(result.optimizer.v[key], state.v[key]), key
+    assert [len(v) for v in result.history.values()] == [12, 12]
+    for name, values in history.items():
+        assert len(result.history[name]) == len(values)
+        for got, want in zip(result.history[name], values):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -395,3 +486,69 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
+
+
+# Written by the two-serializer save_checkpoint (format version 1); the codec
+# must keep producing these layouts and keep reading them.
+CHECKPOINT_FIXTURES = Path(__file__).parent / "data"
+
+
+def fixture_checkpoint(with_optimizer):
+    """The checkpoint the fixtures hold.  Moments are keyed in reverse weight
+    order, as in training, so each group's member order is pinned separately."""
+    rng = np.random.default_rng(20)
+    params = MpnnParams.init(rng, hidden=3, layers=2)
+    state = OptimState(lr=0.01)
+    for _ in range(2):
+        state.apply(params.weights, {k: rng.standard_normal(params.weights[k].shape) for k in reversed(params.weights)})
+    meta = {"objective": "clique", "epochs": 2, "seed": 20}
+    return params, (state if with_optimizer else None), meta
+
+
+def npz_members(path):
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+def assert_same_npz(got, want):
+    assert list(got) == list(want)
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype and np.array_equal(got[name], array), name
+
+
+@pytest.mark.parametrize("suffix", [".json", ".npz"])
+@pytest.mark.parametrize("with_optimizer", [True, False], ids=["optim", "bare"])
+def test_checkpoint_layout_matches_fixture(tmp_path, suffix, with_optimizer):
+    params, state, meta = fixture_checkpoint(with_optimizer)
+    fixture = CHECKPOINT_FIXTURES / f"checkpoint_v1_{'optim' if with_optimizer else 'bare'}{suffix}"
+    path = tmp_path / f"ckpt{suffix}"
+    save_checkpoint(path, params, optimizer=state, meta=meta)
+    if suffix == ".json":
+        assert path.read_bytes() == fixture.read_bytes()
+    else:
+        assert_same_npz(npz_members(path), npz_members(fixture))
+
+    loaded, opt, loaded_meta = load_checkpoint(fixture)
+    assert (loaded.hidden, loaded.layers) == (3, 2)
+    assert loaded.weights.keys() == params.weights.keys()
+    for key, w in params.weights.items():
+        assert np.array_equal(loaded.weights[key], w), key
+    assert loaded_meta == meta
+    if state is None:
+        assert opt is None
+    else:
+        assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.step) == (
+            state.lr, state.beta1, state.beta2, state.eps, state.step
+        )
+        for moments, want in ((opt.m, state.m), (opt.v, state.v)):
+            assert moments.keys() == want.keys()
+            for key, m in want.items():
+                assert np.array_equal(moments[key], m), key
+
+    # Saving what was read gives the fixture back, member order included.
+    resaved = tmp_path / f"resaved{suffix}"
+    save_checkpoint(resaved, loaded, optimizer=opt, meta=loaded_meta)
+    if suffix == ".json":
+        assert resaved.read_bytes() == fixture.read_bytes()
+    else:
+        assert_same_npz(npz_members(resaved), npz_members(fixture))

@@ -237,6 +237,9 @@ def test_default_interval_schedule_shape():
     assert schedule[-1].upper <= 1.25 * g.degree.sum() / 2.0 + 1e-9
     with pytest.raises(ValueError, match="isolated"):
         default_interval_schedule(Graph(2, [], [], []), 0)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count >= 1"):
+            default_interval_schedule(g, 0, hops=2, count=count)
 
 
 # ---------------------------------------------------------------------------
