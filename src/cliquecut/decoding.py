@@ -38,7 +38,56 @@ __all__ = [
 ]
 
 
-class CliquePenaltyObjective:
+# Up to this many neighbours a Python loop updates a node's neighbour sums
+# faster than one numpy scatter does: with unit weights, and with others.
+_LOOP_MAX_DEGREE_UNIT = 24
+_LOOP_MAX_DEGREE = 16
+
+
+class _NeighborSums:
+    """Neighbour sums s = A p kept up to date while single coordinates change.
+
+    The per-node work runs on Python floats: p is a list, and s and the
+    graph's arrays are read through memoryviews, so that a high-degree node
+    can still update its neighbours with one numpy scatter.  On a graph whose
+    weights are all 1 the Python loop adds d itself, which is d * 1.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        self.p: list[float] | None = None
+        unit = graph.unit_weights
+        self._offsets = memoryview(graph.offsets)
+        self._targets = memoryview(graph.targets)
+        self._weights = None if unit else memoryview(graph.weights)
+        self._loop_max = _LOOP_MAX_DEGREE_UNIT if unit else _LOOP_MAX_DEGREE
+
+    def _start(self, p) -> np.ndarray:
+        """Bind p; returns it as a float64 array and sets the edge term sum_ij w_ij p_i p_j."""
+        probs = np.asarray(p, dtype=np.float64)
+        graph = self.graph
+        self.p = probs.tolist()
+        self._sums = weighted_neighbor_sums(graph, probs)
+        self.s = memoryview(self._sums)
+        self.edge_term = float(np.sum(graph.edge_w * probs[graph.edge_u] * probs[graph.edge_v]))
+        return probs
+
+    def _shift(self, i: int, d: float) -> None:
+        """Add d * w_ij to s_j for every neighbour j of i."""
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        if hi - lo > self._loop_max:
+            self._sums[self.graph.targets[lo:hi]] += d * self.graph.weights[lo:hi]
+        elif self._weights is None:
+            s = self.s
+            for j in self._targets[lo:hi]:
+                s[j] += d
+        else:
+            s = self.s
+            for j, w in zip(self._targets[lo:hi], self._weights[lo:hi]):
+                s[j] += d * w
+
+
+class CliquePenaltyObjective(_NeighborSums):
     """Incremental evaluator of the clique penalty expectation.
 
     Maintains per-node weighted neighbor sums plus the global probability
@@ -46,34 +95,33 @@ class CliquePenaltyObjective:
     """
 
     def __init__(self, graph: Graph, params: CliqueLossParams) -> None:
-        self.graph = graph
+        super().__init__(graph)
         self.params = params
-        self.p: np.ndarray | None = None
 
     def start(self, p: np.ndarray) -> float:
-        self.p = np.asarray(p, dtype=np.float64).copy()
-        self.s = weighted_neighbor_sums(self.graph, self.p)
-        self.edge_term = float(
-            np.sum(self.graph.edge_w * self.p[self.graph.edge_u] * self.p[self.graph.edge_v])
-        )
-        self.sum_p = float(self.p.sum())
-        self.sum_sq = float(np.sum(self.p * self.p))
+        probs = self._start(p)
+        self.sum_p = float(probs.sum())
+        self.sum_sq = float(np.sum(probs * probs))
+        # The constants of _penalty_value, hoisted out of the per-node work.
+        self._gamma = self.params.gamma
+        self._beta1 = self.params.beta + 1.0
+        self._half_beta = 0.5 * self.params.beta
         return self.value()
 
     def value(self) -> float:
-        pairs = self.sum_p * self.sum_p - self.sum_sq
-        return _penalty_value(self.params, self.edge_term, pairs)
-
-    def _value_with(self, i: int, v: float) -> float:
-        old = self.p[i]
-        d = v - old
-        edge = self.edge_term + d * self.s[i]
-        sp = self.sum_p + d
-        sq = self.sum_sq + v * v - old * old
-        return _penalty_value(self.params, edge, sp * sp - sq)
+        sp = self.sum_p
+        return self._gamma - self._beta1 * self.edge_term + self._half_beta * (sp * sp - self.sum_sq)
 
     def branch(self, i: int) -> tuple[float, float]:
-        return self._value_with(i, 1.0), self._value_with(i, 0.0)
+        old, s_i = self.p[i], self.s[i]
+        edge, sp, sq, old_sq = self.edge_term, self.sum_p, self.sum_sq, old * old
+        gamma, beta1, half_beta = self._gamma, self._beta1, self._half_beta
+        # The value with p_i set to v, for v = 1 and then v = 0 (1.0 and 0.0 stand for v * v).
+        d = 1.0 - old
+        v_in = gamma - beta1 * (edge + d * s_i) + half_beta * ((sp + d) * (sp + d) - (sq + 1.0 - old_sq))
+        d = 0.0 - old
+        v_out = gamma - beta1 * (edge + d * s_i) + half_beta * ((sp + d) * (sp + d) - (sq + 0.0 - old_sq))
+        return v_in, v_out
 
     def commit(self, i: int, v: float) -> None:
         old = self.p[i]
@@ -82,48 +130,41 @@ class CliquePenaltyObjective:
             self.edge_term += d * self.s[i]
             self.sum_p += d
             self.sum_sq += v * v - old * old
-            lo, hi = self.graph.offsets[i], self.graph.offsets[i + 1]
-            nbrs = self.graph.targets[lo:hi]
-            self.s[nbrs] += d * self.graph.weights[lo:hi]
+            self._shift(i, d)
             self.p[i] = v
 
 
-class CutObjective:
+class CutObjective(_NeighborSums):
     """Incremental evaluator of the expected cut (negated when maximizing)."""
 
     def __init__(self, graph: Graph, *, maximize: bool = False) -> None:
-        self.graph = graph
+        super().__init__(graph)
         self.sign = -1.0 if maximize else 1.0
-        self.p: np.ndarray | None = None
+        self._degree = memoryview(graph.degree)
 
     def start(self, p: np.ndarray) -> float:
-        self.p = np.asarray(p, dtype=np.float64).copy()
-        self.s = weighted_neighbor_sums(self.graph, self.p)
-        self.edge_term = float(
-            np.sum(self.graph.edge_w * self.p[self.graph.edge_u] * self.p[self.graph.edge_v])
-        )
-        self.vol_term = float(self.graph.degree @ self.p)
+        probs = self._start(p)
+        self.vol_term = float(self.graph.degree @ probs)
         return self.value()
 
     def value(self) -> float:
         return self.sign * (self.vol_term - 2.0 * self.edge_term)
 
-    def _value_with(self, i: int, v: float) -> float:
-        d = v - self.p[i]
-        return self.sign * (
-            self.vol_term + d * self.graph.degree[i] - 2.0 * (self.edge_term + d * self.s[i])
-        )
-
     def branch(self, i: int) -> tuple[float, float]:
-        return self._value_with(i, 1.0), self._value_with(i, 0.0)
+        old, s_i, deg_i = self.p[i], self.s[i], self._degree[i]
+        vol, edge, sign = self.vol_term, self.edge_term, self.sign
+        d_in, d_out = 1.0 - old, 0.0 - old
+        return (
+            sign * (vol + d_in * deg_i - 2.0 * (edge + d_in * s_i)),
+            sign * (vol + d_out * deg_i - 2.0 * (edge + d_out * s_i)),
+        )
 
     def commit(self, i: int, v: float) -> None:
         d = v - self.p[i]
         if d != 0.0:
             self.edge_term += d * self.s[i]
-            self.vol_term += d * self.graph.degree[i]
-            lo, hi = self.graph.offsets[i], self.graph.offsets[i + 1]
-            self.s[self.graph.targets[lo:hi]] += d * self.graph.weights[lo:hi]
+            self.vol_term += d * self._degree[i]
+            self._shift(i, d)
             self.p[i] = v
 
 
@@ -182,6 +223,12 @@ def decode_conditional(
     weighted degree of the included nodes above ``cap`` becomes an exclusion,
     even for a probability-1 node, so the cap holds unconditionally once
     ``first`` alone fits under it.
+
+    p is validated here, once; the objective's ``start`` receives it as a
+    float64 vector.  The per-node work then runs on Python floats (p, the
+    visit order and the degrees as lists), which perform the same float
+    operations in the same order as numpy scalars would, so the trace is
+    the same bit for bit.
     """
     probs = check_probs(graph, p)
     visit = _visit_order(probs, order)
@@ -189,14 +236,14 @@ def decode_conditional(
         if not (0 <= first < graph.n):
             raise ValueError(f"first node {first} out of range")
         visit = np.concatenate([[first], visit[visit != first]])
-    degree = graph.degree
-    path = np.empty(graph.n + 1)
-    decisions = np.zeros(graph.n, dtype=bool)
-    path[0] = objective.start(probs)
+    degree = memoryview(graph.degree)
+    prob = probs.tolist()
+    branch, commit, value = objective.branch, objective.commit, objective.value
+    path = [objective.start(probs)]
+    included = []
     vol = 0.0
-    for k, i in enumerate(visit):
-        i = int(i)
-        p_i = probs[i]
+    for i in visit.tolist():
+        p_i = prob[i]
         if i == first:
             bit = 1.0
         elif p_i == 0.0:
@@ -206,16 +253,19 @@ def decode_conditional(
         elif p_i == 1.0:
             bit = 1.0
         else:
-            v_in, v_out = objective.branch(i)
+            v_in, v_out = branch(i)
             bit = 1.0 if v_in < v_out else 0.0
-        objective.commit(i, bit)
+        commit(i, bit)
         if bit == 1.0:
-            vol += float(degree[i])
-            decisions[k] = True
-        path[k + 1] = objective.value()
+            vol += degree[i]
+        included.append(bit == 1.0)
+        path.append(value())
+    decisions = np.array(included, dtype=bool)
     mask = np.zeros(graph.n, dtype=bool)
     mask[visit[decisions]] = True
-    trace = DecodeTrace(visit_order=visit, decisions=decisions, expectation_path=path)
+    trace = DecodeTrace(
+        visit_order=visit, decisions=decisions, expectation_path=np.array(path, dtype=np.float64)
+    )
     return NodeSet.from_mask(graph, mask), trace
 
 

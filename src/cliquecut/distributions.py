@@ -52,6 +52,29 @@ def weighted_neighbor_sums(graph: Graph, p: np.ndarray) -> np.ndarray:
     return sums.astype(np.float64, copy=False)
 
 
+def _neighbor_sums_kernel(graph: Graph):
+    """``weighted_neighbor_sums`` bound to ``graph`` for repeated calls, with the same bits.
+
+    bincount adds each node's terms in adjacency order, and when those terms
+    are consecutive every add waits for the one before.  Listing the
+    adjacency rank by rank (each node's first neighbour, then each node's
+    second, ...) keeps every node's own order, so the sums are unchanged,
+    while consecutive adds land on different nodes.
+    """
+    rank = np.arange(graph.rows.size) - graph.offsets[graph.rows]
+    order = np.argsort(rank, kind="stable")
+    rows, targets, n = graph.rows[order], graph.targets[order], graph.n
+    weights = None if graph.unit_weights else graph.weights[order]
+
+    def sums(p: np.ndarray) -> np.ndarray:
+        terms = p[targets]
+        if weights is not None:
+            terms = weights * terms
+        return np.bincount(rows, weights=terms, minlength=n).astype(np.float64, copy=False)
+
+    return sums
+
+
 @dataclass(frozen=True)
 class CliqueLossParams:
     """Penalty-loss parameters.
@@ -198,6 +221,11 @@ def rescale_to_target(p0, a, b: float, *, rel_tol: float = 1e-9, with_info: bool
     node and the loop ends within n steps.  When sum(a) <= b the positive
     coordinates all saturate at 1 and the target is unreachable by design.
 
+    This entry point validates its arguments and then runs ``_rescale``, the
+    unvalidated loop that ``CutLossSpec.step_kernel`` calls directly; the
+    float operations, and so the bits of every output, are the same either
+    way.  ``saturated_history`` is only built when ``with_info`` is set.
+
     Args:
         p0: starting probabilities in [0, 1].
         a: non-negative per-node coefficients (volumes use the weighted degree).
@@ -209,49 +237,79 @@ def rescale_to_target(p0, a, b: float, *, rel_tol: float = 1e-9, with_info: bool
         ValueError: if b <= 0, coefficients are negative, or p0 is all zeros
             while b > 0.
     """
-    p = np.asarray(p0, dtype=np.float64).reshape(-1).copy()
-    coeff = np.asarray(a, dtype=np.float64).reshape(-1)
-    if p.shape != coeff.shape:
+    probs = np.asarray(p0, dtype=np.float64).reshape(-1)
+    coeff = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
+    if probs.shape != coeff.shape:
         raise ValueError("p0 and a must have equal length")
-    if not np.all(np.isfinite(p)) or p.size == 0 or p.min() < 0.0 or p.max() > 1.0:
+    if not np.all(np.isfinite(probs)) or probs.size == 0 or probs.min() < 0.0 or probs.max() > 1.0:
         raise ValueError("p0 must be a nonempty vector in [0, 1]")
     if np.any(coeff < 0.0):
         raise ValueError("coefficients must be non-negative")
     if b <= 0.0:
         raise ValueError("target must be positive")
-    if float(coeff @ p) == 0.0:
-        raise ValueError("cannot rescale an all-zero distribution to a positive target")
+    history: list[np.ndarray] | None = [] if with_info else None
+    p, scale, iterations = _rescale(probs, coeff, b, rel_tol, history)
+    if p is probs:
+        p = p.copy()
+    if with_info:
+        return p, RescaleInfo(scale=scale, iterations=iterations, saturated_history=history)
+    return p
 
-    n = p.size
+
+def _rescale(p: np.ndarray, coeff: np.ndarray, b: float, rel_tol: float = 1e-9, history: list | None = None):
+    """The loop of ``rescale_to_target`` on trusted inputs: (q, scale, iterations).
+
+    p is a float64 vector in [0, 1], coeff a non-negative contiguous float64
+    vector of the same length and b > 0; p is never written, and q is p itself
+    when no scaling was needed.  The first multiply runs over the whole vector
+    with coeff @ p as the mass; later ones update in place under the movable
+    mask and take the mass and the saturated coefficient sum over compacted
+    copies.  Every unsaturated coordinate is multiplied by every factor, so
+    its scale is their running product, one float for all of them.  When
+    ``history`` is a list, the saturated set is appended to it after every
+    multiply.
+
+    Raises:
+        ValueError: if coeff @ p is zero.
+    """
     tol = rel_tol * b
-    saturated = np.zeros(n, dtype=bool)
-    scale = np.ones(n)
-    history: list[np.ndarray] = []
-    iterations = 0
+    current = float(coeff @ p)
+    if current == 0.0:
+        raise ValueError("cannot rescale an all-zero distribution to a positive target")
+    if abs(current - b) <= tol:
+        return p, np.ones(p.size), 0
+    c = b / current
+    q = p * c
+    saturated = q >= 1.0
+    np.minimum(q, 1.0, out=q)
+    product = c
+    iterations = 1
+    if history is not None:
+        history.append(saturated.copy())
 
-    for _ in range(n + 1):
-        current = float(coeff @ p)
+    for _ in range(p.size):
+        current = float(coeff @ q)
         if abs(current - b) <= tol:
             break
         movable = ~saturated
-        mass = float(coeff[movable] @ p[movable])
+        mass = float(coeff[movable] @ q[movable])
         target = b - float(coeff[saturated].sum())
         if mass <= 0.0 or target <= 0.0:
             break
         c = target / mass
         iterations += 1
-        idx = np.flatnonzero(movable)
-        scaled = p[idx] * c
-        clamped = scaled >= 1.0
-        p[idx] = np.minimum(scaled, 1.0)
-        scale[idx] *= c
-        saturated[idx[clamped]] = True
-        history.append(saturated.copy())
+        product *= c
+        # Saturated coordinates hold exactly 1.0, so ``q >= 1`` after the
+        # masked multiply is the old set plus the newly clamped ones.
+        np.multiply(q, c, out=q, where=movable)
+        saturated |= q >= 1.0
+        np.minimum(q, 1.0, out=q)
+        if history is not None:
+            history.append(saturated.copy())
 
+    scale = np.full(p.size, product)
     scale[saturated] = 0.0
-    if with_info:
-        return p, RescaleInfo(scale=scale, iterations=iterations, saturated_history=history)
-    return p
+    return q, scale, iterations
 
 
 def sample(p, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,12 +20,13 @@ import numpy as np
 from .distributions import (
     CliqueLossParams,
     VolumeConstraint,
+    _neighbor_sums_kernel,
     _penalty_value,
-    # Unused here, but bench/spans.py wraps these two in this namespace by name.
+    _rescale,
+    # Unused here, but bench/spans.py wraps these three in this namespace by name.
     clique_loss,  # noqa: F401
     cut_loss,  # noqa: F401
-    rescale_to_target,
-    weighted_neighbor_sums,
+    rescale_to_target,  # noqa: F401
 )
 from .graphs import Graph, hop_distances
 
@@ -87,9 +89,10 @@ class CliqueLossSpec:
         its value agrees up to rounding in the summation order.
         """
         params = self.resolve(graph)
+        neighbor_sums = _neighbor_sums_kernel(graph)
 
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
-            s = weighted_neighbor_sums(graph, p)
+            s = neighbor_sums(p)
             total = p.sum()
             value = _penalty_value(params, 0.5 * float(p @ s), float(total * total - p @ p))
             return value, -(params.beta + 1.0) * s + params.beta * (total - p)
@@ -113,17 +116,22 @@ class CutLossSpec:
 
         After rescaling p to q, the value is d.q - q.s (the expected cut, with
         s = A q) and the gradient is (d - 2 s) * scale, bit-identical to
-        ``cut_loss(graph, q).gradient * scale``.
+        ``cut_loss(graph, q).gradient * scale``.  The rescale runs the loop of
+        ``rescale_to_target`` without its validation: p comes from a sigmoid or
+        the MPNN, the degrees were validated with the graph, and the target is
+        a ``VolumeConstraint`` midpoint, which is positive.
         """
         if self.interval is None:
             raise ValueError("cut loss evaluation requires a bound volume interval")
         target = self.interval.target
+        degree = graph.degree
+        neighbor_sums = _neighbor_sums_kernel(graph)
 
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
-            q, info = rescale_to_target(p, graph.degree, target, with_info=True)
-            s = weighted_neighbor_sums(graph, q)
-            value = float(graph.degree @ q) - float(q @ s)
-            return value, (graph.degree - 2.0 * s) * info.scale
+            q, scale, _ = _rescale(p, degree, target)
+            s = neighbor_sums(q)
+            value = float(degree @ q) - float(q @ s)
+            return value, (degree - 2.0 * s) * scale
 
         return step
 
@@ -534,15 +542,19 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict]:
     ignored there.
     """
     if path.suffix == ".npz":
-        with np.load(path) as data:
-            if "__header__" not in data.files:
-                raise ValueError("checkpoint has no __header__ member")
-            groups: dict = {"weights": {}, "optim_m": {}, "optim_v": {}}
-            for name in data.files:
-                group, _, key = name.partition("/")
-                if group in groups:
-                    groups[group][key] = data[name]
-            return _object(json.loads(bytes(data["__header__"]).decode()), "header"), groups
+        try:
+            with np.load(path) as data:
+                if "__header__" not in data.files:
+                    raise ValueError("checkpoint has no __header__ member")
+                groups: dict = {"weights": {}, "optim_m": {}, "optim_v": {}}
+                for name in data.files:
+                    group, _, key = name.partition("/")
+                    if group in groups:
+                        groups[group][key] = data[name]
+                return _object(json.loads(bytes(data["__header__"]).decode()), "header"), groups
+        except (zipfile.BadZipFile, EOFError) as exc:
+            # np.load raises these for an empty or truncated archive.
+            raise ValueError(f"checkpoint is not a readable .npz archive: {exc}") from None
     doc = _object(json.loads(path.read_text(encoding="utf-8")), "top level")
     optimizer = doc.get("optimizer") if isinstance(doc.get("optimizer"), dict) else {}
     return doc, {"weights": doc.get("weights"), "optim_m": optimizer.get("m"), "optim_v": optimizer.get("v")}
@@ -581,8 +593,9 @@ def load_checkpoint(path) -> tuple[MpnnParams, OptimState | None, dict]:
     """Read a checkpoint in either format back.
 
     Raises:
-        ValueError: on an unknown format version, or a field, weight or
-            moment that is missing, unexpected or of the wrong type or shape.
+        ValueError: on an unknown format version, an empty or truncated .npz
+            file, or a field, weight or moment that is missing, unexpected
+            or of the wrong type or shape.
     """
     header, groups = _read_checkpoint(Path(path))
     if header.get("format_version") != CHECKPOINT_VERSION:

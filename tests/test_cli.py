@@ -358,15 +358,20 @@ def _drop_npz_member(path, name):
         (".json", lambda doc: {**doc, "layers": 3}, "layer2_w"),
         (".json", lambda doc: [doc], "object"),
         (".json", lambda doc: {**doc, "weights": {**doc["weights"], "embed_b": {"x": 1.0}}}, "non-numeric"),
-        (".npz", "weights/head2_b", "head2_b"),
+        (".npz", lambda path: _drop_npz_member(path, "weights/head2_b"), "head2_b"),
+        (".npz", lambda path: path.write_bytes(b""), "not a readable .npz"),
+        (".npz", lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]), "not a readable .npz"),
     ],
-    ids=["missing-weight", "missing-hidden", "layers-mismatch", "top-level-list", "non-numeric", "npz-missing-weight"],
+    ids=[
+        "missing-weight", "missing-hidden", "layers-mismatch", "top-level-list", "non-numeric",
+        "npz-missing-weight", "npz-empty", "npz-truncated",
+    ],
 )
 def test_malformed_checkpoint_is_input_error(tmp_path, capsys, suffix, damage, message):
     ckpt = tmp_path / f"bad{suffix}"
     save_checkpoint(ckpt, MpnnParams.init(np.random.default_rng(0), hidden=4, layers=2))
     if suffix == ".npz":
-        _drop_npz_member(ckpt, damage)
+        damage(ckpt)
     else:
         ckpt.write_text(json.dumps(damage(json.loads(ckpt.read_text()))))
     graph_path = write_graph(tmp_path, complete_graph(4))

@@ -3,6 +3,7 @@ import pytest
 
 from cliquecut import (
     CliqueLossParams,
+    CliqueLossSpec,
     CliquePenaltyObjective,
     CutObjective,
     Graph,
@@ -22,6 +23,7 @@ from cliquecut import (
     volume,
 )
 from cliquecut.decoding import _visit_order
+from cliquecut.distributions import _penalty_value, weighted_neighbor_sums
 
 from helpers import complete_graph, path_graph, random_graph, two_triangles
 
@@ -290,3 +292,205 @@ def test_cut_objective_maximize_sign():
     maxi = CutObjective(g, maximize=True)
     assert mini.start(p) == pytest.approx(expected_cut(g, p))
     assert maxi.start(p) == pytest.approx(-expected_cut(g, p))
+
+
+# ---------------------------------------------------------------------------
+# Parity with the decode as it ran on numpy scalars.  The reference objectives
+# and loop below keep p and s as numpy arrays, read them element by element
+# and update the neighbour sums with one numpy scatter per node; the shipped
+# code runs the same float operations on Python floats, so every trace must
+# match bit for bit.
+
+
+class _ReferenceCliqueObjective:
+    def __init__(self, graph, params):
+        self.graph = graph
+        self.params = params
+
+    def start(self, p):
+        self.p = np.asarray(p, dtype=np.float64).copy()
+        self.s = weighted_neighbor_sums(self.graph, self.p)
+        self.edge_term = float(
+            np.sum(self.graph.edge_w * self.p[self.graph.edge_u] * self.p[self.graph.edge_v])
+        )
+        self.sum_p = float(self.p.sum())
+        self.sum_sq = float(np.sum(self.p * self.p))
+        return self.value()
+
+    def value(self):
+        pairs = self.sum_p * self.sum_p - self.sum_sq
+        return _penalty_value(self.params, self.edge_term, pairs)
+
+    def _value_with(self, i, v):
+        old = self.p[i]
+        d = v - old
+        edge = self.edge_term + d * self.s[i]
+        sp = self.sum_p + d
+        sq = self.sum_sq + v * v - old * old
+        return _penalty_value(self.params, edge, sp * sp - sq)
+
+    def branch(self, i):
+        return self._value_with(i, 1.0), self._value_with(i, 0.0)
+
+    def commit(self, i, v):
+        old = self.p[i]
+        d = v - old
+        if d != 0.0:
+            self.edge_term += d * self.s[i]
+            self.sum_p += d
+            self.sum_sq += v * v - old * old
+            lo, hi = self.graph.offsets[i], self.graph.offsets[i + 1]
+            self.s[self.graph.targets[lo:hi]] += d * self.graph.weights[lo:hi]
+            self.p[i] = v
+
+
+class _ReferenceCutObjective:
+    def __init__(self, graph, *, maximize=False):
+        self.graph = graph
+        self.sign = -1.0 if maximize else 1.0
+
+    def start(self, p):
+        self.p = np.asarray(p, dtype=np.float64).copy()
+        self.s = weighted_neighbor_sums(self.graph, self.p)
+        self.edge_term = float(
+            np.sum(self.graph.edge_w * self.p[self.graph.edge_u] * self.p[self.graph.edge_v])
+        )
+        self.vol_term = float(self.graph.degree @ self.p)
+        return self.value()
+
+    def value(self):
+        return self.sign * (self.vol_term - 2.0 * self.edge_term)
+
+    def _value_with(self, i, v):
+        d = v - self.p[i]
+        return self.sign * (
+            self.vol_term + d * self.graph.degree[i] - 2.0 * (self.edge_term + d * self.s[i])
+        )
+
+    def branch(self, i):
+        return self._value_with(i, 1.0), self._value_with(i, 0.0)
+
+    def commit(self, i, v):
+        d = v - self.p[i]
+        if d != 0.0:
+            self.edge_term += d * self.s[i]
+            self.vol_term += d * self.graph.degree[i]
+            lo, hi = self.graph.offsets[i], self.graph.offsets[i + 1]
+            self.s[self.graph.targets[lo:hi]] += d * self.graph.weights[lo:hi]
+            self.p[i] = v
+
+
+def _reference_decode(graph, probs, objective, order="prob", first=None, cap=None):
+    """decode_conditional on numpy scalars: returns (visit, decisions, path)."""
+    visit = _visit_order(probs, order)
+    if first is not None:
+        visit = np.concatenate([[first], visit[visit != first]])
+    path = np.empty(graph.n + 1)
+    decisions = np.zeros(graph.n, dtype=bool)
+    path[0] = objective.start(probs)
+    vol = 0.0
+    for k, i in enumerate(visit):
+        i = int(i)
+        p_i = probs[i]
+        if i == first:
+            bit = 1.0
+        elif p_i == 0.0:
+            bit = 0.0
+        elif cap is not None and vol + graph.degree[i] > cap:
+            bit = 0.0
+        elif p_i == 1.0:
+            bit = 1.0
+        else:
+            v_in, v_out = objective.branch(i)
+            bit = 1.0 if v_in < v_out else 0.0
+        objective.commit(i, bit)
+        if bit == 1.0:
+            vol += float(graph.degree[i])
+            decisions[k] = True
+        path[k + 1] = objective.value()
+    return visit, decisions, path
+
+
+def _fuzzed_cases(seed, count):
+    """Graphs from sparse to dense, so that both the per-neighbour loop and
+    the numpy scatter update neighbour sums, with p holding exact 0s, 1s and ties."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(2, 70))
+        g = random_graph(rng, n, density=float(rng.uniform(0.02, 0.9)), weighted=bool(trial % 2))
+        p = rng.random(n) ** float(rng.uniform(0.3, 3.0))
+        p[rng.random(n) < 0.1] = 0.0
+        p[rng.random(n) < 0.1] = 1.0
+        p[rng.random(n) < 0.1] = 0.5
+        yield rng, g, p
+
+
+def _assert_same_trace(trace, reference):
+    visit, decisions, path = reference
+    assert np.array_equal(trace.visit_order, visit)
+    assert np.array_equal(trace.decisions, decisions)
+    assert np.array_equal(trace.expectation_path, path)
+
+
+def _assert_lockstep(objective, reference, p, rng):
+    """Drive both objectives through one visit order with the same random
+    bits; every start, branch and value must agree exactly, including the
+    branch values that only decide a comparison."""
+    assert objective.start(p) == reference.start(p)
+    for i in rng.permutation(p.size).tolist():
+        assert objective.branch(i) == reference.branch(i)
+        bit = float(rng.random() < 0.5)
+        objective.commit(i, bit)
+        reference.commit(i, bit)
+        assert objective.value() == reference.value()
+
+
+def test_objectives_step_in_lockstep_with_numpy_scalar_reference():
+    for rng, g, p in _fuzzed_cases(404, 60):
+        params = CliqueLossParams.for_graph(g)
+        _assert_lockstep(CliquePenaltyObjective(g, params), _ReferenceCliqueObjective(g, params), p, rng)
+        maximize = bool(rng.random() < 0.5)
+        _assert_lockstep(CutObjective(g, maximize=maximize), _ReferenceCutObjective(g, maximize=maximize), p, rng)
+
+
+def test_clique_decode_matches_numpy_scalar_reference():
+    high_degree = 0
+    for _, g, p in _fuzzed_cases(101, 60):
+        high_degree += int(np.diff(g.offsets).max(initial=0) > 24)
+        # The solver's two penalty settings: the certificate's and the optimizer's.
+        for params in (CliqueLossParams.for_graph(g), CliqueLossSpec(beta=2.0).resolve(g)):
+            for order in ("prob", "index"):
+                _, trace = decode_conditional(g, p, CliquePenaltyObjective(g, params), order=order)
+                reference = _reference_decode(g, p, _ReferenceCliqueObjective(g, params), order=order)
+                _assert_same_trace(trace, reference)
+    assert high_degree >= 10
+
+
+def test_cut_decodes_match_numpy_scalar_reference():
+    for rng, g, p in _fuzzed_cases(202, 60):
+        half = np.full(g.n, 0.5)
+        _, trace = decode_conditional(g, half, CutObjective(g, maximize=True))
+        reference = _reference_decode(g, half, _ReferenceCutObjective(g, maximize=True))
+        _assert_same_trace(trace, reference)
+        side = np.zeros(g.n, dtype=bool)
+        side[reference[0][reference[1]]] = True
+        assert np.array_equal(decode_maxcut_half(g).mask, side)
+
+        seed = int(rng.integers(g.n))
+        cap = float(g.degree[seed]) + float(rng.uniform(0.0, 0.5)) * float(g.degree.sum())
+        _, trace = decode_conditional(g, p, CutObjective(g), order="index", first=seed, cap=cap)
+        reference = _reference_decode(g, p, _ReferenceCutObjective(g), order="index", first=seed, cap=cap)
+        _assert_same_trace(trace, reference)
+
+
+def test_best_of_k_matches_numpy_scalar_reference():
+    for rng, g, p in _fuzzed_cases(303, 40):
+        params = CliqueLossParams.for_graph(g)
+        objective, reference = CliquePenaltyObjective(g, params), _ReferenceCliqueObjective(g, params)
+        for _ in range(3):
+            draw = (rng.random(g.n) < p).astype(np.float64)
+            assert objective.start(draw) == reference.start(draw)
+        seed = int(rng.integers(1 << 30))
+        best = decode_best_of_k(g, p, objective, 6, np.random.default_rng(seed))
+        expected = decode_best_of_k(g, p, reference, 6, np.random.default_rng(seed))
+        assert np.array_equal(best.mask, expected.mask)

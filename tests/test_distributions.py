@@ -14,7 +14,7 @@ from cliquecut import (
     rescale_to_target,
     sample,
 )
-from cliquecut.distributions import check_probs, weighted_neighbor_sums
+from cliquecut.distributions import _neighbor_sums_kernel, _rescale, check_probs, weighted_neighbor_sums
 
 from helpers import complete_graph, path_graph, random_graph, two_triangles
 
@@ -229,6 +229,114 @@ def test_rescale_input_validation():
         rescale_to_target(np.array([0.5, 0.5]), np.ones(3), 1.0)
     with pytest.raises(ValueError, match="0, 1"):
         rescale_to_target(np.array([1.5]), np.ones(1), 1.0)
+
+
+def _reference_rescale(p0, a, b, rel_tol=1e-9):
+    """The rescaling loop written with flatnonzero and fancy-index writes on
+    every iteration: returns (q, scale, iterations, saturated_history)."""
+    p = np.asarray(p0, dtype=np.float64).copy()
+    coeff = np.asarray(a, dtype=np.float64)
+    n = p.size
+    tol = rel_tol * b
+    saturated = np.zeros(n, dtype=bool)
+    scale = np.ones(n)
+    history = []
+    iterations = 0
+    for _ in range(n + 1):
+        current = float(coeff @ p)
+        if abs(current - b) <= tol:
+            break
+        movable = ~saturated
+        mass = float(coeff[movable] @ p[movable])
+        target = b - float(coeff[saturated].sum())
+        if mass <= 0.0 or target <= 0.0:
+            break
+        c = target / mass
+        iterations += 1
+        idx = np.flatnonzero(movable)
+        scaled = p[idx] * c
+        clamped = scaled >= 1.0
+        p[idx] = np.minimum(scaled, 1.0)
+        scale[idx] *= c
+        saturated[idx[clamped]] = True
+        history.append(saturated.copy())
+    scale[saturated] = 0.0
+    return p, scale, iterations, history
+
+
+def _rescale_cases(rng, count):
+    """(p, a, b) with exact 0s and 1s, saturation-heavy p, zero coefficients
+    and unreachable targets, on vectors long enough for blocked dot products."""
+    for trial in range(count):
+        n = int(rng.integers(1, 400))
+        kind = trial % 5
+        p = rng.random(n) ** float(rng.uniform(0.1, 4.0))
+        if kind in (1, 4):
+            p[rng.random(n) < 0.3] = 0.0
+            p[rng.random(n) < 0.3] = 1.0
+        if kind == 2:
+            p = np.minimum(1.0, p * float(rng.uniform(1.0, 4.0)))
+        a = rng.random(n) * rng.integers(1, 30, n)
+        if kind in (3, 4):
+            a[rng.random(n) < 0.4] = 0.0
+        if trial % 3 == 0:
+            a = np.round(a)
+        total = float(a.sum())
+        # Mostly reachable targets, some at or beyond sum(a), where everything saturates.
+        b = total * float(rng.uniform(0.01, 1.5)) if total > 0.0 else 1.0
+        if trial % 7 == 0:
+            b = total if total > 0.0 else 1.0
+        yield p, a, b
+
+
+def test_rescale_matches_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    checked = saturating = 0
+    for p, a, b in _rescale_cases(rng, 1500):
+        if float(a @ p) == 0.0:
+            with pytest.raises(ValueError, match="all-zero"):
+                rescale_to_target(p, a, b)
+            with pytest.raises(ValueError, match="all-zero"):
+                _rescale(p, a, b)
+            continue
+        q, scale, iterations, history = _reference_rescale(p, a, b)
+        out, info = rescale_to_target(p, a, b, with_info=True)
+        assert np.array_equal(out, q)
+        assert np.array_equal(info.scale, scale)
+        assert info.iterations == iterations
+        assert len(info.saturated_history) == len(history)
+        assert all(np.array_equal(x, y) for x, y in zip(info.saturated_history, history))
+        assert np.array_equal(rescale_to_target(p, a, b), q)
+        # The loop the cut kernel calls, without validation or history.
+        loop_q, loop_scale, loop_iterations = _rescale(p, a, b)
+        assert np.array_equal(loop_q, q)
+        assert np.array_equal(loop_scale, scale)
+        assert loop_iterations == iterations
+        checked += 1
+        saturating += iterations > 1
+    assert checked > 1000 and saturating > 500
+
+
+def test_rescale_returns_a_copy_when_already_on_target():
+    p = np.array([0.5, 0.25])
+    out = rescale_to_target(p, np.ones(2), 0.75)
+    assert np.array_equal(out, p) and out is not p
+    q, scale, iterations = _rescale(p, np.ones(2), 0.75)
+    assert q is p and iterations == 0 and np.array_equal(scale, np.ones(2))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_neighbor_sums_kernel_matches_bit_for_bit(weighted):
+    rng = np.random.default_rng(31 + weighted)
+    for _ in range(30):
+        n = int(rng.integers(1, 80))
+        g = random_graph(rng, n, density=float(rng.uniform(0.0, 0.9)), weighted=weighted)
+        sums = _neighbor_sums_kernel(g)
+        for _ in range(3):
+            p = rng.random(n) * float(rng.choice([1.0, 1e-8, 1e8]))
+            out = sums(p)
+            assert out.dtype == np.float64
+            assert np.array_equal(out, weighted_neighbor_sums(g, p))
 
 
 def test_sample_reproducible_and_calibrated():
