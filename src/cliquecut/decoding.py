@@ -39,8 +39,7 @@ __all__ = [
 
 
 # Up to this many neighbours a Python loop updates a node's neighbour sums
-# faster than one numpy scatter does: with unit weights, and with others.
-_LOOP_MAX_DEGREE_UNIT = 24
+# faster than one numpy scatter does.
 _LOOP_MAX_DEGREE = 16
 
 
@@ -49,18 +48,15 @@ class _NeighborSums:
 
     The per-node work runs on Python floats: p is a list, and s and the
     graph's arrays are read through memoryviews, so that a high-degree node
-    can still update its neighbours with one numpy scatter.  On a graph whose
-    weights are all 1 the Python loop adds d itself, which is d * 1.
+    can still update its neighbours with one numpy scatter.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.p: list[float] | None = None
-        unit = graph.unit_weights
         self._offsets = memoryview(graph.offsets)
         self._targets = memoryview(graph.targets)
-        self._weights = None if unit else memoryview(graph.weights)
-        self._loop_max = _LOOP_MAX_DEGREE_UNIT if unit else _LOOP_MAX_DEGREE
+        self._weights = memoryview(graph.weights)
 
     def _start(self, p) -> np.ndarray:
         """Bind p; returns it as a float64 array and sets the edge term sum_ij w_ij p_i p_j."""
@@ -75,12 +71,8 @@ class _NeighborSums:
     def _shift(self, i: int, d: float) -> None:
         """Add d * w_ij to s_j for every neighbour j of i."""
         lo, hi = self._offsets[i], self._offsets[i + 1]
-        if hi - lo > self._loop_max:
+        if hi - lo > _LOOP_MAX_DEGREE:
             self._sums[self.graph.targets[lo:hi]] += d * self.graph.weights[lo:hi]
-        elif self._weights is None:
-            s = self.s
-            for j in self._targets[lo:hi]:
-                s[j] += d
         else:
             s = self.s
             for j, w in zip(self._targets[lo:hi], self._weights[lo:hi]):

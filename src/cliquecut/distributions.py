@@ -8,6 +8,7 @@ and volume expectations, the volume rescaling recursion, and sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +64,10 @@ def _neighbor_sums_kernel(graph: Graph):
     """
     rank = np.arange(graph.rows.size) - graph.offsets[graph.rows]
     order = np.argsort(rank, kind="stable")
-    rows, targets, n = graph.rows[order], graph.targets[order], graph.n
-    weights = None if graph.unit_weights else graph.weights[order]
+    rows, targets, weights, n = graph.rows[order], graph.targets[order], graph.weights[order], graph.n
 
     def sums(p: np.ndarray) -> np.ndarray:
-        terms = p[targets]
-        if weights is not None:
-            terms = weights * terms
-        return np.bincount(rows, weights=terms, minlength=n).astype(np.float64, copy=False)
+        return np.bincount(rows, weights=weights * p[targets], minlength=n).astype(np.float64, copy=False)
 
     return sums
 
@@ -270,10 +267,13 @@ def _rescale(p: np.ndarray, coeff: np.ndarray, b: float, rel_tol: float = 1e-9, 
     multiply.
 
     Raises:
-        ValueError: if coeff @ p is zero.
+        ValueError: if coeff @ p is zero, or not finite (a NaN or infinite
+            entry of p, as from an MPNN whose activations overflowed).
     """
     tol = rel_tol * b
     current = float(coeff @ p)
+    if not math.isfinite(current):
+        raise ValueError("cannot rescale a distribution with a non-finite entry")
     if current == 0.0:
         raise ValueError("cannot rescale an all-zero distribution to a positive target")
     if abs(current - b) <= tol:

@@ -47,9 +47,7 @@ class Graph:
     Edges are stored in both directions (CSR adjacency) for O(deg) neighbor
     scans, and once as a sorted u < v edge list for serialization and
     edge-parallel numpy work.  ``degree`` is the weighted degree; the
-    combinatorial degree is ``np.diff(offsets)``.  ``unit_weights`` says
-    whether every weight is exactly 1, so that products with the weights
-    can be skipped without changing a bit.
+    combinatorial degree is ``np.diff(offsets)``.
     """
 
     __slots__ = (
@@ -63,7 +61,6 @@ class Graph:
         "edge_w",
         "degree",
         "total_weight",
-        "unit_weights",
     )
 
     def __init__(self, n: int, edge_u, edge_v, edge_w) -> None:
@@ -121,7 +118,6 @@ class Graph:
         self.rows = src
         self.degree = np.bincount(src, weights=ww, minlength=n)
         self.total_weight = float(w.sum())
-        self.unit_weights = bool(np.all(w == 1.0))
         for name in ("offsets", "targets", "weights", "rows", "edge_u", "edge_v", "edge_w", "degree"):
             getattr(self, name).setflags(write=False)
 

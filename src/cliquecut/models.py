@@ -80,16 +80,18 @@ class CliqueLossSpec:
         gamma = min(default, self.beta) if self.gamma is None else self.gamma
         return CliqueLossParams(gamma=gamma, beta=self.beta)
 
-    def step_kernel(self, graph: Graph):
+    def step_kernel(self, graph: Graph, neighbor_sums=None):
         """Bind the loss to ``graph`` for an optimizer loop: returns p -> (value, gradient).
 
         The kernel trusts p (no validation, no LossReport) and needs one
         neighbour-sum pass s = A p, taking E[weight in S] = p.s / 2 instead of
         a second edge scan.  Its gradient is bit-identical to ``clique_loss``'s;
         its value agrees up to rounding in the summation order.
+        ``neighbor_sums`` is ``_neighbor_sums_kernel(graph)``, built here
+        unless a caller that binds many kernels to one graph passes it in.
         """
         params = self.resolve(graph)
-        neighbor_sums = _neighbor_sums_kernel(graph)
+        neighbor_sums = neighbor_sums or _neighbor_sums_kernel(graph)
 
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
             s = neighbor_sums(p)
@@ -111,7 +113,7 @@ class CutLossSpec:
 
     interval: VolumeConstraint | None = None
 
-    def step_kernel(self, graph: Graph):
+    def step_kernel(self, graph: Graph, neighbor_sums=None):
         """Bind the loss to ``graph``: an unvalidated p -> (value, gradient) kernel.
 
         After rescaling p to q, the value is d.q - q.s (the expected cut, with
@@ -119,13 +121,15 @@ class CutLossSpec:
         ``cut_loss(graph, q).gradient * scale``.  The rescale runs the loop of
         ``rescale_to_target`` without its validation: p comes from a sigmoid or
         the MPNN, the degrees were validated with the graph, and the target is
-        a ``VolumeConstraint`` midpoint, which is positive.
+        a ``VolumeConstraint`` midpoint, which is positive.  The loop still
+        raises ``ValueError`` on a non-finite p, which an overflowing MPNN can
+        produce.  ``neighbor_sums`` is as for ``CliqueLossSpec.step_kernel``.
         """
         if self.interval is None:
             raise ValueError("cut loss evaluation requires a bound volume interval")
         target = self.interval.target
         degree = graph.degree
-        neighbor_sums = _neighbor_sums_kernel(graph)
+        neighbor_sums = neighbor_sums or _neighbor_sums_kernel(graph)
 
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
             q, scale, _ = _rescale(p, degree, target)
@@ -416,16 +420,18 @@ def _pick_seed(graph: Graph, rng: np.random.Generator, need_degree: bool) -> int
     return int(rng.choice(eligible))
 
 
-def _sample_context(loss_spec, graph: Graph, rng: np.random.Generator, hops: int):
+def _sample_context(loss_spec, graph: Graph, neighbor_sums, rng: np.random.Generator, hops: int):
     """Pick a seed and bind the loss kernel for one training or validation pass.
 
     A cut spec without a pinned interval gets one drawn around the seed.
+    ``neighbor_sums`` is the graph's ``_neighbor_sums_kernel``, built once
+    per graph for the whole run.
     """
     cut = isinstance(loss_spec, CutLossSpec)
     seed = _pick_seed(graph, rng, need_degree=cut)
     if cut and loss_spec.interval is None:
         loss_spec = CutLossSpec(_draw_interval(graph, seed, hops, rng))
-    return seed, loss_spec.step_kernel(graph)
+    return seed, loss_spec.step_kernel(graph, neighbor_sums)
 
 
 def train_mpnn(
@@ -459,7 +465,8 @@ def train_mpnn(
     state = optimizer_state if optimizer_state is not None else OptimState(lr=lr)
     hops = max(params.layers, 1)
 
-    val_ctx = [(g, *_sample_context(loss_spec, g, rng, hops)) for g in val_graphs]
+    val_ctx = [(g, *_sample_context(loss_spec, g, _neighbor_sums_kernel(g), rng, hops)) for g in val_graphs]
+    train_sums = [_neighbor_sums_kernel(g) for g in train_graphs]
     history: dict[str, list[float]] = {"train": [], "val": []}
     best_params, best_score = params.copy(), np.inf
     for _ in range(epochs):
@@ -470,7 +477,7 @@ def train_mpnn(
             acc: dict[str, np.ndarray] = {}
             for j in batch:
                 g = train_graphs[int(j)]
-                seed, step = _sample_context(loss_spec, g, rng, hops)
+                seed, step = _sample_context(loss_spec, g, train_sums[int(j)], rng, hops)
                 p, cache = mpnn_forward(g, params, seed, want_cache=True)
                 value, gradient = step(p)
                 epoch_losses.append(value)

@@ -65,6 +65,18 @@ def test_cut_loss_spec_requires_interval():
     assert np.array_equal(gradient, ref_gradient)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cut_step_kernel_rejects_non_finite_p(bad):
+    # An MPNN whose activations overflow hands the kernel NaN (inf * 0 under
+    # the hop mask) or inf; the rescale must refuse it, not return NaN.
+    g = two_triangles()
+    step = CutLossSpec(VolumeConstraint(5.0, 9.0)).step_kernel(g)
+    p = np.full(6, 0.5)
+    p[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        step(p)
+
+
 def test_rescaled_cut_loss_hits_midpoint():
     g = two_triangles()
     interval = VolumeConstraint(5.0, 9.0)
