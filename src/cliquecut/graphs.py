@@ -239,27 +239,46 @@ def conductance(graph: Graph, members) -> float:
 
 
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
-    """BFS hop counts from ``source``; unreachable nodes get graph.n + 1."""
+    """BFS hop counts from ``source``; unreachable nodes get graph.n + 1.
+
+    Level-synchronous: each level gathers the frontier's CSR rows at once and
+    keeps the unvisited nodes among them as the next frontier.  A hop count is
+    the length of a shortest path, so it does not depend on the order nodes
+    are visited in, and the result equals a one-neighbour-at-a-time BFS.
+    """
     if not (0 <= source < graph.n):
         raise ValueError(f"source {source} out of range")
-    dist = np.full(graph.n, graph.n + 1, dtype=np.int64)
+    unreached = graph.n + 1
+    dist = np.full(graph.n, unreached, dtype=np.int64)
     dist[source] = 0
-    frontier = [source]
+    frontier = np.array([source], dtype=np.int64)
     level = 0
-    while frontier:
+    while frontier.size:
         level += 1
-        nxt: list[int] = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if dist[v] > graph.n:
-                    dist[v] = level
-                    nxt.append(int(v))
-        frontier = nxt
+        starts = graph.offsets[frontier]
+        counts = graph.offsets[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        # Position j of the gathered block reads targets[starts[k] + j - (ends[k] - counts[k])].
+        index = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        reached = graph.targets[index]
+        frontier = np.unique(reached[dist[reached] == unreached])
+        dist[frontier] = level
     return dist
 
 
 # ---------------------------------------------------------------------------
 # loaders / serialization
+
+# Largest node count the loaders accept, whether it comes from the largest
+# node index, a ``# nodes N`` comment or a DIMACS ``p edge N`` line.  A graph
+# holds about 16 bytes per node before any edge, so one short line must not
+# be able to ask for gigabytes.
+MAX_NODES = 1 << 24
+
+
+def _check_node_count(n: int, lineno: int) -> None:
+    if n > MAX_NODES:
+        raise GraphFormatError(f"line {lineno}: {n} nodes exceed the limit of {MAX_NODES}")
 
 
 def _parse_edge_line(parts: list[str], lineno: int, index_base: int) -> tuple[int, int, float]:
@@ -273,6 +292,7 @@ def _parse_edge_line(parts: list[str], lineno: int, index_base: int) -> tuple[in
         raise GraphFormatError(f"line {lineno}: non-finite edge weight {parts[2]}")
     if u < 0 or v < 0:
         raise GraphFormatError(f"line {lineno}: negative node index (check index base)")
+    _check_node_count(max(u, v) + 1, lineno)
     if u == v:
         raise GraphFormatError(f"line {lineno}: self-loop on node {u + index_base}")
     if w < 0.0:
@@ -284,10 +304,11 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
     """Parse a whitespace edge list: one ``u v [w]`` per line.
 
     Lines starting with ``#`` are comments; ``# nodes N`` pins the node count
-    (needed to round-trip trailing isolated nodes).  Missing weights default
-    to 1.  Weights above 1 trigger normalization of the whole graph by the
-    maximum weight.  Zero-weight edges are dropped; negative, NaN and infinite
-    weights raise.
+    (needed to round-trip trailing isolated nodes).  A node count above
+    ``MAX_NODES``, from that comment or from a node index, raises before
+    anything is allocated.  Missing weights default to 1.  Weights above 1
+    trigger normalization of the whole graph by the maximum weight.
+    Zero-weight edges are dropped; negative, NaN and infinite weights raise.
 
     Args:
         text: edge list content.
@@ -310,6 +331,7 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
                     n = int(parts[1])
                 except ValueError as exc:
                     raise GraphFormatError(f"line {lineno}: bad node count") from exc
+                _check_node_count(n, lineno)
             continue
         u, v, w = _parse_edge_line(line.split(), lineno, index_base)
         if w == 0.0:
@@ -331,7 +353,10 @@ def load_edge_list_file(path, *, index_base: int = 0, n: int | None = None) -> G
 
 
 def load_dimacs(text: str) -> Graph:
-    """Parse DIMACS clique format: ``p edge n m`` header, ``e i j [w]`` lines, 1-based."""
+    """Parse DIMACS clique format: ``p edge n m`` header, ``e i j [w]`` lines, 1-based.
+
+    A declared n above ``MAX_NODES`` raises before anything is allocated.
+    """
     n = None
     m_declared = None
     us: list[int] = []
@@ -352,6 +377,7 @@ def load_dimacs(text: str) -> Graph:
                 m_declared = int(parts[3])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: malformed problem line") from exc
+            _check_node_count(n, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")

@@ -280,10 +280,24 @@ def _node_features(graph: Graph, seed_node: int) -> np.ndarray:
     return x
 
 
-def _neighbor_sum(graph: Graph, h: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(h)
-    np.add.at(out, graph.rows, h[graph.targets])
-    return out
+def _channel_bins(graph: Graph, width: int) -> np.ndarray:
+    """Flat (node, channel) bin of every (adjacency entry, channel) pair, row-major."""
+    return np.add.outer(graph.rows * width, np.arange(width)).ravel()
+
+
+def _neighbor_sum(graph: Graph, h: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Row i is the sum of h over i's neighbours (unweighted message passing).
+
+    One bincount over the flat (node, channel) index, ``bins`` from
+    ``_channel_bins(graph, h.shape[1])``, which a forward pass builds once for
+    all its layers and its backward pass.  Each bin starts at +0.0 and adds
+    its terms in adjacency order, as ``np.add.at(out, rows, h[targets])`` on
+    a zero ``out`` does, so the result has the same bits.
+    """
+    width = h.shape[1]
+    # bincount returns int64 when there are no edges to weight.
+    out = np.bincount(bins, weights=h[graph.targets].ravel(), minlength=graph.n * width)
+    return out.astype(np.float64, copy=False).reshape(graph.n, width)
 
 
 def mpnn_forward(
@@ -302,12 +316,13 @@ def mpnn_forward(
     x = _node_features(graph, seed_node)
     dist = hop_distances(graph, seed_node)
     h = x @ w["embed_w"].T + w["embed_b"]
+    bins = _channel_bins(graph, h.shape[1])
     hs = [h]
     aggs: list[np.ndarray] = []
     zs: list[np.ndarray] = []
     masks: list[np.ndarray] = []
     for k in range(params.layers):
-        agg = h + _neighbor_sum(graph, h)
+        agg = h + _neighbor_sum(graph, h, bins)
         z = agg @ w[f"layer{k}_w"].T + w[f"layer{k}_b"]
         mask = (dist <= k + 1).astype(np.float64)
         h = (np.maximum(z, 0.0) + h) * mask[:, None]
@@ -329,6 +344,7 @@ def mpnn_forward(
         return p
     cache = {
         "x": x,
+        "bins": bins,
         "hs": hs,
         "aggs": aggs,
         "zs": zs,
@@ -382,7 +398,7 @@ def mpnn_backward(
         grads[f"layer{k}_w"] = gz.T @ cache["aggs"][k]
         grads[f"layer{k}_b"] = gz.sum(axis=0)
         g_agg = gz @ w[f"layer{k}_w"]
-        gh = gu + g_agg + _neighbor_sum(graph, g_agg)
+        gh = gu + g_agg + _neighbor_sum(graph, g_agg, cache["bins"])
 
     grads["embed_w"] = gh.T @ cache["x"]
     grads["embed_b"] = gh.sum(axis=0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cliquecut import MpnnParams, graph_digest, save_checkpoint, to_edge_list_text
+from cliquecut import MpnnParams, graph_digest, graphs, save_checkpoint, to_edge_list_text
 from cliquecut.cli import main
 
 from helpers import complete_graph, path_graph, two_triangles
@@ -236,6 +236,24 @@ def test_nan_weight_is_input_error(tmp_path, capsys):
     assert code == 1
     assert err.splitlines()[0].startswith("error:")
     assert "non-finite edge weight" in err
+
+
+@pytest.mark.parametrize(
+    "suffix, text, message",
+    [
+        (".edges", "0 1\n0 4999\n", "line 2: 5000 nodes exceed the limit of 1000"),
+        (".dimacs", "p edge 5000 1\ne 1 2\n", "line 1: 5000 nodes exceed the limit of 1000"),
+    ],
+)
+def test_oversized_node_count_is_input_error(tmp_path, capsys, monkeypatch, suffix, text, message):
+    # A lowered limit stands in for the real one, so a missing check allocates little.
+    monkeypatch.setattr(graphs, "MAX_NODES", 1000)
+    path = tmp_path / f"big{suffix}"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, ["solve", "--graph", str(path)])
+    assert code == 1
+    assert err.splitlines()[0].startswith("error:")
+    assert message in err
 
 
 # ---------------------------------------------------------------------------

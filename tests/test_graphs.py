@@ -9,6 +9,7 @@ from cliquecut import (
     conductance,
     cut_weight,
     graph_digest,
+    graphs,
     hop_distances,
     is_clique,
     load_dimacs,
@@ -150,6 +151,50 @@ def test_hop_distances():
         hop_distances(g, 10)
 
 
+def reference_hop_distances(graph, source):
+    """BFS as it was before the level-synchronous one: one neighbour at a time."""
+    dist = np.full(graph.n, graph.n + 1, dtype=np.int64)
+    dist[source] = 0
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for v in graph.neighbors(u):
+                if dist[v] > graph.n:
+                    dist[v] = level
+                    nxt.append(int(v))
+        frontier = nxt
+    return dist
+
+
+def components_graph(rng, sizes, isolated):
+    """Disjoint random graphs plus isolated nodes, with node labels shuffled."""
+    us, vs, base = [], [], 0
+    for size in sizes:
+        part = random_graph(rng, size, density=0.3)
+        us.append(part.edge_u + base)
+        vs.append(part.edge_v + base)
+        base += size
+    n = base + isolated
+    label = rng.permutation(n)
+    u, v = np.concatenate(us), np.concatenate(vs)
+    return Graph(n, label[u], label[v], np.ones(u.size))
+
+
+def test_hop_distances_match_per_neighbor_bfs():
+    rng = np.random.default_rng(47)
+    cases = [components_graph(rng, [int(k) for k in rng.integers(2, 15, size=3)], 2) for _ in range(6)]
+    cases += [path_graph(9), Graph(1, [], [], []), Graph(4, [1], [2], [1.0])]
+    for g in cases:
+        for source in range(g.n):
+            got = hop_distances(g, source)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference_hop_distances(g, source))
+    assert hop_distances(path_graph(9), 0).tolist() == list(range(9))
+
+
 def test_edge_list_round_trip():
     g = Graph(5, [0, 1, 3], [1, 2, 4], [1.0, 0.5, 0.125])
     text = to_edge_list_text(g)
@@ -201,6 +246,21 @@ def test_dimacs_parsing():
         load_dimacs("p edge 3 2\ne 1 2\n")
     with pytest.raises(GraphFormatError):
         load_dimacs("e 1 2\n")  # edge before header
+
+
+def test_loaders_cap_the_node_count(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_NODES", 10)
+    assert load_edge_list("0 9\n").n == 10
+    assert load_edge_list("# nodes 10\n0 1\n").n == 10
+    assert load_dimacs("p edge 10 1\ne 1 10\n").n == 10
+    with pytest.raises(GraphFormatError, match="line 2: 11 nodes exceed the limit of 10"):
+        load_edge_list("0 1\n0 10\n")
+    with pytest.raises(GraphFormatError, match="line 1: 11 nodes exceed"):
+        load_edge_list("11 1\n", index_base=1)
+    with pytest.raises(GraphFormatError, match="line 2: 50 nodes exceed"):
+        load_edge_list("0 1\n# nodes 50\n")
+    with pytest.raises(GraphFormatError, match="line 2: 50 nodes exceed"):
+        load_dimacs("c big\np edge 50 0\n")
 
 
 def test_digest_tracks_content():

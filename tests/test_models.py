@@ -22,7 +22,7 @@ from cliquecut import (
     save_checkpoint,
     train_mpnn,
 )
-from cliquecut.models import _draw_interval, _pick_seed, mpnn_backward, sigmoid
+from cliquecut.models import _channel_bins, _draw_interval, _neighbor_sum, _pick_seed, mpnn_backward, sigmoid
 
 from helpers import complete_graph, path_graph, random_graph, two_triangles
 
@@ -275,6 +275,45 @@ def test_mpnn_forward_seed_validation():
         mpnn_forward(complete_graph(3), params, 5)
     with pytest.raises(ValueError, match="hidden"):
         MpnnParams.init(rng, hidden=0)
+
+
+def reference_neighbor_sum(graph, h):
+    """Message passing as it was before the bincount: one scatter-add per edge."""
+    out = np.zeros_like(h)
+    np.add.at(out, graph.rows, h[graph.targets])
+    return out
+
+
+def neighbor_sum_inputs(rng, n, width):
+    """Random h with exact 0.0 and -0.0 entries, an all -0.0 h and a non-contiguous h."""
+    for _ in range(40):
+        h = rng.standard_normal((n, width))
+        h[rng.random((n, width)) < 0.2] = 0.0
+        h[rng.random((n, width)) < 0.2] = -0.0
+        yield h
+    yield np.full((n, width), -0.0)
+    yield rng.standard_normal((n, 2 * width))[:, ::2]
+    yield np.asfortranarray(rng.standard_normal((n, width)))
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_neighbor_sum_matches_scatter_add_bits(width):
+    rng = np.random.default_rng(61)
+    base = random_graph(rng, 12, density=0.3, weighted=True)
+    graphs = [
+        random_graph(rng, 9, density=0.5),
+        base,
+        # Three isolated nodes after the last edge.
+        Graph(base.n + 3, base.edge_u, base.edge_v, base.edge_w),
+        Graph(5, [], [], []),
+        Graph(0, [], [], []),
+    ]
+    for g in graphs:
+        bins = _channel_bins(g, width)
+        for h in neighbor_sum_inputs(rng, g.n, width):
+            got = _neighbor_sum(g, h, bins)
+            assert got.dtype == np.float64 and got.shape == (g.n, width)
+            assert np.array_equal(got.view(np.int64), reference_neighbor_sum(g, h).view(np.int64))
 
 
 def test_mpnn_backward_matches_finite_differences():

@@ -4,9 +4,12 @@ Each hash is the sha256 of ``json.dumps(result.payload(), sort_keys=True)``
 for a seeded instance.  The default-config hashes were recorded before the
 optimizer step was fused; the per-producer and per-decode hashes were
 recorded before the two conditional-decode loops and the two producer
-dispatches were merged.  None may move under behaviour-preserving changes.  An intended payload change re-records them and says why
-in CHANGES.md.  The payloads carry float losses, so a numpy build whose
-elementwise ``exp`` rounds differently in the last bit can also move them.
+dispatches were merged.  The training hashes (best weights and loss history
+of ``train_mpnn``) were recorded before message passing and the BFS were
+vectorized.  None may move under behaviour-preserving changes.  An intended
+payload change re-records them and says why in CHANGES.md.  The payloads carry
+float losses, so a numpy build whose elementwise ``exp`` rounds differently in
+the last bit can also move them.
 """
 
 import hashlib
@@ -16,12 +19,17 @@ import numpy as np
 import pytest
 
 from cliquecut import (
+    CliqueLossSpec,
+    Corpus,
+    CutLossSpec,
+    Graph,
     MpnnParams,
     SolveConfig,
     gen_gnp,
     gen_planted_clique,
     solve_local_partition,
     solve_max_clique,
+    train_mpnn,
 )
 
 CLIQUE_GOLDEN = {
@@ -42,6 +50,12 @@ PARTITION_PATH_GOLDEN = {
     "uniform": "f1e217dd50e3c80ddefd34da12eb26a482b1a74e90d05661ec3de053b9c673fe",
     "mpnn": "02e2f712a682bf63827a86b13913c5d76a912cc38352ccd4a70a459f7b181cae",
     "sampled": "5d9b31db300cf5bc568ed0135b4b71227b2206c12d01d067e969c9c390e0739b",
+}
+
+# train_mpnn on training_corpus(); the cut spec is unbound, so every pass draws an interval.
+TRAIN_GOLDEN = {
+    "clique": "f5eb861b4881e98971b1bd90be6ab249b93855675569a56884a01b717f5bd6e1",
+    "cut": "bdc2be87167bbeaac5d87324486848dba30b98baabbc9eb5902f5e06be668838",
 }
 
 
@@ -78,3 +92,32 @@ def test_partition_path_payload_is_golden(name):
     graph = gen_gnp(60, 0.1, np.random.default_rng(5))
     result = solve_local_partition(graph, 0, path_config(name))
     assert payload_sha256(result) == PARTITION_PATH_GOLDEN[name]
+
+
+def training_corpus() -> Corpus:
+    """Five planted-clique graphs and one weighted G(n, p) with two isolated nodes."""
+    rng = np.random.default_rng(21)
+    graphs = [gen_planted_clique(int(rng.integers(10, 24)), 5, 0.25, rng)[0] for _ in range(5)]
+    gnp = gen_gnp(14, 0.2, rng)
+    graphs.append(Graph(gnp.n + 2, gnp.edge_u, gnp.edge_v, rng.uniform(0.1, 1.0, gnp.num_edges)))
+    splits = ["train", "train", "val", "train", "train", "val"]
+    return Corpus(graphs=graphs, names=[f"g{i}" for i in range(len(graphs))], splits=splits)
+
+
+def train_sha256(result) -> str:
+    digest = hashlib.sha256()
+    for key in sorted(result.params.weights):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(result.params.weights[key]).tobytes())
+    digest.update(json.dumps(result.history, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("objective", sorted(TRAIN_GOLDEN))
+def test_train_mpnn_is_golden(objective):
+    spec = CliqueLossSpec(beta=2.0) if objective == "clique" else CutLossSpec()
+    result = train_mpnn(
+        training_corpus(), spec, 6, hidden=6, layers=3, batch_size=2, lr=0.02, rng=np.random.default_rng(3)
+    )
+    assert len(result.history["val"]) == 6
+    assert train_sha256(result) == TRAIN_GOLDEN[objective]
