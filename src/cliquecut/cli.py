@@ -205,13 +205,12 @@ def cmd_generate(args) -> int:
     else:
         corpus = split_corpus(corpus, fractions=_parse_fractions(args.splits), rng=np.random.default_rng(args.seed + 1))
     manifest = save_corpus(corpus, args.out)
+    # The manifest already holds each graph's digest, hashed from the file written.
+    entries = json.loads(manifest.read_text(encoding="utf-8"))["graphs"]
     payload = {
         "kind": args.kind,
         "count": len(graphs),
-        "graphs": [
-            {"name": n, "nodes": g.n, "edges": g.num_edges, "split": s, "digest": graph_digest(g)}
-            for g, n, s in zip(corpus.graphs, corpus.names, corpus.splits)
-        ],
+        "graphs": [{key: e[key] for key in ("name", "nodes", "edges", "split", "digest")} for e in entries],
     }
     doc = {
         "config": {

@@ -8,13 +8,14 @@ manifest.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, NodeSet, graph_digest, load_edge_list_file, to_edge_list_text
+from .graphs import Graph, NodeSet, check_node_count, graph_digest, load_edge_list_file, to_edge_list_text
 
 __all__ = [
     "Corpus",
@@ -54,9 +55,13 @@ class Corpus:
 
 
 def gen_gnp(n: int, p_edge: float, rng: np.random.Generator) -> Graph:
-    """Erdos-Renyi G(n, p) with unit weights."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    """Erdos-Renyi G(n, p) with unit weights.
+
+    Raises:
+        ValueError: on n outside [0, ``graphs.MAX_NODES``], checked before
+            the O(n**2) pair table is built, or p outside [0, 1].
+    """
+    check_node_count(n)
     if not (0.0 <= p_edge <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
     iu, iv = np.triu_indices(n, k=1)
@@ -68,7 +73,11 @@ def gen_gnp(n: int, p_edge: float, rng: np.random.Generator) -> Graph:
 def gen_planted_clique(
     n: int, k: int, p_background: float, rng: np.random.Generator
 ) -> tuple[Graph, NodeSet]:
-    """G(n, p) with a clique forced on k random nodes; returns (graph, planted set)."""
+    """G(n, p) with a clique forced on k random nodes; returns (graph, planted set).
+
+    Raises:
+        ValueError: as ``gen_gnp``, or unless 0 <= k <= n.
+    """
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
     base = gen_gnp(n, p_background, rng)
@@ -115,7 +124,9 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
     entries = []
     for graph, name, split, meta in zip(corpus.graphs, corpus.names, corpus.splits, corpus.meta):
         rel = f"{name}.edges"
-        (out / rel).write_text(to_edge_list_text(graph), encoding="utf-8")
+        # The digest hashes the bytes written, which are the canonical text graph_digest hashes.
+        data = to_edge_list_text(graph).encode()
+        (out / rel).write_bytes(data)
         entries.append(
             {
                 "name": name,
@@ -123,7 +134,7 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
                 "split": split,
                 "nodes": graph.n,
                 "edges": graph.num_edges,
-                "digest": graph_digest(graph),
+                "digest": hashlib.sha256(data).hexdigest(),
                 "meta": meta,
             }
         )

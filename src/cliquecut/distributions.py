@@ -60,10 +60,12 @@ def _neighbor_sums_kernel(graph: Graph):
     are consecutive every add waits for the one before.  Listing the
     adjacency rank by rank (each node's first neighbour, then each node's
     second, ...) keeps every node's own order, so the sums are unchanged,
-    while consecutive adds land on different nodes.
+    while consecutive adds land on different nodes.  The ranks are sorted in
+    the narrowest unsigned dtype that holds them, where numpy's stable sort
+    is a radix sort, with the same order as the int64 sort.
     """
     rank = np.arange(graph.rows.size) - graph.offsets[graph.rows]
-    order = np.argsort(rank, kind="stable")
+    order = np.argsort(rank.astype(np.min_scalar_type(rank.max(initial=0))), kind="stable")
     rows, targets, weights, n = graph.rows[order], graph.targets[order], graph.weights[order], graph.n
 
     def sums(p: np.ndarray) -> np.ndarray:

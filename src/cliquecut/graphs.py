@@ -37,6 +37,22 @@ __all__ = [
 ]
 
 
+# Largest node count a Graph, a generator or a loader accepts, whether it
+# comes from the caller, the largest node index, a ``# nodes N`` comment or a
+# DIMACS ``p edge N`` line.  A graph holds about 16 bytes per node before any
+# edge, so one short line must not be able to ask for gigabytes, and the
+# sort keys in ``Graph.__init__`` (below n**2) stay exact in int64.
+MAX_NODES = 1 << 24
+
+
+def check_node_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= ``MAX_NODES``."""
+    if n < 0:
+        raise ValueError("node count must be non-negative")
+    if n > MAX_NODES:
+        raise ValueError(f"{n} nodes exceed the limit of {MAX_NODES}")
+
+
 class GraphFormatError(ValueError):
     """Raised when graph input text cannot be parsed or violates the format."""
 
@@ -72,16 +88,16 @@ class Graph:
             edge_w: weights, each in (0, 1].
 
         Raises:
-            ValueError: on self-loops, duplicate edges, out-of-range
-                endpoints, or weights outside (0, 1].
+            ValueError: on a node count outside [0, ``MAX_NODES``] (raised
+                before anything is allocated), self-loops, duplicate edges,
+                out-of-range endpoints, or weights outside (0, 1].
         """
+        check_node_count(n)
         u = np.asarray(edge_u, dtype=np.int64).reshape(-1)
         v = np.asarray(edge_v, dtype=np.int64).reshape(-1)
         w = np.asarray(edge_w, dtype=np.float64).reshape(-1)
         if not (u.shape == v.shape == w.shape):
             raise ValueError("edge arrays must have equal length")
-        if n < 0:
-            raise ValueError("node count must be non-negative")
         if u.size:
             if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n:
                 raise ValueError("edge endpoint out of range")
@@ -92,15 +108,18 @@ class Graph:
                 raise ValueError("edge weights must lie in (0, 1]")
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
-        order = np.lexsort((hi, lo))
+        # lo * n + hi orders edges by (lo, hi) and stays below MAX_NODES**2 = 2**48.
+        # Two edges share a key only if they are duplicates, which raise below
+        # naming the same pair whatever their relative order, so any sort kind
+        # yields the lexicographic permutation; the default kind is the fastest.
+        order = np.argsort(lo * n + hi)
         lo, hi, w = lo[order], hi[order], w[order]
-        if lo.size > 1:
-            dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-            if np.any(dup):
-                i = int(np.flatnonzero(dup)[0])
-                raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
+        del order  # freed before the adjacency arrays are built, lowering the peak
+        dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        if np.any(dup):
+            i = int(np.flatnonzero(dup)[0])
+            raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
 
-        m = lo.size
         self.n = int(n)
         self.edge_u = lo
         self.edge_v = hi
@@ -109,7 +128,8 @@ class Graph:
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         ww = np.concatenate([w, w])
-        adj_order = np.lexsort((dst, src))
+        # Distinct (src, dst) pairs: a single key sorts them exactly as above.
+        adj_order = np.argsort(src * n + dst)
         src, dst, ww = src[adj_order], dst[adj_order], ww[adj_order]
         counts = np.bincount(src, minlength=n)
         self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
@@ -269,16 +289,11 @@ def hop_distances(graph: Graph, source: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # loaders / serialization
 
-# Largest node count the loaders accept, whether it comes from the largest
-# node index, a ``# nodes N`` comment or a DIMACS ``p edge N`` line.  A graph
-# holds about 16 bytes per node before any edge, so one short line must not
-# be able to ask for gigabytes.
-MAX_NODES = 1 << 24
-
-
-def _check_node_count(n: int, lineno: int) -> None:
-    if n > MAX_NODES:
-        raise GraphFormatError(f"line {lineno}: {n} nodes exceed the limit of {MAX_NODES}")
+def _check_line_node_count(n: int, lineno: int) -> None:
+    try:
+        check_node_count(n)
+    except ValueError as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
 
 
 def _parse_edge_line(parts: list[str], lineno: int, index_base: int) -> tuple[int, int, float]:
@@ -292,7 +307,7 @@ def _parse_edge_line(parts: list[str], lineno: int, index_base: int) -> tuple[in
         raise GraphFormatError(f"line {lineno}: non-finite edge weight {parts[2]}")
     if u < 0 or v < 0:
         raise GraphFormatError(f"line {lineno}: negative node index (check index base)")
-    _check_node_count(max(u, v) + 1, lineno)
+    _check_line_node_count(max(u, v) + 1, lineno)
     if u == v:
         raise GraphFormatError(f"line {lineno}: self-loop on node {u + index_base}")
     if w < 0.0:
@@ -331,7 +346,7 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
                     n = int(parts[1])
                 except ValueError as exc:
                     raise GraphFormatError(f"line {lineno}: bad node count") from exc
-                _check_node_count(n, lineno)
+                _check_line_node_count(n, lineno)
             continue
         u, v, w = _parse_edge_line(line.split(), lineno, index_base)
         if w == 0.0:
@@ -377,7 +392,7 @@ def load_dimacs(text: str) -> Graph:
                 m_declared = int(parts[3])
             except ValueError as exc:
                 raise GraphFormatError(f"line {lineno}: malformed problem line") from exc
-            _check_node_count(n, lineno)
+            _check_line_node_count(n, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
@@ -407,10 +422,16 @@ def load_dimacs_file(path) -> Graph:
 
 
 def to_edge_list_text(graph: Graph) -> str:
-    """Canonical serialization: node-count header plus sorted ``u v w`` lines."""
+    """Canonical serialization: node-count header plus sorted ``u v w`` lines.
+
+    Each weight is written as its shortest round-tripping ``repr``.  Weights
+    lie in (0, 1], where equal floats have equal reprs, so each distinct
+    weight is formatted once.
+    """
+    distinct, which = np.unique(graph.edge_w, return_inverse=True)
+    text = [repr(w) for w in distinct.tolist()]
     lines = [f"# nodes {graph.n}"]
-    for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-        lines.append(f"{int(u)} {int(v)} {float(w)!r}")
+    lines += [f"{u} {v} {text[i]}" for u, v, i in zip(graph.edge_u.tolist(), graph.edge_v.tolist(), which.tolist())]
     return "\n".join(lines) + "\n"
 
 

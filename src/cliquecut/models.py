@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -565,19 +566,24 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict]:
     ignored there.
     """
     if path.suffix == ".npz":
-        try:
-            with np.load(path) as data:
-                if "__header__" not in data.files:
-                    raise ValueError("checkpoint has no __header__ member")
-                groups: dict = {"weights": {}, "optim_m": {}, "optim_v": {}}
-                for name in data.files:
-                    group, _, key = name.partition("/")
-                    if group in groups:
-                        groups[group][key] = data[name]
-                return _object(json.loads(bytes(data["__header__"]).decode()), "header"), groups
-        except (zipfile.BadZipFile, EOFError) as exc:
-            # np.load raises these for an empty or truncated archive.
-            raise ValueError(f"checkpoint is not a readable .npz archive: {exc}") from None
+        # Opened here, so that a missing or unreadable file stays an OSError.
+        with open(path, "rb") as fh:
+            try:
+                with np.load(fh) as data:
+                    if "__header__" not in data.files:
+                        raise ValueError("checkpoint has no __header__ member")
+                    groups: dict = {"weights": {}, "optim_m": {}, "optim_v": {}}
+                    for name in data.files:
+                        group, _, key = name.partition("/")
+                        if group in groups:
+                            groups[group][key] = data[name]
+                    return _object(json.loads(bytes(data["__header__"]).decode()), "header"), groups
+            except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, OSError) as exc:
+                # What zipfile raises for an empty, truncated or corrupted archive:
+                # EOFError when truncated, NotImplementedError for an unknown
+                # method, version or flag, RuntimeError for the encryption flag,
+                # OSError for a seek outside the file or a bad bzip2 stream.
+                raise ValueError(f"checkpoint is not a readable .npz archive: {exc}") from None
     doc = _object(json.loads(path.read_text(encoding="utf-8")), "top level")
     optimizer = doc.get("optimizer") if isinstance(doc.get("optimizer"), dict) else {}
     return doc, {"weights": doc.get("weights"), "optim_m": optimizer.get("m"), "optim_v": optimizer.get("v")}
@@ -591,8 +597,10 @@ def _object(value, what: str) -> dict:
 
 def _number(obj: dict, key: str, kind: type):
     value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ValueError(f"checkpoint field {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    numeric = not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
+    # NaN and infinities fail the range test, and so does an int too large for float().
+    if not numeric or (kind is float and not abs(value) <= sys.float_info.max):
+        raise ValueError(f"checkpoint field {key!r} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
     return kind(value)
 
 
@@ -604,11 +612,14 @@ def _arrays(named, what: str, shapes: dict) -> dict[str, np.ndarray]:
         raise ValueError(f"checkpoint {what} do not fit the network: missing {missing}, unexpected {unexpected}")
     try:
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in named.items()}
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
+        # OverflowError: a JSON integer too large for a float64.
         raise ValueError(f"checkpoint {what} hold a non-numeric value: {exc}") from None
     for k, a in arrays.items():
         if a.shape != shapes[k]:
             raise ValueError(f"checkpoint {what} {k!r} has shape {a.shape}, expected {shapes[k]}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"checkpoint {what} {k!r} holds a non-finite value")
     return arrays
 
 
@@ -616,16 +627,22 @@ def load_checkpoint(path) -> tuple[MpnnParams, OptimState | None, dict]:
     """Read a checkpoint in either format back.
 
     Raises:
-        ValueError: on an unknown format version, an empty or truncated .npz
-            file, or a field, weight or moment that is missing, unexpected
-            or of the wrong type or shape.
+        ValueError: on an unknown format version, an empty, truncated or
+            corrupted .npz file, more layers than the file holds weights
+            for, or a field, weight or moment that is missing, unexpected,
+            non-finite or of the wrong type or shape.
     """
     header, groups = _read_checkpoint(Path(path))
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
     hidden, layers = _number(header, "hidden", int), _number(header, "layers", int)
+    weights = _object(groups["weights"], "weights")
+    # Each layer holds two weights, so the file bounds the layer count before
+    # a shape table is built from it.
+    if layers > len(weights):
+        raise ValueError(f"checkpoint declares {layers} layers but holds {len(weights)} weights")
     shapes = MpnnParams.shapes(hidden, layers)
-    params = MpnnParams(hidden, layers, _arrays(groups["weights"], "weights", shapes))
+    params = MpnnParams(hidden, layers, _arrays(weights, "weights", shapes))
     if header.get("optimizer") is None:
         return params, None, header.get("meta", {})
     optimizer = _object(header["optimizer"], "optimizer")

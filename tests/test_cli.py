@@ -42,6 +42,24 @@ def test_generate_writes_manifest_and_doc(tmp_path, capsys):
     assert (out_dir / "gnp-000.edges").exists()
     splits = [g["split"] for g in doc["payload"]["graphs"]]
     assert splits.count("train") == 3  # 0.6 of 5
+    # Each reported digest is the canonical text's, which is what the file holds.
+    for entry in doc["payload"]["graphs"]:
+        path = out_dir / f"{entry['name']}.edges"
+        graph = graphs.load_edge_list_file(path)
+        assert path.read_bytes() == to_edge_list_text(graph).encode()
+        assert entry["digest"] == graph_digest(graph)
+        assert (entry["nodes"], entry["edges"]) == (graph.n, graph.num_edges)
+
+
+def test_generate_rejects_too_many_nodes(tmp_path, capsys, monkeypatch):
+    # With the cap lowered, a missing check would build only a small pair table.
+    monkeypatch.setattr(graphs, "MAX_NODES", 100)
+    for kind in ("gnp", "planted"):
+        code, out, err = run(
+            capsys, ["generate", "--kind", kind, "--count", "1", "--nodes", "101", "--out", str(tmp_path / kind)]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "101 nodes exceed the limit of 100" in err
 
 
 def test_generate_planted_records_metadata(tmp_path, capsys):
@@ -368,6 +386,16 @@ def _drop_npz_member(path, name):
     np.savez(path, **members)
 
 
+def _patch_central_directory(path, offset, value):
+    """Set one byte at ``offset`` in every central-directory entry of the archive."""
+    data = bytearray(path.read_bytes())
+    start = data.find(b"PK\x01\x02")
+    while start >= 0:
+        data[start + offset] = value
+        start = data.find(b"PK\x01\x02", start + 1)
+    path.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize(
     "suffix, damage, message",
     [
@@ -376,13 +404,21 @@ def _drop_npz_member(path, name):
         (".json", lambda doc: {**doc, "layers": 3}, "layer2_w"),
         (".json", lambda doc: [doc], "object"),
         (".json", lambda doc: {**doc, "weights": {**doc["weights"], "embed_b": {"x": 1.0}}}, "non-numeric"),
+        (".json", lambda doc: {**doc, "weights": {**doc["weights"], "embed_b": [10**400] * 4}}, "non-numeric"),
+        (".json", lambda doc: {**doc, "weights": {**doc["weights"], "embed_b": [float("nan")] * 4}}, "non-finite"),
+        (".json", lambda doc: {**doc, "layers": 10**12}, "declares 1000000000000 layers"),
         (".npz", lambda path: _drop_npz_member(path, "weights/head2_b"), "head2_b"),
         (".npz", lambda path: path.write_bytes(b""), "not a readable .npz"),
         (".npz", lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]), "not a readable .npz"),
+        (".npz", lambda path: _patch_central_directory(path, 10, 99), "not a readable .npz"),
+        (".npz", lambda path: _patch_central_directory(path, 10, 12), "not a readable .npz"),
+        (".npz", lambda path: _patch_central_directory(path, 8, 1), "not a readable .npz"),
     ],
     ids=[
         "missing-weight", "missing-hidden", "layers-mismatch", "top-level-list", "non-numeric",
+        "huge-integer", "nan-weight", "huge-layers",
         "npz-missing-weight", "npz-empty", "npz-truncated",
+        "npz-unknown-method", "npz-bad-bzip2", "npz-encrypted",
     ],
 )
 def test_malformed_checkpoint_is_input_error(tmp_path, capsys, suffix, damage, message):

@@ -8,10 +8,12 @@ from cliquecut import (
     gen_gnp,
     gen_planted_clique,
     graph_digest,
+    graphs,
     is_clique,
     load_corpus,
     save_corpus,
     split_corpus,
+    to_edge_list_text,
 )
 
 from helpers import complete_graph, path_graph
@@ -47,6 +49,17 @@ def test_gen_planted_clique():
 
     with pytest.raises(ValueError, match="0 <= k <= n"):
         gen_planted_clique(5, 9, 0.2, np.random.default_rng(0))
+
+
+def test_generators_cap_the_node_count(monkeypatch):
+    # With the cap lowered, a missing check would build only a small pair table.
+    monkeypatch.setattr(graphs, "MAX_NODES", 10)
+    assert gen_gnp(10, 0.5, np.random.default_rng(0)).n == 10
+    assert gen_planted_clique(10, 3, 0.5, np.random.default_rng(0))[0].n == 10
+    with pytest.raises(ValueError, match="11 nodes exceed the limit of 10"):
+        gen_gnp(11, 0.5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="11 nodes exceed the limit of 10"):
+        gen_planted_clique(11, 3, 0.5, np.random.default_rng(0))
 
 
 def test_corpus_defaults_and_validation():
@@ -90,6 +103,12 @@ def test_corpus_round_trip(tmp_path):
     manifest = save_corpus(corpus, tmp_path / "corpus")
     assert manifest.name == "manifest.json"
     assert (tmp_path / "corpus" / "planted-000.edges").exists()
+
+    # Each file holds the canonical text and the manifest its graph_digest.
+    entries = json.loads(manifest.read_text())["graphs"]
+    for graph, entry in zip(corpus.graphs, entries):
+        assert (tmp_path / "corpus" / entry["path"]).read_bytes() == to_edge_list_text(graph).encode()
+        assert entry["digest"] == graph_digest(graph)
 
     loaded = load_corpus(manifest)
     assert loaded.names == corpus.names

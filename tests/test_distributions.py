@@ -3,6 +3,7 @@ import pytest
 
 from cliquecut import (
     CliqueLossParams,
+    Graph,
     VolumeConstraint,
     brute_force_expectation,
     clique_loss,
@@ -337,6 +338,20 @@ def test_neighbor_sums_kernel_matches_bit_for_bit(weighted):
             out = sums(p)
             assert out.dtype == np.float64
             assert np.array_equal(out, weighted_neighbor_sums(g, p))
+
+
+def test_neighbor_sums_kernel_orders_like_int64_stable_sort():
+    rng = np.random.default_rng(33)
+    # Stars push the largest rank past the uint8 and uint16 ranges.
+    stars = [Graph(k + 1, np.zeros(k, dtype=np.int64), np.arange(1, k + 1), np.ones(k)) for k in (300, 70_000)]
+    graphs = [Graph(0, [], [], []), Graph(4, [], [], []), *stars]
+    graphs += [random_graph(rng, int(rng.integers(1, 80)), density=float(rng.uniform(0.0, 0.9))) for _ in range(20)]
+    for g in graphs:
+        sums = _neighbor_sums_kernel(g)
+        bound = dict(zip(sums.__code__.co_freevars, (cell.cell_contents for cell in sums.__closure__)))
+        order = np.argsort(np.arange(g.rows.size) - g.offsets[g.rows], kind="stable")
+        for name, array in (("rows", g.rows), ("targets", g.targets), ("weights", g.weights)):
+            assert np.array_equal(bound[name], array[order]), name
 
 
 def test_sample_reproducible_and_calibrated():

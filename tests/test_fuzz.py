@@ -1,0 +1,206 @@
+"""Seeded fuzzing of the two graph loaders and the two checkpoint formats.
+
+Each case takes a valid input, applies one to three seeded mutations
+(truncation, byte flips, token swaps, huge indices, ``nan``/``inf`` and
+stray comments) and reads the result back from a file.  The property: the
+reader raises ``ValueError`` (``GraphFormatError`` is one) or returns a
+valid object.  Any other exception fails the test, as it would end the CLI
+in a traceback.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from cliquecut import MpnnParams, OptimState, graphs, load_checkpoint, save_checkpoint
+from cliquecut.graphs import Graph, graph_digest, load_dimacs_file, load_edge_list, load_edge_list_file, to_edge_list_text
+
+from helpers import random_graph
+
+CASES = 300
+HUGE = ["999", "1000", "4294967296", "18446744073709551617", "-1", "1" + "0" * 40, "1" + "0" * 400]
+ODD = ["nan", "-nan", "inf", "-inf", "NaN", "Infinity", "1e309", "-0.0", "0", "1e-400"]
+
+
+def truncate(data: bytes, rng) -> bytes:
+    return data[: int(rng.integers(0, len(data) + 1))]
+
+
+def flip_bytes(data: bytes, rng) -> bytes:
+    out = bytearray(data)
+    for _ in range(int(rng.integers(1, 4))):
+        if out:
+            out[int(rng.integers(len(out)))] ^= 1 << int(rng.integers(8))
+    return bytes(out)
+
+
+def _tokens(data: bytes) -> list[bytes]:
+    # Split on whitespace and on the JSON punctuation, keeping the separators.
+    return re.split(rb"(\s+|[\[\]{}:,])", data)
+
+
+def _replace_token(data: bytes, rng, choices) -> bytes:
+    parts = _tokens(data)
+    slots = [i for i, p in enumerate(parts) if p.strip() and p not in b"[]{}:,"]
+    if not slots:
+        return data
+    parts[slots[int(rng.integers(len(slots)))]] = str(rng.choice(choices)).encode()
+    return b"".join(parts)
+
+
+def swap_tokens(data: bytes, rng) -> bytes:
+    parts = _tokens(data)
+    slots = [i for i, p in enumerate(parts) if p.strip() and p not in b"[]{}:,"]
+    if len(slots) < 2:
+        return data
+    i, j = rng.choice(slots, 2, replace=False)
+    parts[i], parts[j] = parts[j], parts[i]
+    return b"".join(parts)
+
+
+def huge_index(data: bytes, rng) -> bytes:
+    return _replace_token(data, rng, HUGE)
+
+
+def non_finite(data: bytes, rng) -> bytes:
+    return _replace_token(data, rng, ODD)
+
+
+def stray_comment(data: bytes, rng) -> bytes:
+    lines = data.split(b"\n")
+    comment = [b"# nodes", b"# nodes x", b"# nodes 3 4", b"c stray", b"#", b"% note", b"p edge 2 1"][int(rng.integers(7))]
+    lines.insert(int(rng.integers(len(lines) + 1)), comment)
+    return b"\n".join(lines)
+
+
+MUTATIONS = [truncate, flip_bytes, swap_tokens, huge_index, non_finite, stray_comment]
+
+
+def mutate(data: bytes, rng) -> bytes:
+    for _ in range(int(rng.integers(1, 4))):
+        data = MUTATIONS[int(rng.integers(len(MUTATIONS)))](data, rng)
+    return data
+
+
+def assert_valid_graph(g) -> None:
+    assert isinstance(g, Graph)
+    assert 0 <= g.n <= graphs.MAX_NODES
+    assert np.all(g.edge_u < g.edge_v) and np.all(g.edge_v < g.n)
+    assert np.all((g.edge_w > 0.0) & (g.edge_w <= 1.0))
+    assert graph_digest(load_edge_list(to_edge_list_text(g))) == graph_digest(g)
+
+
+def reader_bytes(tmp_path, suffix, reader, data: bytes):
+    path = tmp_path / f"case{suffix}"
+    path.write_bytes(data)
+    return reader(path)
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    # Huge indices below the cap would only cost memory; a small cap keeps every case cheap.
+    monkeypatch.setattr(graphs, "MAX_NODES", 1000)
+
+
+@pytest.mark.parametrize(
+    "suffix, reader",
+    [(".edges", load_edge_list_file), (".dimacs", load_dimacs_file)],
+    ids=["edge-list", "dimacs"],
+)
+def test_graph_loaders_reject_or_load_mutated_input(tmp_path, small_cap, suffix, reader):
+    g = random_graph(np.random.default_rng(0), 12, density=0.4, weighted=True)
+    if suffix == ".edges":
+        base = to_edge_list_text(g).encode()
+    else:
+        lines = ["c fuzz base", f"p edge {g.n} {g.num_edges}"]
+        lines += [f"e {u + 1} {v + 1} {w!r}" for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())]
+        base = ("\n".join(lines) + "\n").encode()
+    assert graph_digest(reader_bytes(tmp_path, suffix, reader, base)) == graph_digest(g)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for seed in range(CASES):
+        data = mutate(base, np.random.default_rng([1, seed]))
+        try:
+            loaded = reader_bytes(tmp_path, suffix, reader, data)
+        except ValueError:
+            outcomes["rejected"] += 1
+            continue
+        assert_valid_graph(loaded)
+        outcomes["loaded"] += 1
+    # Both outcomes occur, so the mutations neither always break nor never touch the input.
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def fuzz_checkpoint():
+    rng = np.random.default_rng(3)
+    params = MpnnParams.init(rng, hidden=3, layers=1)
+    state = OptimState(lr=0.01)
+    state.apply(params.weights, {k: rng.standard_normal(v.shape) for k, v in params.weights.items()})
+    return params, state
+
+
+def assert_valid_checkpoint(loaded) -> None:
+    params, opt, meta = loaded
+    shapes = MpnnParams.shapes(params.hidden, params.layers)
+    assert params.weights.keys() == shapes.keys()
+    for key, w in params.weights.items():
+        assert w.shape == shapes[key] and np.all(np.isfinite(w)), key
+    if opt is not None:
+        for k in ("lr", "beta1", "beta2", "eps"):
+            assert math.isfinite(getattr(opt, k)), k
+        for moments in (opt.m, opt.v):
+            assert moments.keys() == (shapes.keys() if opt.step else set())
+            for key, m in moments.items():
+                assert m.shape == shapes[key] and np.all(np.isfinite(m)), key
+    assert isinstance(meta, dict)
+
+
+def npz_with_mutated_members(path, rng) -> bytes:
+    """A well-formed archive whose header text or one array was mutated."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    if rng.random() < 0.5:
+        header = bytes(members["__header__"])
+        members["__header__"] = np.frombuffer(mutate(header, rng), dtype=np.uint8)
+    else:
+        name = sorted(k for k in members if k != "__header__")[int(rng.integers(len(members) - 1))]
+        array = members[name].copy().reshape(-1)
+        # A non-finite element in place, a truncated copy, or the values flattened.
+        choice = int(rng.integers(3))
+        if choice == 0 and array.size:
+            array[int(rng.integers(array.size))] = rng.choice([np.nan, np.inf, -np.inf])
+        elif choice == 1:
+            array = array[: int(rng.integers(array.size + 1))]
+        members[name] = array if choice else array.reshape(members[name].shape)
+    out = path.with_name("rebuilt.npz")
+    np.savez(out, **members)
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("suffix", [".json", ".npz"])
+def test_checkpoint_readers_reject_or_load_mutated_input(tmp_path, suffix):
+    params, state = fuzz_checkpoint()
+    source = tmp_path / f"source{suffix}"
+    save_checkpoint(source, params, optimizer=state, meta={"note": "fuzz"})
+    base = source.read_bytes()
+    assert_valid_checkpoint(load_checkpoint(source))
+    path = tmp_path / f"case{suffix}"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for seed in range(CASES):
+        rng = np.random.default_rng([2, seed])
+        if suffix == ".npz" and rng.random() < 0.5:
+            data = npz_with_mutated_members(source, rng)
+        elif suffix == ".npz":
+            data = [truncate, flip_bytes][int(rng.integers(2))](base, rng)
+        else:
+            data = mutate(base, rng)
+        path.write_bytes(data)
+        try:
+            loaded = load_checkpoint(path)
+        except ValueError:
+            outcomes["rejected"] += 1
+            continue
+        assert_valid_checkpoint(loaded)
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 0, outcomes

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,78 @@ def test_non_finite_weights_are_rejected(bad):
         load_edge_list(f"# nodes 3\n0 1 1\n1 2 {bad}\n")
     with pytest.raises(GraphFormatError, match=f"line 3: non-finite edge weight {bad}"):
         load_dimacs(f"p edge 3 2\ne 1 2\ne 2 3 {bad}\n")
+
+
+def lexsort_build(n, edge_u, edge_v, edge_w):
+    """The two-lexsort build the single-key sorts in Graph replaced, kept as the
+    reference: (edge_u, edge_v, edge_w, offsets, targets, weights, rows)."""
+    u = np.asarray(edge_u, dtype=np.int64)
+    v = np.asarray(edge_v, dtype=np.int64)
+    w = np.asarray(edge_w, dtype=np.float64)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    if np.any(dup):
+        i = int(np.flatnonzero(dup)[0])
+        raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
+    src, dst, ww = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([w, w])
+    adj = np.lexsort((dst, src))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return lo, hi, w, offsets, dst[adj], ww[adj], src[adj]
+
+
+def shuffled_edges(rng, g):
+    """g's edges in random order and random orientation."""
+    perm = rng.permutation(g.num_edges)
+    flip = rng.random(g.num_edges) < 0.5
+    u = np.where(flip, g.edge_v, g.edge_u)[perm]
+    v = np.where(flip, g.edge_u, g.edge_v)[perm]
+    return u, v, g.edge_w[perm]
+
+
+def test_graph_build_matches_lexsort_reference():
+    rng = np.random.default_rng(41)
+    cases = [(0, [], [], []), (5, [], [], [])]
+    for _ in range(60):
+        # Low densities leave isolated nodes, trailing ones included.
+        g = random_graph(rng, int(rng.integers(1, 60)), density=float(rng.uniform(0.0, 0.9)), weighted=bool(rng.integers(2)))
+        cases.append((g.n, *shuffled_edges(rng, g)))
+    for n, u, v, w in cases:
+        g = Graph(n, u, v, w)
+        want = lexsort_build(n, u, v, w)
+        got = (g.edge_u, g.edge_v, g.edge_w, g.offsets, g.targets, g.weights, g.rows)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(g.degree, np.bincount(want[6], weights=want[5], minlength=n))
+
+
+def test_graph_names_the_same_duplicate_as_the_reference():
+    rng = np.random.default_rng(42)
+    for _ in range(40):
+        g = random_graph(rng, int(rng.integers(3, 30)), density=0.5)
+        if g.num_edges == 0:
+            continue
+        u, v, w = shuffled_edges(rng, g)
+        extra = rng.choice(g.num_edges, int(rng.integers(1, 4)))
+        # Repeat some edges, in either orientation, at random positions.
+        u, v, w = np.concatenate([u, v[extra]]), np.concatenate([v, u[extra]]), np.concatenate([w, w[extra]])
+        perm = rng.permutation(u.size)
+        u, v, w = u[perm], v[perm], w[perm]
+        with pytest.raises(ValueError) as want:
+            lexsort_build(g.n, u, v, w)
+        with pytest.raises(ValueError) as got:
+            Graph(g.n, u, v, w)
+        assert str(got.value) == str(want.value)
+
+
+def test_graph_caps_the_node_count(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_NODES", 10)
+    assert Graph(10, [0], [9], [1.0]).n == 10
+    with pytest.raises(ValueError, match="11 nodes exceed the limit of 10"):
+        Graph(11, [0], [1], [1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1, [], [], [])
 
 
 def test_graph_arrays_immutable():
@@ -261,6 +335,45 @@ def test_loaders_cap_the_node_count(monkeypatch):
         load_edge_list("0 1\n# nodes 50\n")
     with pytest.raises(GraphFormatError, match="line 2: 50 nodes exceed"):
         load_dimacs("c big\np edge 50 0\n")
+    with pytest.raises(GraphFormatError, match="line 1: node count must be non-negative"):
+        load_edge_list("# nodes -1\n")
+    with pytest.raises(GraphFormatError, match="line 1: node count must be non-negative"):
+        load_dimacs("p edge -1 0\n")
+
+
+# sha256 of to_edge_list_text, recorded before the serializer was rewritten.
+# Saved manifests hold these digests, so one moved byte breaks every saved corpus.
+PINNED_DIGESTS = [
+    ("unit", (5, [0, 1, 2, 3, 0], [1, 2, 3, 4, 4], [1.0] * 5),
+     "f9b0e0bcc6d1c7547399f6ead3e9b5f8f24ebd22f76901c1d2f7f4dd4f6aa5dc"),
+    ("odd-weights", (4, [0, 1, 2, 0], [1, 2, 3, 3], [0.1, 1 / 3, 2**-1074, 0.30000000000000004]),
+     "7621202f2ef930cfc0d8a58043a46ec57ea64408f4218626137d55f5f84eef10"),
+    ("trailing-isolated", (7, [1, 0], [2, 1], [0.5, 1.0]),
+     "a1e51e9541d1bfb11a03d9c798d13c34d2f6a1912d8c3065953d6012e6ebd575"),
+    ("edgeless", (3, [], [], []), "adae05b6d3307c219b86191956fe5875a51aeeaf414cf64ec491297f8788ccb9"),
+    ("empty", (0, [], [], []), "997df4b8894a6c3924c51e395aa85107b8c970c1a14ee3827d8c4ed775834428"),
+]
+
+
+@pytest.mark.parametrize("args, digest", [case[1:] for case in PINNED_DIGESTS], ids=[case[0] for case in PINNED_DIGESTS])
+def test_canonical_text_digest_is_pinned(args, digest):
+    g = Graph(*args)
+    assert hashlib.sha256(to_edge_list_text(g).encode()).hexdigest() == digest
+    assert graph_digest(g) == digest
+
+
+def test_canonical_text_matches_per_edge_formatting():
+    rng = np.random.default_rng(8)
+    g = random_graph(rng, 300, density=0.05)
+    weights = rng.random(g.num_edges)
+    weights[weights == 0.0] = 1.0
+    weights[::7] = 0.5  # repeated weights next to distinct ones
+    weighted = Graph(g.n, g.edge_v, g.edge_u, weights)
+    for graph in (g, weighted):
+        lines = [f"# nodes {graph.n}"]
+        for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
+            lines.append(f"{int(u)} {int(v)} {float(w)!r}")
+        assert to_edge_list_text(graph) == "\n".join(lines) + "\n"
 
 
 def test_digest_tracks_content():
