@@ -67,15 +67,33 @@ class Certificate:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Certificate":
-        return cls(
-            kind=data["kind"],
-            t=float(data["t"]),
-            bound=float(data["bound"]),
-            success_prob=float(data["success_prob"]),
-            hoeffding_term=None if data.get("hoeffding_term") is None else float(data["hoeffding_term"]),
-            vacuous=bool(data["vacuous"]),
-        )
+    def from_json(cls, data) -> "Certificate":
+        """Inverse of ``to_json``.
+
+        Raises:
+            ValueError: naming the first field that is missing or of the wrong type.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"certificate must be a JSON object, not {type(data).__name__}")
+        if not isinstance(data.get("kind"), str):
+            raise ValueError(f"certificate field 'kind' must be a string, got {data.get('kind')!r}")
+        if not isinstance(data.get("vacuous"), bool):
+            raise ValueError(f"certificate field 'vacuous' must be true or false, got {data.get('vacuous')!r}")
+        numbers = {k: _json_number(data.get(k), f"certificate field {k!r}") for k in ("t", "bound", "success_prob")}
+        hoeffding = data.get("hoeffding_term")
+        if hoeffding is not None:
+            hoeffding = _json_number(hoeffding, "certificate field 'hoeffding_term'")
+        return cls(kind=data["kind"], **numbers, hoeffding_term=hoeffding, vacuous=data["vacuous"])
+
+
+def _json_number(value, name: str) -> float:
+    """A JSON number as a float; anything else is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {value!r}") from None
 
 
 def _check_t(t: float) -> None:

@@ -19,11 +19,12 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .certificates import Certificate, CliqueObjective, CutVolumeObjective, verify_solution
+from .certificates import Certificate, CliqueObjective, CutVolumeObjective, _json_number, verify_solution
 from .datasets import Corpus, gen_gnp, gen_planted_clique, load_corpus, save_corpus, split_corpus
 from .distributions import VolumeConstraint
 from .graphs import (
@@ -44,6 +45,7 @@ from .solver import (
     greedy_mis_complement,
     solve_local_partition,
     solve_max_clique,
+    uniform_random_baseline,
 )
 
 __all__ = ["main", "build_parser"]
@@ -156,29 +158,12 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _solve_config(args) -> SolveConfig:
-    mpnn = None
-    if args.checkpoint:
-        mpnn, _, _ = load_checkpoint(args.checkpoint)
-    intervals = _parse_intervals(args.intervals) if args.intervals else None
+    """The solver options by ``SolveConfig`` field name; ``mpnn`` and ``intervals`` are parsed."""
+    named = {f.name: getattr(args, f.name) for f in fields(SolveConfig) if f.name not in ("mpnn", "intervals")}
     return SolveConfig(
-        producer=args.producer,
-        decode=args.decode,
-        restarts=args.restarts,
-        steps=args.steps,
-        lr=args.lr,
-        opt_beta=args.opt_beta,
-        init_jitter=args.init_jitter,
-        gamma=args.gamma,
-        beta=args.beta,
-        t=args.t,
-        seed=args.seed,
-        threads=args.threads,
-        time_budget=args.time_budget,
-        k_samples=args.k_samples,
-        mpnn=mpnn,
-        intervals=intervals,
-        num_intervals=args.num_intervals,
-        ball_hops=args.ball_hops,
+        **named,
+        mpnn=load_checkpoint(args.checkpoint)[0] if args.checkpoint else None,
+        intervals=_parse_intervals(args.intervals) if args.intervals else None,
     )
 
 
@@ -325,10 +310,7 @@ def _benchmark_clique_row(args, name: str, graph: Graph, config: SolveConfig) ->
     if args.compare == "greedy":
         baseline = repr(float(set_weight(graph, greedy_mis_complement(graph).mask)))
     elif args.compare == "uniform":
-        from dataclasses import replace
-
-        uni = solve_max_clique(graph, replace(config, producer="uniform"))
-        baseline = repr(float(uni.objective))
+        baseline = repr(float(uniform_random_baseline(graph, config).objective))
     cert = result.certificate
     return [
         name,
@@ -402,66 +384,75 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
-    payload = doc.get("payload", doc)
-    graph = _load_graph(args.graph, args.format)
+def _recheck(graph: Graph, payload: dict, strict: bool) -> dict:
+    """Recompute a result's objective, constraint and certificate on its graph.
 
-    digest = graph_digest(graph)
-    recorded = payload.get("graph_digest")
-    digest_ok = recorded is None or recorded == digest
-    if not digest_ok:
-        _emit(
-            {
-                "config": {"result": args.result, "graph": args.graph, "strict": args.strict},
-                "payload": {"verified": False, "digest_ok": False, "recorded": recorded, "actual": digest},
-                "timing": {"wall_time_s": time.perf_counter() - t0},
-            },
-            None,
-        )
-        return 1
-
-    members = as_mask(graph.n, np.asarray(payload["node_indices"], dtype=np.int64))
-    if payload["problem"] == "clique":
+    Raises:
+        ValueError: naming the first payload field that is missing or of the wrong type.
+    """
+    indices = payload.get("node_indices")
+    if not isinstance(indices, list) or not all(type(i) is int and 0 <= i < graph.n for i in indices):
+        raise ValueError(f"result field 'node_indices': non-integer or node index out of range (n = {graph.n})")
+    members = as_mask(graph.n, np.asarray(indices, dtype=np.int64))
+    if payload.get("problem") == "clique":
         objective_value = set_weight(graph, members)
         constraint_now = is_clique(graph, members)
-        problem = CliqueObjective(gamma=float(payload["gamma"]))
-    elif payload["problem"] == "partition":
+        problem = CliqueObjective(gamma=_json_number(payload.get("gamma"), "result field 'gamma'"))
+    elif payload.get("problem") == "partition":
         objective_value = cut_weight(graph, members)
-        interval = VolumeConstraint(*payload["interval"])
+        bounds = payload.get("interval")
+        if not (isinstance(bounds, list) and len(bounds) == 2):
+            raise ValueError(f"result field 'interval' must be [lower, upper], got {bounds!r}")
+        interval = VolumeConstraint(*(_json_number(b, "result field 'interval'") for b in bounds))
         constraint_now = interval.contains(volume(graph, members))
         problem = CutVolumeObjective(interval)
     else:
-        raise ValueError(f"unknown problem {payload['problem']!r}")
-
-    objective_ok = abs(objective_value - float(payload["objective"])) <= _REL_TOL * max(
-        1.0, abs(objective_value)
-    )
-    constraint_ok = constraint_now == bool(payload["constraint_ok"])
-    certificate = Certificate.from_json(payload["certificate"])
+        raise ValueError(f"unknown problem {payload.get('problem')!r}")
+    recorded = _json_number(payload.get("objective"), "result field 'objective'")
+    objective_ok = abs(objective_value - recorded) <= _REL_TOL * max(1.0, abs(objective_value))
+    if not isinstance(payload.get("constraint_ok"), bool):
+        raise ValueError(f"result field 'constraint_ok' must be true or false, got {payload.get('constraint_ok')!r}")
+    constraint_ok = constraint_now == payload["constraint_ok"]
+    certificate = Certificate.from_json(payload.get("certificate"))
     if certificate.vacuous:
-        certificate_ok = not args.strict
+        certificate_ok = not strict
     else:
-        certificate_ok = verify_solution(graph, members, certificate, problem, strict=args.strict)
-    verified = digest_ok and objective_ok and constraint_ok and certificate_ok
+        certificate_ok = verify_solution(graph, members, certificate, problem, strict=strict)
+    return {
+        "verified": objective_ok and constraint_ok and certificate_ok,
+        "digest_ok": True,
+        "objective_ok": objective_ok,
+        "objective_recomputed": float(objective_value),
+        "constraint_ok": constraint_ok,
+        "certificate_ok": certificate_ok,
+        "certificate_vacuous": certificate.vacuous,
+    }
+
+
+def cmd_verify(args) -> int:
+    t0 = time.perf_counter()
+    doc = json.loads(Path(args.result).read_text(encoding="utf-8"))
+    payload = doc.get("payload", doc) if isinstance(doc, dict) else doc
+    if not isinstance(payload, dict):
+        raise ValueError(f"result must be a JSON object, not {type(payload).__name__}")
+    graph = _load_graph(args.graph, args.format)
+    digest = graph_digest(graph)
+    recorded = payload.get("graph_digest")
+    if recorded is None or recorded == digest:
+        report = _recheck(graph, payload, args.strict)
+    else:
+        report = {"verified": False, "digest_ok": False, "recorded": recorded, "actual": digest}
     _emit(
         {
             "config": {"result": args.result, "graph": args.graph, "strict": args.strict},
-            "payload": {
-                "verified": verified,
-                "digest_ok": digest_ok,
-                "objective_ok": objective_ok,
-                "objective_recomputed": float(objective_value),
-                "constraint_ok": constraint_ok,
-                "certificate_ok": certificate_ok,
-                "certificate_vacuous": certificate.vacuous,
-            },
+            "payload": report,
             "timing": {"wall_time_s": time.perf_counter() - t0},
         },
         None,
     )
-    return 0 if verified else 2
+    if not report["digest_ok"]:
+        return 1
+    return 0 if report["verified"] else 2
 
 
 # ---------------------------------------------------------------------------

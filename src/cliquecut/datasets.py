@@ -145,16 +145,27 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 
 
 def load_corpus(manifest_path) -> Corpus:
-    """Read a manifest and its graphs; verifies digests."""
+    """Read a manifest and its graphs; verifies digests.
+
+    Raises:
+        ValueError: on an unsupported version, a manifest that is not a JSON
+            object with a ``graphs`` list of entry objects, an entry field of
+            the wrong type, or a digest mismatch.
+    """
     path = Path(manifest_path)
     doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"corpus manifest must be a JSON object, not {type(doc).__name__}")
     if doc.get("format_version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {doc.get('format_version')}")
+    if not isinstance(doc.get("graphs"), list):
+        raise ValueError(f"corpus manifest field 'graphs' must be a list, got {doc.get('graphs')!r}")
     graphs: list[Graph] = []
     names: list[str] = []
     splits: list[str] = []
     meta: list[dict] = []
     for entry in doc["graphs"]:
+        _check_entry(entry)
         graph = load_edge_list_file(path.parent / entry["path"])
         if "digest" in entry and graph_digest(graph) != entry["digest"]:
             raise ValueError(f"digest mismatch for {entry['name']}: file changed since manifest")
@@ -163,3 +174,12 @@ def load_corpus(manifest_path) -> Corpus:
         splits.append(entry.get("split", ""))
         meta.append(entry.get("meta", {}))
     return Corpus(graphs=graphs, names=names, splits=splits, meta=meta)
+
+
+def _check_entry(entry) -> None:
+    """An entry is an object with string ``name`` and ``path``, optional string ``split`` and object ``meta``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"corpus manifest entry must be a JSON object, got {entry!r}")
+    for key, kind, default in (("name", str, None), ("path", str, None), ("split", str, ""), ("meta", dict, {})):
+        if not isinstance(entry.get(key, default), kind):
+            raise ValueError(f"corpus manifest entry field {key!r} must be a {kind.__name__}, got {entry.get(key)!r}")

@@ -4,20 +4,21 @@ Clique solving runs multiple restarts (different RNG streams; for the direct
 producer the first restart starts from the symmetric p = 0.5 point and later
 ones jitter the initial logits) and keeps the best decoded clique.  Local
 partitioning scans a schedule of volume intervals around the seed and keeps
-the lowest-conductance feasible decode.  Restarts and intervals are
-embarrassingly parallel; per-restart seeding keeps results byte-identical at
-any thread count.
+the lowest-conductance feasible decode.  Both run their units (restarts or
+intervals) through one driver, ``_solve``; the units are embarrassingly
+parallel, and one seed stream per unit keeps results byte-identical at any
+thread count.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .certificates import Certificate, box_certificate, penalty_certificate
+from .certificates import Certificate, _check_t, box_certificate, penalty_certificate
 from .decoding import (
     CliquePenaltyObjective,
     decode_clique_sweep,
@@ -93,28 +94,11 @@ class SolveConfig:
 
     def describe(self) -> dict:
         """JSON-safe echo of the configuration (weights elided, shape kept)."""
-        out = {
-            "producer": self.producer,
-            "decode": self.decode,
-            "restarts": self.restarts,
-            "steps": self.steps,
-            "lr": self.lr,
-            "opt_beta": self.opt_beta,
-            "init_jitter": self.init_jitter,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "t": self.t,
-            "seed": self.seed,
-            "threads": self.threads,
-            "time_budget": self.time_budget,
-            "k_samples": self.k_samples,
-            "mpnn": None
-            if self.mpnn is None
-            else {"hidden": self.mpnn.hidden, "layers": self.mpnn.layers},
-            "intervals": None if self.intervals is None else [list(iv) for iv in self.intervals],
-            "num_intervals": self.num_intervals,
-            "ball_hops": self.ball_hops,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.mpnn is not None:
+            out["mpnn"] = {"hidden": self.mpnn.hidden, "layers": self.mpnn.layers}
+        if self.intervals is not None:
+            out["intervals"] = [list(iv) for iv in self.intervals]
         return out
 
 
@@ -176,11 +160,13 @@ def _run_indexed(worker, count: int, threads: int, time_budget: float | None) ->
     return [worker(i) for i in range(count)]
 
 
-def _check_producer(config: SolveConfig) -> None:
+def _check_config(config: SolveConfig) -> None:
+    """The checks both solvers share, made before any work."""
     if config.producer not in ("direct", "mpnn", "uniform"):
         raise ValueError(f"unknown producer {config.producer!r}")
     if config.producer == "mpnn" and config.mpnn is None:
         raise ValueError("mpnn producer needs trained parameters (load a checkpoint)")
+    _check_t(config.t)
 
 
 def _produce(
@@ -191,7 +177,7 @@ def _produce(
     init_scale: float,
     seed_node: int | None = None,
 ) -> np.ndarray:
-    """Probabilities from the configured producer (checked by ``_check_producer``).
+    """Probabilities from the configured producer (checked by ``_check_config``).
 
     ``seed_node`` is pinned by the direct producer and seeds the MPNN; without
     it the MPNN draws its seed from ``rng``.
@@ -206,6 +192,30 @@ def _produce(
             seed_node = int(rng.integers(graph.n))
         return mpnn_forward(graph, config.mpnn, seed_node)
     return rng.random(graph.n)
+
+
+def _solve(graph: Graph, config: SolveConfig, problem: str, decode: str, units, worker, t0: float) -> SolveResult:
+    """Run ``worker(unit, rng)`` over ``units`` and report the best outcome.
+
+    Each unit draws from its own stream spawned from ``config.seed``, so the
+    result does not depend on the thread count.  A worker returns ``(key,
+    fields)``: the smallest key wins, ties go to the lowest index, and the
+    winner's fields fill the ``SolveResult``.  ``t0`` is when the solve began.
+    """
+    seqs = np.random.SeedSequence(config.seed).spawn(len(units))
+    outcomes = _run_indexed(
+        lambda i: worker(units[i], np.random.default_rng(seqs[i])), len(units), config.threads, config.time_budget
+    )
+    # min keeps the first of equal keys, which is the lowest index.
+    _, winner = min(outcomes, key=lambda outcome: outcome[0])
+    return SolveResult(
+        problem=problem,
+        producer=config.producer,
+        decode=decode,
+        seeds_tried=len(outcomes),
+        wall_time=time.perf_counter() - t0,
+        **winner,
+    )
 
 
 def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -233,15 +243,13 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         raise ValueError("cannot solve on an empty graph")
     if config.restarts < 1:
         raise ValueError("need at least one restart")
-    _check_producer(config)
+    _check_config(config)
     t0 = time.perf_counter()
     cert_params = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
     opt_spec = CliqueLossSpec(beta=config.opt_beta)
     opt_params = opt_spec.resolve(graph)
-    seqs = np.random.SeedSequence(config.seed).spawn(config.restarts)
 
-    def worker(i: int):
-        rng = np.random.default_rng(seqs[i])
+    def worker(i: int, rng: np.random.Generator):
         p = _produce(graph, config, rng, opt_spec, 0.0 if i == 0 else config.init_jitter)
         candidates: list[NodeSet] = []
         if decode in ("conditional", "hybrid"):
@@ -255,32 +263,22 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         if decode in ("hybrid", "sweep") or not candidates:
             candidates.append(decode_clique_sweep(graph, p))
         candidates = [grow_to_maximal(graph, ns.mask) for ns in candidates]
-        node_set = candidates[0]
-        weight = set_weight(graph, node_set.mask)
-        for other in candidates[1:]:
-            w = set_weight(graph, other.mask)
-            if w > weight:
-                node_set, weight = other, w
+        weights = [set_weight(graph, ns.mask) for ns in candidates]
+        weight = max(weights)
+        node_set = candidates[weights.index(weight)]
+        indices = tuple(int(j) for j in node_set.indices())
         loss_value = clique_loss(graph, p, cert_params).value
-        return weight, tuple(int(j) for j in node_set.indices()), loss_value
+        return (-weight, indices), {
+            "node_indices": list(indices),
+            "objective": weight,
+            "constraint_ok": True,
+            "certificate": penalty_certificate(loss_value, cert_params.beta, config.t),
+            "loss": loss_value,
+            "volume": node_set.volume,
+            "gamma": cert_params.gamma,
+        }
 
-    outcomes = _run_indexed(worker, config.restarts, config.threads, config.time_budget)
-    weight, indices, loss_value = min(outcomes, key=lambda o: (-o[0], o[1]))
-    node_set = NodeSet.from_indices(graph, indices)
-    return SolveResult(
-        problem="clique",
-        node_indices=list(indices),
-        objective=weight,
-        constraint_ok=True,
-        certificate=penalty_certificate(loss_value, cert_params.beta, config.t),
-        producer=config.producer,
-        decode=decode,
-        seeds_tried=len(outcomes),
-        loss=loss_value,
-        wall_time=time.perf_counter() - t0,
-        volume=node_set.volume,
-        gamma=cert_params.gamma,
-    )
+    return _solve(graph, config, "clique", decode, range(config.restarts), worker, t0)
 
 
 def uniform_random_baseline(graph: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -348,7 +346,7 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
         raise ValueError("need at least one volume interval (num_intervals >= 1)")
     if config.k_samples < 1:
         raise ValueError("need at least one sample (k_samples >= 1)")
-    _check_producer(config)
+    _check_config(config)
     if graph.n == 0:
         raise ValueError("cannot solve on an empty graph")
     if not (0 <= seed_node < graph.n):
@@ -366,11 +364,8 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
     usable = [vc for vc in intervals if vc.upper >= d_s]
     if not usable:
         raise ValueError(f"seed degree {d_s} exceeds every interval's upper bound")
-    seqs = np.random.SeedSequence(config.seed).spawn(len(usable))
 
-    def worker(i: int):
-        vc = usable[i]
-        rng = np.random.default_rng(seqs[i])
+    def worker(vc: VolumeConstraint, rng: np.random.Generator):
         # The symmetric p = 0.5 start is a stationary point of the cut loss
         # (every node sees half its degree on each side), so the direct
         # producer always jitters here, unlike the clique path.  Pinning the
@@ -392,37 +387,18 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
         if abs(achieved - vc.target) > 1e-6 * max(vc.target, 1.0):
             # Target unreachable (degrees saturated); the box claim does not apply.
             cert = replace(cert, success_prob=-1.0, vacuous=True)
-        return {
-            "interval": vc,
-            "node_set": node_set,
-            "lower_met": lower_met,
-            "phi": phi,
-            "loss": loss_value,
+        return (not lower_met, phi), {
+            "node_indices": [int(i) for i in node_set.indices()],
+            "objective": cut_weight(graph, node_set.mask),
+            "constraint_ok": bool(lower_met),
             "certificate": cert,
+            "loss": loss_value,
+            "conductance": phi,
+            "volume": node_set.volume,
+            "interval": (vc.lower, vc.upper),
         }
 
-    candidates = _run_indexed(worker, len(usable), config.threads, config.time_budget)
-    ranked = sorted(
-        range(len(candidates)),
-        key=lambda i: (not candidates[i]["lower_met"], candidates[i]["phi"], i),
-    )
-    chosen = candidates[ranked[0]]
-    node_set: NodeSet = chosen["node_set"]
-    return SolveResult(
-        problem="partition",
-        node_indices=[int(i) for i in node_set.indices()],
-        objective=cut_weight(graph, node_set.mask),
-        constraint_ok=bool(chosen["lower_met"]),
-        certificate=chosen["certificate"],
-        producer=config.producer,
-        decode=decode,
-        seeds_tried=len(candidates),
-        loss=chosen["loss"],
-        wall_time=time.perf_counter() - t0,
-        conductance=chosen["phi"],
-        volume=node_set.volume,
-        interval=(chosen["interval"].lower, chosen["interval"].upper),
-    )
+    return _solve(graph, config, "partition", decode, usable, worker, t0)
 
 
 def greedy_mis_complement(graph: Graph) -> NodeSet:

@@ -434,3 +434,82 @@ def test_malformed_checkpoint_is_input_error(tmp_path, capsys, suffix, damage, m
     )
     assert code == 1
     assert err.startswith("error:") and message in err
+
+
+# ---------------------------------------------------------------------------
+# malformed result files and corpus manifests
+
+
+def _solved(tmp_path, capsys, problem):
+    """A graph file and a result file that verifies against it."""
+    if problem == "clique":
+        graph_path = write_graph(tmp_path, complete_graph(4))
+        extra = ["--restarts", "1", "--steps", "30"]
+    else:
+        graph_path = write_graph(tmp_path, two_triangles())
+        extra = ["--problem", "partition", "--seed-node", "0", "--steps", "40", "--intervals", "5:9"]
+    result_path = tmp_path / f"{problem}.json"
+    code, _, _ = run(capsys, ["solve", "--graph", str(graph_path), "--out", str(result_path), *extra])
+    assert code == 0
+    return graph_path, result_path
+
+
+def _without(doc, key):
+    return {**doc, "payload": {k: v for k, v in doc["payload"].items() if k != key}}
+
+
+def _with(doc, key, value):
+    return {**doc, "payload": {**doc["payload"], key: value}}
+
+
+@pytest.mark.parametrize(
+    "problem, damage, message",
+    [
+        ("clique", lambda doc: [doc], "JSON object"),
+        ("clique", lambda doc: {"payload": [doc["payload"]]}, "JSON object"),
+        ("clique", lambda doc: _without(doc, "problem"), "problem"),
+        ("clique", lambda doc: _without(doc, "certificate"), "certificate"),
+        ("clique", lambda doc: _with(doc, "certificate", {**doc["payload"]["certificate"], "t": None}), "'t'"),
+        ("clique", lambda doc: _with(doc, "gamma", None), "'gamma'"),
+        ("clique", lambda doc: _with(doc, "objective", 10**400), "'objective'"),
+        ("clique", lambda doc: _with(doc, "node_indices", [0, 10**30]), "'node_indices'"),
+        ("clique", lambda doc: _with(doc, "constraint_ok", None), "'constraint_ok'"),
+        ("partition", lambda doc: _with(doc, "interval", [1]), "'interval'"),
+        ("partition", lambda doc: _with(doc, "interval", [1, None]), "'interval'"),
+    ],
+    ids=[
+        "top-level-list", "payload-list", "no-problem", "no-certificate", "certificate-t-null",
+        "gamma-null", "huge-objective", "huge-index", "constraint-ok-null", "short-interval", "interval-null",
+    ],
+)
+def test_malformed_result_is_input_error(tmp_path, capsys, problem, damage, message):
+    graph_path, result_path = _solved(tmp_path, capsys, problem)
+    result_path.write_text(json.dumps(damage(json.loads(result_path.read_text()))))
+    code, out, err = run(capsys, ["verify", "--result", str(result_path), "--graph", str(graph_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "graphs"}, "'graphs'"),
+        (lambda doc: {**doc, "graphs": 3}, "'graphs'"),
+        (lambda doc: {**doc, "graphs": [{k: v for k, v in e.items() if k != "path"} for e in doc["graphs"]]}, "'path'"),
+        (lambda doc: {**doc, "graphs": ["gnp-000.edges"]}, "entry"),
+        (lambda doc: {**doc, "graphs": [{**e, "meta": 1} for e in doc["graphs"]]}, "'meta'"),
+    ],
+    ids=["top-level-list", "no-graphs", "graphs-number", "entry-no-path", "entry-string", "meta-number"],
+)
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_malformed_manifest_is_input_error(small_corpus, tmp_path, capsys, command, damage, message):
+    manifest = small_corpus / "manifest.json"
+    manifest.write_text(json.dumps(damage(json.loads(manifest.read_text()))))
+    argv = [command, "--corpus", str(small_corpus)]
+    if command == "train":
+        argv += ["--epochs", "1", "--out", str(tmp_path / "producer.json")]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and message in err

@@ -1,11 +1,12 @@
-"""Seeded fuzzing of the two graph loaders and the two checkpoint formats.
+"""Seeded fuzzing of the two graph loaders, the two checkpoint formats,
+corpus manifests and the result files ``cliquecut verify`` reads.
 
 Each case takes a valid input, applies one to three seeded mutations
 (truncation, byte flips, token swaps, huge indices, ``nan``/``inf`` and
 stray comments) and reads the result back from a file.  The property: the
 reader raises ``ValueError`` (``GraphFormatError`` is one) or returns a
-valid object.  Any other exception fails the test, as it would end the CLI
-in a traceback.
+valid object; ``verify`` ends with an exit code.  Any other exception fails
+the test, as it would end the CLI in a traceback.
 """
 
 import math
@@ -14,7 +15,8 @@ import re
 import numpy as np
 import pytest
 
-from cliquecut import MpnnParams, OptimState, graphs, load_checkpoint, save_checkpoint
+from cliquecut import Corpus, MpnnParams, OptimState, graphs, load_checkpoint, load_corpus, save_checkpoint, save_corpus
+from cliquecut.cli import main
 from cliquecut.graphs import Graph, graph_digest, load_dimacs_file, load_edge_list, load_edge_list_file, to_edge_list_text
 
 from helpers import random_graph
@@ -203,4 +205,57 @@ def test_checkpoint_readers_reject_or_load_mutated_input(tmp_path, suffix):
             continue
         assert_valid_checkpoint(loaded)
         outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_corpus_manifest_reader_rejects_or_loads_mutated_input(tmp_path):
+    rng = np.random.default_rng(4)
+    corpus = Corpus(
+        graphs=[random_graph(rng, 6, density=0.5, weighted=True) for _ in range(3)],
+        names=["a", "b", "c"],
+        splits=["train", "val", "test"],
+        meta=[{"planted": [0, 1]}, {}, {"note": "x"}],
+    )
+    manifest = save_corpus(corpus, tmp_path)
+    base = manifest.read_bytes()
+    outcomes = {"loaded": 0, "rejected": 0}
+    for seed in range(CASES):
+        manifest.write_bytes(mutate(base, np.random.default_rng([5, seed])))
+        try:
+            loaded = load_corpus(manifest)
+        except ValueError:
+            outcomes["rejected"] += 1
+            continue
+        except OSError:
+            # A mutated path that names no file; the CLI reports it as an input error.
+            outcomes["rejected"] += 1
+            continue
+        assert len(loaded.graphs) == len(loaded.names) == len(loaded.splits) == len(loaded.meta)
+        for g in loaded.graphs:
+            assert_valid_graph(g)
+        assert all(isinstance(x, str) for x in loaded.names + loaded.splits)
+        assert all(isinstance(m, dict) for m in loaded.meta)
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+@pytest.mark.parametrize("problem", ["clique", "partition"])
+def test_verify_rejects_or_checks_mutated_result(tmp_path, capsys, problem):
+    g = random_graph(np.random.default_rng(6), 10, density=0.5, weighted=True)
+    graph_path = tmp_path / "graph.edges"
+    graph_path.write_text(to_edge_list_text(g))
+    result_path = tmp_path / "result.json"
+    argv = ["solve", "--graph", str(graph_path), "--restarts", "1", "--steps", "20", "--out", str(result_path)]
+    if problem == "partition":
+        argv += ["--problem", "partition", "--seed-node", str(int(np.argmax(g.degree))), "--num-intervals", "2"]
+    assert main(argv) == 0
+    base = result_path.read_bytes()
+    assert main(["verify", "--result", str(result_path), "--graph", str(graph_path)]) == 0
+    outcomes = {"checked": 0, "rejected": 0}
+    for seed in range(CASES):
+        result_path.write_bytes(mutate(base, np.random.default_rng([7, seed])))
+        code = main(["verify", "--result", str(result_path), "--graph", str(graph_path)])
+        assert code in (0, 1, 2)
+        outcomes["rejected" if code == 1 else "checked"] += 1
+    capsys.readouterr()
     assert min(outcomes.values()) > 0, outcomes

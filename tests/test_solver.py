@@ -18,6 +18,7 @@ from cliquecut import (
     verify_solution,
     volume,
 )
+from cliquecut import solver
 from cliquecut.certificates import CliqueObjective, CutVolumeObjective
 from cliquecut.distributions import VolumeConstraint
 
@@ -114,6 +115,18 @@ def test_clique_input_validation():
         solve_max_clique(g, SolveConfig(decode="magic"))
     with pytest.raises(ValueError, match="checkpoint"):
         solve_max_clique(g, SolveConfig(producer="mpnn", restarts=1, steps=1))
+
+
+@pytest.mark.parametrize("t", [-0.1, 1.0, 1.5])
+def test_t_is_checked_before_any_work(monkeypatch, t):
+    def no_work(*args, **kwargs):
+        raise AssertionError("optimize_direct ran before t was checked")
+
+    monkeypatch.setattr(solver, "optimize_direct", no_work)
+    with pytest.raises(ValueError, match="t must lie"):
+        solve_max_clique(complete_graph(4), SolveConfig(t=t))
+    with pytest.raises(ValueError, match="t must lie"):
+        solve_local_partition(two_triangles(), 0, SolveConfig(t=t))
 
 
 def test_mpnn_producer_runs_with_params():
