@@ -10,7 +10,6 @@ a two-layer readout, and min-max normalization onto [0, 1].
 from __future__ import annotations
 
 import json
-import math
 import sys
 import zipfile
 from dataclasses import dataclass, field
@@ -90,14 +89,26 @@ class CliqueLossSpec:
         its value agrees up to rounding in the summation order.
         ``neighbor_sums`` is ``_neighbor_sums_kernel(graph)``, built here
         unless a caller that binds many kernels to one graph passes it in.
+
+        The kernel also takes a stack of rows, shape (R, n), and returns R
+        values and an (R, n) gradient, each row with the bits of its own 1-D
+        call: ``p.sum(axis=1)`` sums each row pairwise as ``p.sum()`` does,
+        and batched ``np.matmul`` takes each row's dot products as ``@`` does.
         """
         params = self.resolve(graph)
         neighbor_sums = neighbor_sums or _neighbor_sums_kernel(graph)
 
-        def step(p: np.ndarray) -> tuple[float, np.ndarray]:
+        def step(p: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
             s = neighbor_sums(p)
-            total = p.sum()
-            value = _penalty_value(params, 0.5 * float(p @ s), float(total * total - p @ p))
+            if p.ndim == 1:
+                total = p.sum()
+                value = _penalty_value(params, 0.5 * float(p @ s), float(total * total - p @ p))
+            else:
+                total = p.sum(axis=1)
+                row = p[:, None, :]
+                ps, pp = np.matmul(row, s[:, :, None]).ravel(), np.matmul(row, p[:, :, None]).ravel()
+                value = _penalty_value(params, 0.5 * ps, total * total - pp)
+                total = total[:, None]
             return value, -(params.beta + 1.0) * s + params.beta * (total - p)
 
         return step
@@ -180,10 +191,10 @@ def optimize_direct(
     steps: int = 300,
     *,
     lr: float = 0.01,
-    rng: np.random.Generator | None = None,
-    init_scale: float = 0.0,
+    rng: np.random.Generator | list[np.random.Generator] | None = None,
+    init_scale: float | list[float] = 0.0,
     pin: int | None = None,
-) -> tuple[np.ndarray, list[float]]:
+) -> tuple[np.ndarray, list]:
     """Adam on free per-node logits; p = sigmoid(logits).
 
     Returns the final probability vector and the loss recorded before every
@@ -191,6 +202,13 @@ def optimize_direct(
     initial probabilities come back unchanged.  ``pin`` clamps one node's
     logit high throughout, for objectives where that node is forced into the
     solution anyway.
+
+    A list of generators for ``rng`` optimizes a stack of restarts, one row
+    each, in the same loop: ``init_scale`` is then one float for every row
+    or one per row, p comes back with shape (R, n) and the losses as one
+    list per row.  Every row gets the float operations, and so the bits, of
+    its own one-generator call; a one-row stack runs on 1-D arrays, exactly
+    as that call does.
 
     Each step calls the spec's ``step_kernel``, bound once per call, which
     skips validation and takes E[weight in S] = p.s / 2 from the one
@@ -200,31 +218,45 @@ def optimize_direct(
     2e-15 relative, 9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
 
     Raises:
-        FloatingPointError: if the loss stops being finite.
+        FloatingPointError: if the loss of any row stops being finite.
     """
-    if init_scale > 0.0:
-        if rng is None:
-            raise ValueError("init_scale > 0 requires an rng")
-        logits = init_scale * rng.standard_normal(graph.n)
-    else:
-        logits = np.zeros(graph.n)
+    stacked = isinstance(rng, (list, tuple))
+    rngs = list(rng) if stacked else [rng]
+    scales = list(init_scale) if np.ndim(init_scale) else [init_scale] * len(rngs)
+    if not rngs or len(scales) != len(rngs):
+        raise ValueError(f"need at least one row and one init_scale per rng, got {len(rngs)} and {len(scales)}")
+    rows = []
+    for row_rng, scale in zip(rngs, scales):
+        if scale > 0.0:
+            if row_rng is None:
+                raise ValueError("init_scale > 0 requires an rng")
+            rows.append(scale * row_rng.standard_normal(graph.n))
+        else:
+            rows.append(np.zeros(graph.n))
+    logits = rows[0] if len(rows) == 1 else np.stack(rows)
     if pin is not None:
-        logits[pin] = _PIN_LOGIT
+        logits[..., pin] = _PIN_LOGIT
     state = OptimState(lr=lr)
     step_fn = loss_spec.step_kernel(graph)
-    losses: list[float] = []
+    history = []
     for step in range(steps):
         p = sigmoid(logits)
         value, gradient = step_fn(p)
-        if not math.isfinite(value):
-            raise FloatingPointError(f"loss became {value} at step {step}")
-        losses.append(value)
+        finite = np.isfinite(value)
+        if not finite.all():
+            row = int(np.argmin(finite.reshape(-1)))
+            where = f" in row {row}" if stacked else ""
+            raise FloatingPointError(f"loss became {np.reshape(value, -1)[row]} at step {step}{where}")
+        history.append(value)
         state.apply({"logits": logits}, {"logits": gradient * p * (1.0 - p)})
         if pin is not None:
-            logits[pin] = _PIN_LOGIT
+            logits[..., pin] = _PIN_LOGIT
     p = sigmoid(logits)
-    losses.append(step_fn(p)[0])
-    return p, losses
+    history.append(step_fn(p)[0])
+    losses = np.array(history).reshape(steps + 1, len(rows)).T.tolist()
+    if stacked:
+        return p.reshape(len(rows), graph.n), losses
+    return p, losses[0]
 
 
 # ---------------------------------------------------------------------------

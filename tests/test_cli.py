@@ -257,6 +257,28 @@ def test_nan_weight_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--lr", "nan", "lr must be finite and positive, got nan"),
+        ("--lr", "-1", "lr must be finite and positive, got -1.0"),
+        ("--steps", "-5", "need steps >= 0, got -5"),
+        ("--init-jitter", "-1", "init_jitter must be finite and non-negative, got -1.0"),
+        ("--init-jitter", "nan", "init_jitter must be finite and non-negative, got nan"),
+        ("--threads", "0", "need threads >= 1, got 0"),
+        ("--time-budget", "-1", "time_budget must be finite and non-negative, got -1.0"),
+        ("--ball-hops", "-1", "need ball_hops >= 0, got -1"),
+    ],
+    ids=["lr=nan", "lr=-1", "steps=-5", "init-jitter=-1", "init-jitter=nan", "threads=0", "time-budget=-1", "ball-hops=-1"],
+)
+def test_bad_solver_setting_is_input_error(tmp_path, capsys, flag, value, message):
+    graph_path = write_graph(tmp_path, complete_graph(4))
+    for problem in (["--problem", "clique"], ["--problem", "partition", "--seed-node", "0"]):
+        code, out, err = run(capsys, ["solve", "--graph", str(graph_path), *problem, flag, value])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
     "suffix, text, message",
     [
         (".edges", "0 1\n0 4999\n", "line 2: 5000 nodes exceed the limit of 1000"),

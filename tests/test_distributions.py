@@ -340,6 +340,23 @@ def test_neighbor_sums_kernel_matches_bit_for_bit(weighted):
             assert np.array_equal(out, weighted_neighbor_sums(g, p))
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_neighbor_sums_kernel_sums_a_stack_row_by_row(weighted):
+    rng = np.random.default_rng(35 + weighted)
+    graphs = [Graph(5, [], [], [])]
+    for _ in range(15):
+        n, density = int(rng.integers(1, 60)), float(rng.uniform(0.0, 0.9))
+        graphs.append(random_graph(rng, n, density=density, weighted=weighted))
+    for g in graphs:
+        sums = _neighbor_sums_kernel(g)
+        for height in (1, 2, 7, 16, 7):
+            p = rng.random((height, g.n)) * float(rng.choice([1.0, 1e-8, 1e8]))
+            out = sums(p)
+            assert out.shape == p.shape and out.dtype == np.float64
+            for row, probs in zip(out, p):
+                assert np.array_equal(row.view(np.int64), weighted_neighbor_sums(g, probs).view(np.int64))
+
+
 def test_neighbor_sums_kernel_orders_like_int64_stable_sort():
     rng = np.random.default_rng(33)
     # Stars push the largest rank past the uint8 and uint16 ranges.

@@ -22,6 +22,7 @@ from cliquecut import (
     save_checkpoint,
     train_mpnn,
 )
+from cliquecut.distributions import weighted_neighbor_sums
 from cliquecut.models import _channel_bins, _draw_interval, _neighbor_sum, _pick_seed, mpnn_backward, sigmoid
 
 from helpers import complete_graph, path_graph, random_graph, two_triangles
@@ -224,6 +225,160 @@ def test_optimize_direct_cut_kernel_matches_public_loss():
         pin=pin,
     )
     assert_same_run(fused, reference)
+
+
+def previous_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class PreviousAdam:
+    """OptimState.apply for one "logits" array, as it ran before stacked restarts."""
+
+    def __init__(self, lr):
+        self.lr, self.beta1, self.beta2, self.eps, self.step = lr, 0.9, 0.999, 1e-8, 0
+        self.m = self.v = None
+
+    def apply(self, logits, g):
+        self.step += 1
+        c1 = 1.0 - self.beta1**self.step
+        c2 = 1.0 - self.beta2**self.step
+        if self.m is None:
+            self.m, self.v = np.zeros_like(g), np.zeros_like(g)
+        self.m += (1.0 - self.beta1) * (g - self.m)
+        self.v += (1.0 - self.beta2) * (g * g - self.v)
+        logits -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+
+
+def previous_clique_step(graph, params):
+    """The one-row clique kernel as it ran before stacked restarts."""
+
+    def step(p):
+        s = weighted_neighbor_sums(graph, p)
+        total = p.sum()
+        ew, pairs = 0.5 * float(p @ s), float(total * total - p @ p)
+        value = params.gamma - (params.beta + 1.0) * ew + 0.5 * params.beta * pairs
+        return value, -(params.beta + 1.0) * s + params.beta * (total - p)
+
+    return step
+
+
+def previous_optimize_direct(graph, spec, steps, *, lr, rng, init_scale, pin=None):
+    """One restart of optimize_direct as it ran before stacked restarts."""
+    logits = init_scale * rng.standard_normal(graph.n) if init_scale > 0.0 else np.zeros(graph.n)
+    if pin is not None:
+        logits[pin] = 12.0
+    adam = PreviousAdam(lr)
+    step_fn = previous_clique_step(graph, spec.resolve(graph))
+    losses = []
+    for step in range(steps):
+        p = previous_sigmoid(logits)
+        value, gradient = step_fn(p)
+        if not np.isfinite(value):
+            raise FloatingPointError(f"loss became {value} at step {step}")
+        losses.append(value)
+        adam.apply(logits, gradient * p * (1.0 - p))
+        if pin is not None:
+            logits[pin] = 12.0
+    p = previous_sigmoid(logits)
+    losses.append(step_fn(p)[0])
+    return p, losses
+
+
+def stack_test_graphs():
+    rng = np.random.default_rng(41)
+    isolated = random_graph(rng, 30, 0.3, weighted=True)
+    isolated = Graph(isolated.n + 3, isolated.edge_u, isolated.edge_v, isolated.edge_w)
+    return {
+        "unit": random_graph(rng, 40, 0.4),
+        "weighted": random_graph(rng, 35, 0.5, weighted=True),
+        "isolated": isolated,
+        "edgeless": Graph(9, [], [], []),
+        "single": Graph(1, [], [], []),
+    }
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["unit", "weighted", "isolated", "edgeless", "single"])
+@pytest.mark.parametrize("rows", [1, 2, 7, 16])
+@pytest.mark.parametrize("pin", [None, 0])
+def test_stacked_restarts_match_previous_loop_bits(name, rows, pin):
+    g = stack_test_graphs()[name]
+    spec = CliqueLossSpec(beta=2.0)
+    scales = [0.0] + [1.0 + 0.25 * r for r in range(1, rows)]
+    seeds = np.random.SeedSequence(7).spawn(rows)
+    p, losses = optimize_direct(
+        g, spec, 40, lr=0.1, rng=[np.random.default_rng(s) for s in seeds], init_scale=scales, pin=pin
+    )
+    assert p.shape == (rows, g.n) and len(losses) == rows
+    for r in range(rows):
+        want_p, want_losses = previous_optimize_direct(
+            g, spec, 40, lr=0.1, rng=np.random.default_rng(seeds[r]), init_scale=scales[r], pin=pin
+        )
+        assert_same_bits(p[r], want_p)
+        assert all(type(value) is float for value in losses[r])
+        assert_same_bits(losses[r], want_losses)
+
+
+@pytest.mark.parametrize("name", ["unit", "weighted", "edgeless"])
+def test_one_restart_call_is_unchanged(name):
+    g = stack_test_graphs()[name]
+    spec = CliqueLossSpec(beta=2.0)
+    p, losses = optimize_direct(g, spec, 30, lr=0.1, rng=np.random.default_rng(5), init_scale=1.0, pin=1)
+    want_p, want_losses = previous_optimize_direct(
+        g, spec, 30, lr=0.1, rng=np.random.default_rng(5), init_scale=1.0, pin=1
+    )
+    assert p.shape == (g.n,) and isinstance(losses, list)
+    assert all(type(value) is float for value in losses)
+    assert_same_bits(p, want_p)
+    assert_same_bits(losses, want_losses)
+    stacked_p, stacked_losses = optimize_direct(
+        g, spec, 30, lr=0.1, rng=[np.random.default_rng(5)], init_scale=[1.0], pin=1
+    )
+    assert_same_bits(stacked_p, want_p[None, :])
+    assert stacked_losses == [losses]
+
+
+def test_stacked_restarts_check_every_row():
+    g = random_graph(np.random.default_rng(3), 12, 0.5)
+    inner = CliqueLossSpec(beta=2.0)
+
+    class PoisonRow:
+        """The clique kernel, but row 2's loss turns NaN at the fourth step."""
+
+        def step_kernel(self, graph):
+            step_fn, calls = inner.step_kernel(graph), []
+
+            def step(p):
+                value, gradient = step_fn(p)
+                calls.append(None)
+                if len(calls) == 4:
+                    value = value.copy()
+                    value[2] = np.nan
+                return value, gradient
+
+            return step
+
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    with pytest.raises(FloatingPointError, match=r"loss became nan at step 3 in row 2"):
+        optimize_direct(g, PoisonRow(), 10, lr=0.1, rng=rngs, init_scale=1.0)
+
+
+def test_stacked_restarts_reject_mismatched_rows():
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match="one init_scale per rng"):
+        optimize_direct(g, CliqueLossSpec(), 3, rng=[np.random.default_rng(0)] * 2, init_scale=[1.0])
+    with pytest.raises(ValueError, match="at least one row"):
+        optimize_direct(g, CliqueLossSpec(), 3, rng=[])
 
 
 def test_sigmoid_extremes():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,94 @@ def test_t_is_checked_before_any_work(monkeypatch, t):
         solve_max_clique(complete_graph(4), SolveConfig(t=t))
     with pytest.raises(ValueError, match="t must lie"):
         solve_local_partition(two_triangles(), 0, SolveConfig(t=t))
+
+
+BAD_SETTINGS = [
+    ("steps", -5, "steps"),
+    ("lr", float("nan"), "lr"),
+    ("lr", float("inf"), "lr"),
+    ("lr", -1.0, "lr"),
+    ("lr", 0.0, "lr"),
+    ("init_jitter", -1.0, "init_jitter"),
+    ("init_jitter", float("nan"), "init_jitter"),
+    ("init_jitter", float("inf"), "init_jitter"),
+    ("threads", 0, "threads"),
+    ("time_budget", -1.0, "time_budget"),
+    ("time_budget", float("nan"), "time_budget"),
+    ("time_budget", float("inf"), "time_budget"),
+    ("ball_hops", -1, "ball_hops"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_SETTINGS, ids=[f"{f}={v}" for f, v, _ in BAD_SETTINGS])
+def test_bad_settings_are_rejected_before_any_work(monkeypatch, field, value, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"optimize_direct ran before {field} was checked")
+
+    monkeypatch.setattr(solver, "optimize_direct", no_work)
+    config = replace(SolveConfig(), **{field: value})
+    with pytest.raises(ValueError, match=message):
+        solve_max_clique(complete_graph(4), config)
+    with pytest.raises(ValueError, match=message):
+        solve_local_partition(two_triangles(), 0, config)
+
+
+def test_zero_steps_and_zero_budget_stay_valid():
+    g = complete_graph(4)
+    assert solve_max_clique(g, SolveConfig(restarts=2, steps=0)).objective == 6.0
+    assert solve_max_clique(g, SolveConfig(restarts=2, steps=5, time_budget=0.0)).seeds_tried >= 1
+    assert solve_local_partition(two_triangles(), 0, SolveConfig(steps=0, time_budget=0.0)).seeds_tried >= 1
+
+
+@pytest.mark.parametrize("restarts", [1, 7, 10])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stacked_restarts_keep_clique_payloads(monkeypatch, restarts, weighted):
+    g = random_graph(np.random.default_rng(21 + weighted), 45, density=0.35, weighted=weighted)
+    config = SolveConfig(restarts=restarts, steps=60, seed=3)
+    default = solve_max_clique(g, config).payload()
+    assert default["seeds_tried"] == restarts
+    calls = []
+    stacked = solver.optimize_direct
+
+    def counted(graph, spec, steps, **kwargs):
+        calls.append(len(kwargs["rng"]))
+        return stacked(graph, spec, steps, **kwargs)
+
+    monkeypatch.setattr(solver, "optimize_direct", counted)
+    entries = g.rows.size
+    for chunk in (1, 3, restarts):
+        calls.clear()
+        # The chunk is _STACK_ENTRIES // 2E rows; 3 rows leaves a short last chunk at 7 and 10.
+        monkeypatch.setattr(solver, "_STACK_ENTRIES", chunk * entries)
+        for threads in (1, 2):
+            assert solve_max_clique(g, replace(config, threads=threads)).payload() == default
+        want = [min(chunk, restarts - start) for start in range(0, restarts, chunk)]
+        assert calls == want * 2
+
+
+def test_default_chunk_stacks_small_graphs_only(monkeypatch):
+    calls = []
+    stacked = solver.optimize_direct
+
+    def counted(graph, spec, steps, **kwargs):
+        calls.append(len(kwargs["rng"]))
+        return stacked(graph, spec, steps, **kwargs)
+
+    monkeypatch.setattr(solver, "optimize_direct", counted)
+    solve_max_clique(random_graph(np.random.default_rng(4), 40, density=0.5), SolveConfig(restarts=10, steps=5))
+    assert calls == [10]
+    calls.clear()
+    # 2**15 // 2E is 1 once the adjacency has more than 2**14 entries.
+    star = Graph(8194, np.zeros(8193, dtype=np.int64), np.arange(1, 8194), np.ones(8193))
+    solve_max_clique(star, SolveConfig(restarts=3, steps=2))
+    assert calls == [1, 1, 1]
+
+
+def test_time_budget_stops_at_a_chunk_boundary(monkeypatch):
+    g = random_graph(np.random.default_rng(6), 30, density=0.4)
+    monkeypatch.setattr(solver, "_STACK_ENTRIES", 4 * g.rows.size)
+    result = solve_max_clique(g, SolveConfig(restarts=10, steps=5, time_budget=0.0))
+    assert result.seeds_tried == 4
 
 
 def test_mpnn_producer_runs_with_params():
