@@ -139,7 +139,12 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="hybrid|conditional|sweep for cliques (default hybrid), conditional|sampled for partitions (default conditional)",
     )
-    sub.add_argument("--restarts", type=int, default=SolveConfig.restarts)
+    sub.add_argument(
+        "--restarts",
+        type=int,
+        default=SolveConfig.restarts,
+        help="restarts over the whole graph; on a sparse clique instance, the number of seed balls instead",
+    )
     sub.add_argument("--steps", type=int, default=SolveConfig.steps)
     sub.add_argument("--lr", type=float, default=SolveConfig.lr)
     sub.add_argument("--opt-beta", type=float, default=SolveConfig.opt_beta, help="penalty weight used during optimization")
@@ -544,7 +549,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
+        # FloatingPointError: the optimizer's loss overflowed (say, a huge --opt-beta).
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -100,15 +100,16 @@ class CliqueLossParams:
 
     ``gamma`` must dominate the weight of every clique for the certified
     bound to mean anything, and ``beta`` must be at least ``gamma``; the
-    per-graph default gamma = beta = total edge weight satisfies both.
+    per-graph default gamma = beta = total edge weight satisfies both.  Both
+    must be finite: an infinite beta makes the loss, and so the bound, NaN.
     """
 
     gamma: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma <= self.beta):
-            raise ValueError(f"need 0 < gamma <= beta, got gamma={self.gamma}, beta={self.beta}")
+        if not (0.0 < self.gamma <= self.beta and math.isfinite(self.beta)):
+            raise ValueError(f"need finite 0 < gamma <= beta, got gamma={self.gamma}, beta={self.beta}")
 
     @classmethod
     def for_graph(cls, graph: Graph, *, gamma: float | None = None, beta: float | None = None) -> "CliqueLossParams":

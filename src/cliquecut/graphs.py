@@ -10,7 +10,9 @@ exponential on purpose and guarded by node limits.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,8 @@ __all__ = [
     "is_clique",
     "conductance",
     "hop_distances",
+    "core_numbers",
+    "induced",
     "load_edge_list",
     "load_edge_list_file",
     "load_dimacs",
@@ -286,6 +290,73 @@ def hop_distances(graph: Graph, source: int) -> np.ndarray:
     return dist
 
 
+def core_numbers(graph: Graph) -> np.ndarray:
+    """Core number of every node: the largest k such that it lies in a k-core.
+
+    The Batagelj-Zaversnik (2003) peel, on combinatorial degrees.  Each level
+    k pops the bucket of nodes whose degree is k, then removes, round by
+    round, every live node whose degree has fallen to k or below; a round
+    gathers only the removed nodes' CSR rows and re-buckets only the
+    neighbours whose degree dropped, so the whole peel touches each
+    adjacency entry once.  A stale bucket entry (a node already removed at a
+    lower level) is skipped when its bucket pops.
+    """
+    deg = np.diff(graph.offsets)
+    alive = np.ones(graph.n, dtype=bool)
+    core = np.zeros(graph.n, dtype=np.int64)
+    buckets: dict[int, list[np.ndarray]] = {}
+    levels: list[int] = []
+
+    def push(nodes: np.ndarray) -> None:
+        keys = deg[nodes]
+        order = np.argsort(keys, kind="stable")
+        nodes, keys = nodes[order], keys[order]
+        cuts = np.flatnonzero(np.diff(keys)) + 1
+        for part, key in zip(np.split(nodes, cuts), keys[np.concatenate([[0], cuts])].tolist()):
+            if key not in buckets:
+                buckets[key] = []
+                heapq.heappush(levels, key)
+            buckets[key].append(part)
+
+    if graph.n:
+        push(np.arange(graph.n))
+    while levels:
+        k = heapq.heappop(levels)
+        frontier = np.concatenate(buckets.pop(k))
+        frontier = frontier[alive[frontier]]
+        while frontier.size:
+            core[frontier] = k
+            alive[frontier] = False
+            starts = graph.offsets[frontier]
+            counts = graph.offsets[frontier + 1] - starts
+            ends = np.cumsum(counts)
+            # The gather of hop_distances: the removed nodes' CSR rows, back to back.
+            index = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+            reached = graph.targets[index]
+            touched, drops = np.unique(reached[alive[reached]], return_counts=True)
+            deg[touched] -= drops
+            low = deg[touched] <= k
+            frontier = touched[low]
+            if not low.all():
+                push(touched[~low])
+    return core
+
+
+def induced(graph: Graph, nodes) -> tuple[Graph, np.ndarray]:
+    """The subgraph on a node set, with its index map.
+
+    Returns ``(sub, index)``: ``index`` holds the set's nodes in increasing
+    order, sub's node i is ``index[i]``, and sub keeps exactly the edges,
+    with their weights, that have both endpoints in the set.
+    """
+    mask = as_mask(graph.n, nodes)
+    index = np.flatnonzero(mask)
+    position = np.cumsum(mask) - 1
+    inside = mask[graph.edge_u] & mask[graph.edge_v]
+    sub = Graph(index.size, position[graph.edge_u[inside]], position[graph.edge_v[inside]], graph.edge_w[inside])
+    return sub, index
+
+
 # ---------------------------------------------------------------------------
 # loaders / serialization
 
@@ -332,6 +403,9 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
+    graph = _load_canonical_edge_list(text, index_base, n)
+    if graph is not None:
+        return graph
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
@@ -360,6 +434,61 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
     if w_arr.size and w_arr.max() > 1.0:
         w_arr = w_arr / w_arr.max()
     return Graph(n, us, vs, w_arr)
+
+
+_NODES_HEADER = re.compile(r"# nodes ([0-9]+)")
+# Everything an edge line of canonical text holds, besides its two spaces and newline.
+_EDGE_CHARS = b"0123456789.eE+-"
+
+
+def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Graph | None:
+    """``load_edge_list`` on numpy arrays, for text shaped like ``to_edge_list_text``.
+
+    That is an optional ``# nodes N`` first line, then ``u v w`` lines with
+    one space between fields and none around them, each ending in a newline.
+    The fields are converted as the line loop converts them (``int`` and
+    ``float`` per token), so an accepted text yields the same graph.  Returns
+    None for any other text, and for any text the line loop would reject, so
+    that the line loop reports the error with its line number.
+    """
+    body = text
+    if text.startswith("#"):
+        head, _, body = text.partition("\n")
+        pinned = _NODES_HEADER.fullmatch(head)
+        if pinned is None:
+            return None
+        n = int(pinned[1])
+    try:
+        raw = body.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    lines = raw.count(b"\n")
+    # Two spaces before every newline and nothing after the last one; with
+    # 3 tokens a line, no field is empty either.
+    if lines == 0 or raw.translate(None, _EDGE_CHARS) != b"  \n" * lines:
+        return None
+    tokens = body.split()
+    if len(tokens) != 3 * lines:
+        return None
+    try:
+        u = np.array(tokens[0::3], dtype=np.int64) - index_base
+        v = np.array(tokens[1::3], dtype=np.int64) - index_base
+        w = np.array(tokens[2::3], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if n is not None and n > MAX_NODES:
+        return None
+    if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= MAX_NODES or np.any(u == v):
+        return None
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        return None
+    keep = w != 0.0
+    u, v, w = u[keep], v[keep], w[keep]
+    if n is None:
+        n = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
+    if w.size and w.max() > 1.0:
+        w = w / w.max()
+    return Graph(n, u, v, w)
 
 
 def load_edge_list_file(path, *, index_base: int = 0, n: int | None = None) -> Graph:

@@ -239,18 +239,20 @@ def optimize_direct(
     state = OptimState(lr=lr)
     step_fn = loss_spec.step_kernel(graph)
     history = []
-    for step in range(steps):
-        p = sigmoid(logits)
-        value, gradient = step_fn(p)
-        finite = np.isfinite(value)
-        if not finite.all():
-            row = int(np.argmin(finite.reshape(-1)))
-            where = f" in row {row}" if stacked else ""
-            raise FloatingPointError(f"loss became {np.reshape(value, -1)[row]} at step {step}{where}")
-        history.append(value)
-        state.apply({"logits": logits}, {"logits": gradient * p * (1.0 - p)})
-        if pin is not None:
-            logits[..., pin] = _PIN_LOGIT
+    # A loss that overflows is reported by the check below, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            p = sigmoid(logits)
+            value, gradient = step_fn(p)
+            finite = np.isfinite(value)
+            if not finite.all():
+                row = int(np.argmin(finite.reshape(-1)))
+                where = f" in row {row}" if stacked else ""
+                raise FloatingPointError(f"loss became {np.reshape(value, -1)[row]} at step {step}{where}")
+            history.append(value)
+            state.apply({"logits": logits}, {"logits": gradient * p * (1.0 - p)})
+            if pin is not None:
+                logits[..., pin] = _PIN_LOGIT
     p = sigmoid(logits)
     history.append(step_fn(p)[0])
     losses = np.array(history).reshape(steps + 1, len(rows)).T.tolist()

@@ -3,7 +3,10 @@
 Clique solving runs multiple restarts (different RNG streams; for the direct
 producer the first restart starts from the symmetric p = 0.5 point and later
 ones jitter the initial logits, and on small graphs several restarts share
-one stacked Adam loop) and keeps the best decoded clique.  Local
+one stacked Adam loop) and keeps the best decoded clique.  On sparse graphs
+the restarts become seed balls instead: one solve on the closed
+neighbourhood of each of the highest-core nodes, whose cliques are exactly
+the cliques through that node.  Local
 partitioning scans a schedule of volume intervals around the seed and keeps
 the lowest-conductance feasible decode.  Both run their units (restarts or
 intervals) through one driver, ``_solve``; the units are embarrassingly
@@ -41,8 +44,10 @@ from .graphs import (
     Graph,
     NodeSet,
     conductance,
+    core_numbers,
     cut_weight,
     hop_distances,
+    induced,
     is_clique,
     set_weight,
     volume,
@@ -73,6 +78,10 @@ class SolveConfig:
     so beta must exceed d/(1-d) of the densest non-clique pocket or the
     optimizer settles on dense blobs instead of cliques; 2.0 rules out
     density <= 2/3 blobs while keeping gradients informative.
+
+    ``restarts`` is the number of restarts over the whole graph, except on
+    a clique solve of a sparse graph, where it is the number of seed balls
+    (see ``solve_max_clique``).
     """
 
     producer: str = "direct"
@@ -190,6 +199,10 @@ def _check_config(config: SolveConfig) -> None:
         raise ValueError(f"time_budget must be finite and non-negative, got {budget}")
     if config.ball_hops < 0:
         raise ValueError(f"need ball_hops >= 0, got {config.ball_hops}")
+    for name in ("opt_beta", "gamma", "beta"):
+        value = getattr(config, name)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _produce(
@@ -253,6 +266,18 @@ def _solve(
     )
 
 
+def _seed_balls(graph: Graph, count: int) -> np.ndarray | None:
+    """The ``count`` highest-core nodes (ties to the lower index), or None
+    unless their closed neighbourhoods hold fewer than n nodes in total."""
+    sizes = np.diff(graph.offsets) + 1
+    # Any count nodes' balls hold at least as many as the count smallest, so
+    # dense graphs are turned away before their core numbers are computed.
+    if count >= graph.n or np.partition(sizes, count - 1)[:count].sum() >= graph.n:
+        return None
+    seeds = np.argsort(-core_numbers(graph), kind="stable")[:count]
+    return seeds if sizes[seeds].sum() < graph.n else None
+
+
 def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveResult:
     """Multi-restart clique search; returns the heaviest decoded clique.
 
@@ -269,6 +294,17 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     of stray mass raises its inclusion threshold); the other two decodes
     recover the quality in that regime, and a heavier clique can only improve
     on the certified cost.
+
+    On a sparse graph the units are seed balls rather than restarts: the
+    ``restarts`` nodes of highest core number (ties to the lower index) each
+    give the subgraph induced on their closed neighbourhood N[v], which holds
+    every clique through v (Eppstein, Loeffler & Strash 2010).  The path is
+    taken when those balls hold fewer than n nodes in total, so dense graphs
+    keep the whole-graph restarts.  Each ball gets one producer run (the
+    symmetric start of the first restart), the same decodes, and its own
+    certificate parameters, ``CliqueLossParams.for_graph(ball)``.  Each
+    candidate is mapped back to the full graph and grown there, so the
+    weight, volume and winner are those of the full graph.
     """
     config = config or SolveConfig()
     decode = config.decode or "hybrid"
@@ -280,28 +316,28 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         raise ValueError("need at least one restart")
     _check_config(config)
     t0 = time.perf_counter()
-    cert_params = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
     opt_spec = CliqueLossSpec(beta=config.opt_beta)
-    opt_params = opt_spec.resolve(graph)
 
-    def restart_outcome(p: np.ndarray):
-        candidates: list[NodeSet] = []
+    def outcome(g: Graph, index: np.ndarray | None, cert_params: CliqueLossParams, opt_params, p: np.ndarray):
+        """The best clique decoded from p on g, whose node i is the graph's ``index[i]``
+        (the identity when ``index`` is None), grown to a maximal clique of the graph."""
+        candidates: list[np.ndarray] = []
         if decode in ("conditional", "hybrid"):
-            ns, _ = decode_conditional(graph, p, CliquePenaltyObjective(graph, cert_params))
-            if is_clique(graph, ns.mask):
-                candidates.append(ns)
+            ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, cert_params))
+            if is_clique(g, ns.mask):
+                candidates.append(ns.mask)
         if decode == "hybrid":
-            ns, _ = decode_conditional(graph, p, CliquePenaltyObjective(graph, opt_params))
-            if is_clique(graph, ns.mask):
-                candidates.append(ns)
+            ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, opt_params))
+            if is_clique(g, ns.mask):
+                candidates.append(ns.mask)
         if decode in ("hybrid", "sweep") or not candidates:
-            candidates.append(decode_clique_sweep(graph, p))
-        candidates = [grow_to_maximal(graph, ns.mask) for ns in candidates]
-        weights = [set_weight(graph, ns.mask) for ns in candidates]
+            candidates.append(decode_clique_sweep(g, p).mask)
+        grown = [grow_to_maximal(graph, mask if index is None else index[mask]) for mask in candidates]
+        weights = [set_weight(graph, ns.mask) for ns in grown]
         weight = max(weights)
-        node_set = candidates[weights.index(weight)]
+        node_set = grown[weights.index(weight)]
         indices = tuple(int(j) for j in node_set.indices())
-        loss_value = clique_loss(graph, p, cert_params).value
+        loss_value = clique_loss(g, p, cert_params).value
         return (-weight, indices), {
             "node_indices": list(indices),
             "objective": weight,
@@ -312,9 +348,30 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
             "gamma": cert_params.gamma,
         }
 
+    seeds = _seed_balls(graph, config.restarts)
+    if seeds is not None:
+        units = []
+        for v in seeds.tolist():
+            ball, index = induced(graph, np.append(graph.neighbors(v), v))
+            cert_params = CliqueLossParams.for_graph(ball, gamma=config.gamma, beta=config.beta)
+            units.append((ball, index, cert_params, opt_spec.resolve(ball)))
+
+        def ball_worker(balls: list, rngs: list[np.random.Generator]):
+            out = []
+            for (ball, index, cert_params, opt_params), rng in zip(balls, rngs):
+                (p,) = _produce(ball, config, [rng], opt_spec, [0.0])
+                out.append(outcome(ball, index, cert_params, opt_params, p))
+            return out
+
+        return _solve(graph, config, "clique", decode, units, ball_worker, t0)
+
+    cert_params = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
+    opt_params = opt_spec.resolve(graph)
+
     def worker(restarts: range, rngs: list[np.random.Generator]):
         scales = [0.0 if i == 0 else config.init_jitter for i in restarts]
-        return [restart_outcome(p) for p in _produce(graph, config, rngs, opt_spec, scales)]
+        ps = _produce(graph, config, rngs, opt_spec, scales)
+        return [outcome(graph, None, cert_params, opt_params, p) for p in ps]
 
     chunk = max(1, _STACK_ENTRIES // max(1, graph.rows.size)) if config.producer == "direct" else 1
     return _solve(graph, config, "clique", decode, range(config.restarts), worker, t0, chunk)

@@ -40,6 +40,22 @@ def random_graph(rng: np.random.Generator, n: int, density: float = 0.4, weighte
     return Graph(n, u, v, w)
 
 
+def sparse_planted_clique(rng: np.random.Generator, n: int, k: int, mean_degree: int) -> tuple[Graph, np.ndarray]:
+    """About n * mean_degree / 2 uniform random edges plus a unit-weight clique on k random nodes.
+
+    Draws endpoint pairs directly, in O(n * mean_degree) memory, and drops
+    self-loops and repeats; returns the graph and the sorted planted nodes.
+    """
+    a = rng.integers(0, n, size=n * mean_degree // 2)
+    b = rng.integers(0, n, size=a.size)
+    planted = np.sort(rng.choice(n, size=k, replace=False))
+    iu, iv = np.triu_indices(k, k=1)
+    lo = np.concatenate([np.minimum(a, b), planted[iu]])
+    hi = np.concatenate([np.maximum(a, b), planted[iv]])
+    keys = np.unique((lo * n + hi)[lo != hi])
+    return Graph(n, keys // n, keys % n, np.ones(keys.size)), planted
+
+
 def naive_max_clique(graph: Graph) -> tuple[float, tuple[int, ...]]:
     """Reference maximum-weight clique by full subset enumeration.
 

@@ -279,6 +279,35 @@ def test_bad_solver_setting_is_input_error(tmp_path, capsys, flag, value, messag
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--opt-beta", "inf", "opt_beta must be finite and positive, got inf"),
+        ("--opt-beta", "0", "opt_beta must be finite and positive, got 0.0"),
+        ("--gamma", "inf", "gamma must be finite and positive, got inf"),
+        ("--gamma", "nan", "gamma must be finite and positive, got nan"),
+        ("--beta", "inf", "beta must be finite and positive, got inf"),
+        ("--beta", "-1", "beta must be finite and positive, got -1.0"),
+    ],
+    ids=["opt-beta=inf", "opt-beta=0", "gamma=inf", "gamma=nan", "beta=inf", "beta=-1"],
+)
+def test_bad_penalty_setting_is_input_error(tmp_path, capsys, flag, value, message):
+    graph_path = write_graph(tmp_path, complete_graph(4))
+    for problem in (["--problem", "clique"], ["--problem", "partition", "--seed-node", "0"]):
+        code, out, err = run(capsys, ["solve", "--graph", str(graph_path), *problem, flag, value])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
+
+def test_overflowing_optimizer_is_input_error(tmp_path, capsys):
+    # Finite but so large that the penalty loss overflows on the first step.
+    graph_path = write_graph(tmp_path, complete_graph(4))
+    code, out, err = run(capsys, ["solve", "--graph", str(graph_path), "--opt-beta", "1e308"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: loss became nan at step 0")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "suffix, text, message",
     [
         (".edges", "0 1\n0 4999\n", "line 2: 5000 nodes exceed the limit of 1000"),

@@ -9,10 +9,12 @@ from cliquecut import (
     brute_force_expectation,
     brute_force_max_clique,
     conductance,
+    core_numbers,
     cut_weight,
     graph_digest,
     graphs,
     hop_distances,
+    induced,
     is_clique,
     load_dimacs,
     load_edge_list,
@@ -22,7 +24,15 @@ from cliquecut import (
 )
 from cliquecut.graphs import GraphFormatError, as_mask
 
-from helpers import complete_graph, naive_max_clique, path_graph, petersen, random_graph, two_triangles
+from helpers import (
+    complete_graph,
+    naive_max_clique,
+    path_graph,
+    petersen,
+    random_graph,
+    sparse_planted_clique,
+    two_triangles,
+)
 
 
 def test_graph_basic_properties():
@@ -267,6 +277,141 @@ def test_hop_distances_match_per_neighbor_bfs():
             assert got.dtype == np.int64
             assert np.array_equal(got, reference_hop_distances(g, source))
     assert hop_distances(path_graph(9), 0).tolist() == list(range(9))
+
+
+def reference_core_numbers(graph: Graph) -> list[int]:
+    """Batagelj-Zaversnik one node at a time: remove a node of least remaining degree."""
+    degree = [int(d) for d in np.diff(graph.offsets)]
+    removed = [False] * graph.n
+    core = [0] * graph.n
+    k = 0
+    for _ in range(graph.n):
+        v = min((i for i in range(graph.n) if not removed[i]), key=lambda i: degree[i])
+        k = max(k, degree[v])
+        core[v] = k
+        removed[v] = True
+        for u in graph.neighbors(v).tolist():
+            if not removed[u]:
+                degree[u] -= 1
+    return core
+
+
+def test_core_numbers_match_reference_peel():
+    rng = np.random.default_rng(41)
+    cases = [Graph(0, [], [], []), Graph(5, [], [], []), Graph(6, [1], [4], [0.5])]
+    cases += [path_graph(7), complete_graph(6), petersen(), two_triangles()]
+    cases.append(Graph(9, np.zeros(8, dtype=np.int64), np.arange(1, 9), np.ones(8)))  # star
+    for _ in range(40):
+        n = int(rng.integers(1, 45))
+        cases.append(random_graph(rng, n, density=float(rng.uniform(0.0, 0.6)), weighted=True))
+    cases.append(sparse_planted_clique(rng, 300, 9, 4)[0])
+    for g in cases:
+        cores = core_numbers(g)
+        assert cores.dtype == np.int64 and cores.shape == (g.n,)
+        assert cores.tolist() == reference_core_numbers(g)
+
+
+def test_core_numbers_known_values():
+    assert core_numbers(path_graph(5)).tolist() == [1] * 5
+    assert core_numbers(complete_graph(5)).tolist() == [4] * 5
+    star = Graph(6, np.zeros(5, dtype=np.int64), np.arange(1, 6), np.ones(5))
+    assert core_numbers(star).tolist() == [1] * 6
+    # K4 on {0..3} with a pendant path 3-4-5 and an isolated node 6.
+    k4 = complete_graph(4)
+    g = Graph(7, np.r_[k4.edge_u, 3, 4], np.r_[k4.edge_v, 4, 5], np.ones(8))
+    assert core_numbers(g).tolist() == [3, 3, 3, 3, 1, 1, 0]
+    g, planted = sparse_planted_clique(np.random.default_rng(3), 2000, 12, 4)
+    assert core_numbers(g)[planted].tolist() == [11] * 12
+
+
+def test_induced_subgraph():
+    g = random_graph(np.random.default_rng(12), 30, density=0.3, weighted=True)
+    nodes = [17, 3, 29, 8, 3, 11, 20]
+    sub, index = induced(g, nodes)
+    assert index.tolist() == [3, 8, 11, 17, 20, 29]
+    assert sub.n == 6
+    dense, sub_dense = g.adjacency_matrix(), sub.adjacency_matrix()
+    assert np.array_equal(sub_dense, dense[np.ix_(index, index)])
+    # Every edge between two members is kept, with its weight, and no other.
+    inside = np.isin(g.edge_u, index) & np.isin(g.edge_v, index)
+    assert sub.num_edges == int(inside.sum())
+    assert sub.total_weight == pytest.approx(float(g.edge_w[inside].sum()))
+    mask = np.zeros(g.n, dtype=bool)
+    mask[index] = True
+    sub_mask, same = induced(g, mask)
+    assert np.array_equal(same, index) and np.array_equal(sub_mask.edge_w, sub.edge_w)
+    empty, none = induced(g, [])
+    assert empty.n == 0 and none.size == 0
+    whole, identity = induced(g, np.ones(g.n, dtype=bool))
+    assert np.array_equal(identity, np.arange(g.n)) and graph_digest(whole) == graph_digest(g)
+
+
+def load_edge_list_by_lines(text: str, **kwargs) -> Graph:
+    """The edge-list loader with its canonical-text fast path turned off."""
+    fast = graphs._load_canonical_edge_list
+    graphs._load_canonical_edge_list = lambda *args: None
+    try:
+        return load_edge_list(text, **kwargs)
+    finally:
+        graphs._load_canonical_edge_list = fast
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_canonical_edge_list_fast_path_matches_line_loop(tmp_path, weighted):
+    g, _ = sparse_planted_clique(np.random.default_rng(8 + weighted), 4000, 10, 8)
+    if weighted:
+        g = Graph(g.n, g.edge_u, g.edge_v, np.random.default_rng(1).uniform(1e-6, 1.0, g.num_edges))
+    path = tmp_path / "g.edges"
+    path.write_text(to_edge_list_text(g), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert graphs._load_canonical_edge_list(text, 0, None) is not None
+    fast, slow = graphs.load_edge_list_file(path), load_edge_list_by_lines(text)
+    for name in ("offsets", "targets", "weights", "rows", "edge_u", "edge_v", "edge_w", "degree"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+        assert getattr(fast, name).dtype == getattr(slow, name).dtype, name
+    assert fast.n == slow.n == g.n and fast.total_weight == slow.total_weight
+    assert graph_digest(fast) == graph_digest(slow) == graph_digest(g)
+    # The same text without the node-count header, and shifted to index base 1.
+    body = text.partition("\n")[2]
+    assert graph_digest(load_edge_list(body)) == graph_digest(load_edge_list_by_lines(body))
+    shifted = "".join(f"{int(u) + 1} {int(v) + 1} {w}\n" for u, v, w in (line.split() for line in body.splitlines()))
+    assert graph_digest(load_edge_list(shifted, index_base=1)) == graph_digest(load_edge_list_by_lines(body))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1 0.5\n1 2 0\n2 3 4\n",  # a dropped zero weight, a rescale by the largest weight
+        "# nodes 9\n0 1 1.0\n",  # trailing isolated nodes
+        "# nodes 3\n",
+        "",
+        "0 1 1.0\n0 1 1.0\n",  # duplicate edge
+        "# nodes 2\n0 5 1.0\n",  # endpoint beyond the pinned count
+        "0 1 1.0\n2 2 1.0\n",  # self-loop
+        "0 1 1.0\n1 2 -0.5\n",
+        "0 1 1.0\n1 2 nan\n",
+        "0 1 1e400\n",
+        "0 1.0 1\n",
+        "0 -1 1\n",
+        "0 1 1.0",  # no final newline
+        "0  1 1.0\n",
+        "0 1\n1 2 1.0 7\n",
+        "#nodes 4\n0 1 1.0\n",
+        "0 1 1.0\n# nodes 4\n",
+        "0 1 1.0\r\n",
+        "0 99999999999999999999 1.0\n",
+    ],
+)
+def test_edge_list_fast_path_keeps_results_and_errors(text):
+    try:
+        want = load_edge_list_by_lines(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_edge_list(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = load_edge_list(text)
+        assert got.n == want.n and graph_digest(got) == graph_digest(want)
 
 
 def test_edge_list_round_trip():

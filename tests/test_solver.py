@@ -11,6 +11,7 @@ from cliquecut import (
     brute_force_max_clique,
     conductance,
     default_interval_schedule,
+    gen_planted_clique,
     greedy_mis_complement,
     is_clique,
     set_weight,
@@ -24,7 +25,7 @@ from cliquecut import solver
 from cliquecut.certificates import CliqueObjective, CutVolumeObjective
 from cliquecut.distributions import VolumeConstraint
 
-from helpers import complete_graph, path_graph, petersen, random_graph, two_triangles
+from helpers import complete_graph, path_graph, petersen, random_graph, sparse_planted_clique, two_triangles
 
 FAST = SolveConfig(restarts=2, steps=60)
 
@@ -145,6 +146,16 @@ BAD_SETTINGS = [
     ("time_budget", float("nan"), "time_budget"),
     ("time_budget", float("inf"), "time_budget"),
     ("ball_hops", -1, "ball_hops"),
+    ("opt_beta", float("inf"), "opt_beta"),
+    ("opt_beta", float("nan"), "opt_beta"),
+    ("opt_beta", 0.0, "opt_beta"),
+    ("opt_beta", -2.0, "opt_beta"),
+    ("gamma", float("inf"), "gamma"),
+    ("gamma", float("nan"), "gamma"),
+    ("gamma", 0.0, "gamma"),
+    ("beta", float("inf"), "beta"),
+    ("beta", float("nan"), "beta"),
+    ("beta", -1.0, "beta"),
 ]
 
 
@@ -217,6 +228,82 @@ def test_time_budget_stops_at_a_chunk_boundary(monkeypatch):
     monkeypatch.setattr(solver, "_STACK_ENTRIES", 4 * g.rows.size)
     result = solve_max_clique(g, SolveConfig(restarts=10, steps=5, time_budget=0.0))
     assert result.seeds_tried == 4
+
+
+def counted_sizes(monkeypatch) -> list[int]:
+    """Patch optimize_direct to record the node count of every graph it optimizes on."""
+    sizes = []
+    direct = solver.optimize_direct
+
+    def counted(graph, spec, steps, **kwargs):
+        sizes.append(graph.n)
+        return direct(graph, spec, steps, **kwargs)
+
+    monkeypatch.setattr(solver, "optimize_direct", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2000, 5000, 20000])
+def test_default_config_recovers_sparse_planted_clique(n):
+    # Mean degree 10 around a planted 10-clique; whole-graph restarts miss it on some of these.
+    for seed in range(4):
+        g, planted = sparse_planted_clique(np.random.default_rng([n, seed]), n, 10, 10)
+        result = solve_max_clique(g)
+        assert result.objective == 45.0
+        assert result.node_indices == planted.tolist()
+        assert result.seeds_tried == 10
+
+
+def test_ball_path_solves_top_core_balls(monkeypatch):
+    g, planted = sparse_planted_clique(np.random.default_rng(9), 3000, 10, 6)
+    sizes = counted_sizes(monkeypatch)
+    solve_max_clique(g, SolveConfig(restarts=4, steps=20))
+    # The planted nodes have the top core number, 9; the lowest four indices go first.
+    assert sizes == [g.neighbors(v).size + 1 for v in planted[:4]]
+
+
+def test_ball_path_payload_thread_invariant_and_budgeted():
+    g, _ = sparse_planted_clique(np.random.default_rng(17), 2500, 10, 8)
+    config = SolveConfig(restarts=6, steps=60, seed=4)
+    base = solve_max_clique(g, config)
+    assert base.seeds_tried == 6 and is_clique(g, base.node_indices)
+    assert base.objective == pytest.approx(set_weight(g, base.node_indices))
+    assert base.volume == pytest.approx(volume(g, base.node_indices))
+    for threads in (2, 4):
+        assert solve_max_clique(g, replace(config, threads=threads)).payload() == base.payload()
+    budgeted = solve_max_clique(g, replace(config, time_budget=0.0))
+    assert budgeted.seeds_tried >= 1 and is_clique(g, budgeted.node_indices)
+
+
+def test_ball_path_verifies_on_the_full_graph():
+    g, _ = sparse_planted_clique(np.random.default_rng(5), 2000, 8, 6)
+    for decode in ("hybrid", "conditional", "sweep"):
+        result = solve_max_clique(g, SolveConfig(restarts=3, steps=80, decode=decode))
+        problem = CliqueObjective(gamma=result.gamma)
+        if not result.certificate.vacuous:
+            assert verify_solution(g, result.node_indices, result.certificate, problem)
+        assert is_clique(g, result.node_indices)
+
+
+def test_edgeless_graph_takes_single_node_balls(monkeypatch):
+    sizes = counted_sizes(monkeypatch)
+    result = solve_max_clique(Graph(50, [], [], []), SolveConfig(restarts=3, steps=5))
+    assert sizes == [1, 1, 1]
+    assert result.objective == 0.0 and result.node_indices == [0]
+
+
+def test_dense_shapes_keep_whole_graph_restarts(monkeypatch):
+    sizes = counted_sizes(monkeypatch)
+    graphs = [gen_planted_clique(40, 8, 0.3, np.random.default_rng(seed))[0] for seed in (1, 2, 3)]  # the goldens
+    rng = np.random.default_rng(0)
+    for n in (40, 70, 100):
+        for p in (0.3, 0.5):
+            graphs.append(gen_planted_clique(n, 12, p, rng)[0])  # shaped like the dense clique bench
+        graphs.append(gen_planted_clique(n - 20, 8, 0.25, rng)[0])  # shaped like the MPNN training corpus
+    for g in graphs:
+        sizes.clear()
+        solve_max_clique(g, SolveConfig(steps=5))
+        assert sizes and set(sizes) == {g.n}
 
 
 def test_mpnn_producer_runs_with_params():
