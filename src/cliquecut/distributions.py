@@ -113,7 +113,14 @@ class CliqueLossParams:
 
     @classmethod
     def for_graph(cls, graph: Graph, *, gamma: float | None = None, beta: float | None = None) -> "CliqueLossParams":
-        default = graph.total_weight if graph.total_weight > 0.0 else 1.0
+        return cls.for_weight(graph.total_weight, gamma=gamma, beta=beta)
+
+    @classmethod
+    def for_weight(
+        cls, total_weight: float, *, gamma: float | None = None, beta: float | None = None
+    ) -> "CliqueLossParams":
+        """``for_graph`` for a graph whose total edge weight is ``total_weight``."""
+        default = total_weight if total_weight > 0.0 else 1.0
         g = default if gamma is None else gamma
         b = max(g, default) if beta is None else beta
         return cls(gamma=g, beta=b)
@@ -160,7 +167,11 @@ def _pair_sum(probs: np.ndarray) -> float:
 
 
 def _penalty_value(params: CliqueLossParams, ew: float, pairs: float) -> float:
-    """gamma - (beta + 1) * E[weight in S] + (beta / 2) * (ordered-pair mass)."""
+    """gamma - (beta + 1) * E[weight in S] + (beta / 2) * (ordered-pair mass).
+
+    Only ``params.gamma`` and ``params.beta`` are read, so per-part arrays of
+    both, with arrays of ``ew`` and ``pairs``, give one value per part.
+    """
     return params.gamma - (params.beta + 1.0) * ew + 0.5 * params.beta * pairs
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "hop_distances",
     "core_numbers",
     "induced",
+    "disjoint_union",
     "load_edge_list",
     "load_edge_list_file",
     "load_dimacs",
@@ -355,6 +356,24 @@ def induced(graph: Graph, nodes) -> tuple[Graph, np.ndarray]:
     inside = mask[graph.edge_u] & mask[graph.edge_v]
     sub = Graph(index.size, position[graph.edge_u[inside]], position[graph.edge_v[inside]], graph.edge_w[inside])
     return sub, index
+
+
+def disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
+    """The graphs side by side in one graph, with their node offsets.
+
+    Returns ``(union, offsets)``: graph i's node j is the union's node
+    ``offsets[i] + j``, and ``offsets`` ends at the union's n.  Every part
+    keeps its edges, their weights and their order, in the edge list and in
+    each node's adjacency.
+    """
+    graphs = list(graphs)
+    offsets = np.cumsum([0] + [g.n for g in graphs], dtype=np.int64)
+    shift = np.repeat(offsets[:-1], [g.num_edges for g in graphs])
+    empty = [np.zeros(0, dtype=np.int64)]
+    u = np.concatenate(empty + [g.edge_u for g in graphs]) + shift
+    v = np.concatenate(empty + [g.edge_v for g in graphs]) + shift
+    w = np.concatenate(empty + [g.edge_w for g in graphs])
+    return Graph(int(offsets[-1]), u, v, w), offsets
 
 
 # ---------------------------------------------------------------------------

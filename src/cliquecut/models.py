@@ -14,6 +14,7 @@ import sys
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "CliqueLossSpec",
     "CutLossSpec",
     "OptimState",
+    "NonFiniteLossError",
     "MpnnParams",
     "TrainResult",
     "sigmoid",
@@ -74,13 +76,16 @@ class CliqueLossSpec:
     beta: float | None = None
 
     def resolve(self, graph: Graph) -> CliqueLossParams:
-        default = graph.total_weight if graph.total_weight > 0.0 else 1.0
+        return self._resolve(graph.total_weight)
+
+    def _resolve(self, total_weight: float) -> CliqueLossParams:
         if self.beta is None:
-            return CliqueLossParams.for_graph(graph, gamma=self.gamma)
+            return CliqueLossParams.for_weight(total_weight, gamma=self.gamma)
+        default = total_weight if total_weight > 0.0 else 1.0
         gamma = min(default, self.beta) if self.gamma is None else self.gamma
         return CliqueLossParams(gamma=gamma, beta=self.beta)
 
-    def step_kernel(self, graph: Graph, neighbor_sums=None):
+    def step_kernel(self, graph: Graph, neighbor_sums=None, parts=None):
         """Bind the loss to ``graph`` for an optimizer loop: returns p -> (value, gradient).
 
         The kernel trusts p (no validation, no LossReport) and needs one
@@ -94,9 +99,21 @@ class CliqueLossSpec:
         values and an (R, n) gradient, each row with the bits of its own 1-D
         call: ``p.sum(axis=1)`` sums each row pairwise as ``p.sum()`` does,
         and batched ``np.matmul`` takes each row's dot products as ``@`` does.
+
+        ``parts`` binds the loss to each part of a disjoint union instead:
+        node offsets as ``graphs.disjoint_union`` returns them.  The kernel
+        then takes the union's 1-D p and returns one value per part and the
+        union's gradient, each part's with the bits of a kernel bound to the
+        part alone (with that part's own gamma and beta):
+        ``_neighbor_sums_kernel`` adds each node's terms in its adjacency
+        order, which the shift into the union keeps, and the gradient's
+        total is the part's slice of p summed pairwise as ``p.sum()`` does.
+        The part values add p.s and p.p in node order instead of by ``@``.
         """
-        params = self.resolve(graph)
         neighbor_sums = neighbor_sums or _neighbor_sums_kernel(graph)
+        if parts is not None:
+            return self._union_kernel(graph, neighbor_sums, np.asarray(parts, dtype=np.int64))
+        params = self.resolve(graph)
 
         def step(p: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
             s = neighbor_sums(p)
@@ -110,6 +127,33 @@ class CliqueLossSpec:
                 value = _penalty_value(params, 0.5 * ps, total * total - pp)
                 total = total[:, None]
             return value, -(params.beta + 1.0) * s + params.beta * (total - p)
+
+        return step
+
+    def _union_kernel(self, graph: Graph, neighbor_sums, parts: np.ndarray):
+        """``step_kernel`` on the parts of a disjoint union (see there)."""
+        sizes = np.diff(parts)
+        if parts.ndim != 1 or parts.size < 2 or parts[0] != 0 or parts[-1] != graph.n or np.any(sizes < 0):
+            raise ValueError(f"parts must be node offsets from 0 to {graph.n}")
+        part_of = np.repeat(np.arange(sizes.size), sizes)
+        if np.any(part_of[graph.edge_u] != part_of[graph.edge_v]):
+            raise ValueError("an edge joins two parts")
+        # The union lists edges by their lower end, so each part's edges are
+        # one block, in that part's own order: the same total weight bits.
+        ends = np.searchsorted(graph.edge_u, parts).tolist()
+        resolved = [self._resolve(float(graph.edge_w[a:b].sum())) for a, b in zip(ends, ends[1:])]
+        params = SimpleNamespace(gamma=np.array([q.gamma for q in resolved]), beta=np.array([q.beta for q in resolved]))
+        beta = params.beta[part_of]
+        slices = [slice(a, b) for a, b in zip(parts.tolist(), parts[1:].tolist())]
+        add = np.add.reduce
+
+        def step(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            s = neighbor_sums(p)
+            total = np.array([add(p[part]) for part in slices])
+            ps = np.bincount(part_of, weights=p * s, minlength=sizes.size)
+            pp = np.bincount(part_of, weights=p * p, minlength=sizes.size)
+            value = _penalty_value(params, 0.5 * ps, total * total - pp)
+            return value, -(beta + 1.0) * s + beta * (total[part_of] - p)
 
         return step
 
@@ -182,6 +226,20 @@ class OptimState:
             params[key] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
+class NonFiniteLossError(FloatingPointError):
+    """``optimize_direct``'s loss stopped being finite.
+
+    ``step`` is the step it happened at and ``row`` the stacked row or
+    union part whose loss it was (the lowest such index), or None for a
+    one-generator call.
+    """
+
+    def __init__(self, value: float, step: int, row: int | None, unit: str = "row") -> None:
+        where = "" if row is None else f" in {unit} {row}"
+        super().__init__(f"loss became {value} at step {step}{where}")
+        self.value, self.step, self.row = value, step, row
+
+
 _PIN_LOGIT = 12.0
 
 
@@ -194,7 +252,8 @@ def optimize_direct(
     rng: np.random.Generator | list[np.random.Generator] | None = None,
     init_scale: float | list[float] = 0.0,
     pin: int | None = None,
-) -> tuple[np.ndarray, list]:
+    parts=None,
+) -> tuple[np.ndarray | list[np.ndarray], list]:
     """Adam on free per-node logits; p = sigmoid(logits).
 
     Returns the final probability vector and the loss recorded before every
@@ -210,6 +269,16 @@ def optimize_direct(
     its own one-generator call; a one-row stack runs on 1-D arrays, exactly
     as that call does.
 
+    ``parts``, node offsets of a disjoint union from ``graphs.disjoint_union``,
+    optimizes each part as if it were its own graph, all in one loop on the
+    union's 1-D logits.  ``rng`` is then a list with one generator per part,
+    ``init_scale`` one float or one per part, and ``loss_spec`` a spec whose
+    ``step_kernel`` takes ``parts`` (``CliqueLossSpec``).  p comes back as
+    one array per part and the losses as one list per part.  Every part's p
+    has the bits of its own one-generator call on that part: the kernel
+    keeps them (see ``CliqueLossSpec.step_kernel``), and sigmoid and Adam
+    work elementwise.  Its losses agree with that call's up to rounding.
+
     Each step calls the spec's ``step_kernel``, bound once per call, which
     skips validation and takes E[weight in S] = p.s / 2 from the one
     neighbour-sum pass s = A p.  The probabilities are bit-identical to
@@ -218,26 +287,40 @@ def optimize_direct(
     2e-15 relative, 9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
 
     Raises:
-        FloatingPointError: if the loss of any row stops being finite.
+        NonFiniteLossError: if the loss of any row or part stops being
+            finite; it is a FloatingPointError.
     """
     stacked = isinstance(rng, (list, tuple))
     rngs = list(rng) if stacked else [rng]
     scales = list(init_scale) if np.ndim(init_scale) else [init_scale] * len(rngs)
     if not rngs or len(scales) != len(rngs):
         raise ValueError(f"need at least one row and one init_scale per rng, got {len(rngs)} and {len(scales)}")
+    if parts is None:
+        step_fn = loss_spec.step_kernel(graph)
+        sizes, unit = [graph.n] * len(rngs), "row"
+    else:
+        step_fn = loss_spec.step_kernel(graph, parts=parts)
+        parts = np.asarray(parts, dtype=np.int64)
+        sizes, unit = np.diff(parts).tolist(), "part"
+        if not stacked or len(sizes) != len(rngs):
+            raise ValueError(f"need a list of one rng per part, got {len(rngs)} for {len(sizes)} parts")
+        if pin is not None:
+            raise ValueError("pin does not apply to a union of parts")
     rows = []
-    for row_rng, scale in zip(rngs, scales):
+    for row_rng, scale, size in zip(rngs, scales, sizes):
         if scale > 0.0:
             if row_rng is None:
                 raise ValueError("init_scale > 0 requires an rng")
-            rows.append(scale * row_rng.standard_normal(graph.n))
+            rows.append(scale * row_rng.standard_normal(size))
         else:
-            rows.append(np.zeros(graph.n))
-    logits = rows[0] if len(rows) == 1 else np.stack(rows)
+            rows.append(np.zeros(size))
+    if parts is not None:
+        logits = np.concatenate(rows)
+    else:
+        logits = rows[0] if len(rows) == 1 else np.stack(rows)
     if pin is not None:
         logits[..., pin] = _PIN_LOGIT
     state = OptimState(lr=lr)
-    step_fn = loss_spec.step_kernel(graph)
     history = []
     # A loss that overflows is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,8 +330,7 @@ def optimize_direct(
             finite = np.isfinite(value)
             if not finite.all():
                 row = int(np.argmin(finite.reshape(-1)))
-                where = f" in row {row}" if stacked else ""
-                raise FloatingPointError(f"loss became {np.reshape(value, -1)[row]} at step {step}{where}")
+                raise NonFiniteLossError(np.reshape(value, -1)[row], step, row if stacked else None, unit)
             history.append(value)
             state.apply({"logits": logits}, {"logits": gradient * p * (1.0 - p)})
             if pin is not None:
@@ -256,6 +338,8 @@ def optimize_direct(
     p = sigmoid(logits)
     history.append(step_fn(p)[0])
     losses = np.array(history).reshape(steps + 1, len(rows)).T.tolist()
+    if parts is not None:
+        return np.split(p, parts[1:-1]), losses
     if stacked:
         return p.reshape(len(rows), graph.n), losses
     return p, losses[0]
@@ -335,23 +419,30 @@ def _neighbor_sum(graph: Graph, h: np.ndarray, bins: np.ndarray) -> np.ndarray:
     return out.astype(np.float64, copy=False).reshape(graph.n, width)
 
 
+def _forward_context(graph: Graph, seed_node: int, hidden: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``mpnn_forward`` computes before any weight: node features, hop distances, channel bins."""
+    if not (0 <= seed_node < graph.n):
+        raise ValueError(f"seed node {seed_node} out of range")
+    return _node_features(graph, seed_node), hop_distances(graph, seed_node), _channel_bins(graph, hidden)
+
+
 def mpnn_forward(
-    graph: Graph, params: MpnnParams, seed_node: int, *, want_cache: bool = False
+    graph: Graph, params: MpnnParams, seed_node: int, *, want_cache: bool = False, context=None
 ):
     """Per-node probabilities from the seed-conditioned network.
 
     After round k, nodes farther than k hops from the seed are zeroed, so
     depth bounds the receptive field.  The readout scalars are min-max
     normalized onto [0, 1]; an all-equal readout degenerates to 0.5
-    everywhere.
+    everywhere.  ``context`` is ``_forward_context(graph, seed_node,
+    params.hidden)``, computed here unless a caller that runs the same
+    (graph, seed) pair many times passes it in.
     """
-    if not (0 <= seed_node < graph.n):
-        raise ValueError(f"seed node {seed_node} out of range")
+    if context is None:
+        context = _forward_context(graph, seed_node, params.hidden)
     w = params.weights
-    x = _node_features(graph, seed_node)
-    dist = hop_distances(graph, seed_node)
+    x, dist, bins = context
     h = x @ w["embed_w"].T + w["embed_b"]
-    bins = _channel_bins(graph, h.shape[1])
     hs = [h]
     aggs: list[np.ndarray] = []
     zs: list[np.ndarray] = []
@@ -503,8 +594,9 @@ def train_mpnn(
     Each epoch resamples one seed node per training graph (and, for cut
     losses without a pinned interval, a volume interval inside the seed's
     receptive field).  Validation contexts are drawn once up front so the
-    selection criterion is stable; without a validation split the training
-    loss is used instead.  Losses come from the spec's ``step_kernel``, as in
+    selection criterion is stable, and so are their features, hop distances
+    and channel bins; without a validation split the training loss is used
+    instead.  Losses come from the spec's ``step_kernel``, as in
     ``optimize_direct``.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -516,7 +608,10 @@ def train_mpnn(
     state = optimizer_state if optimizer_state is not None else OptimState(lr=lr)
     hops = max(params.layers, 1)
 
-    val_ctx = [(g, *_sample_context(loss_spec, g, _neighbor_sums_kernel(g), rng, hops)) for g in val_graphs]
+    val_ctx = []
+    for g in val_graphs:
+        seed, step = _sample_context(loss_spec, g, _neighbor_sums_kernel(g), rng, hops)
+        val_ctx.append((g, seed, step, _forward_context(g, seed, params.hidden)))
     train_sums = [_neighbor_sums_kernel(g) for g in train_graphs]
     history: dict[str, list[float]] = {"train": [], "val": []}
     best_params, best_score = params.copy(), np.inf
@@ -540,7 +635,7 @@ def train_mpnn(
         score = float(np.mean(epoch_losses))
         history["train"].append(score)
         if val_ctx:
-            score = float(np.mean([step(mpnn_forward(g, params, seed))[0] for g, seed, step in val_ctx]))
+            score = float(np.mean([step(mpnn_forward(g, params, seed, context=c))[0] for g, seed, step, c in val_ctx]))
             history["val"].append(score)
         if score < best_score:
             best_score, best_params = score, params.copy()

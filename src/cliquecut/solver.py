@@ -6,12 +6,13 @@ ones jitter the initial logits, and on small graphs several restarts share
 one stacked Adam loop) and keeps the best decoded clique.  On sparse graphs
 the restarts become seed balls instead: one solve on the closed
 neighbourhood of each of the highest-core nodes, whose cliques are exactly
-the cliques through that node.  Local
+the cliques through that node; the direct producer optimizes all of a
+solve's balls in one Adam loop on their disjoint union.  Local
 partitioning scans a schedule of volume intervals around the seed and keeps
-the lowest-conductance feasible decode.  Both run their units (restarts or
-intervals) through one driver, ``_solve``; the units are embarrassingly
-parallel, and one seed stream per unit keeps results byte-identical at any
-thread count.
+the lowest-conductance feasible decode.  Both run their units (restarts,
+balls or intervals) through one driver, ``_solve``; the units are
+embarrassingly parallel, and one seed stream per unit keeps results
+byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ from .graphs import (
     conductance,
     core_numbers,
     cut_weight,
+    disjoint_union,
     hop_distances,
     induced,
     is_clique,
     set_weight,
     volume,
 )
-from .models import CliqueLossSpec, CutLossSpec, MpnnParams, mpnn_forward, optimize_direct
+from .models import CliqueLossSpec, CutLossSpec, MpnnParams, NonFiniteLossError, mpnn_forward, optimize_direct
 
 __all__ = [
     "SolveConfig",
@@ -212,17 +214,19 @@ def _produce(
     loss_spec,
     init_scales: list[float],
     seed_node: int | None = None,
+    parts: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """One probability vector per rng from the configured producer (checked by ``_check_config``).
 
     The direct producer optimizes all rows in one stacked ``optimize_direct``
-    call, row i from ``rngs[i]`` at ``init_scales[i]``.  ``seed_node`` is
-    pinned by the direct producer and seeds the MPNN; without it the MPNN
-    draws its seed from each rng.
+    call, row i from ``rngs[i]`` at ``init_scales[i]``, or, given the node
+    offsets ``parts`` of a disjoint union, part i of the union in one call.
+    ``seed_node`` is pinned by the direct producer and seeds the MPNN;
+    without it the MPNN draws its seed from each rng.
     """
     if config.producer == "direct":
         ps, _ = optimize_direct(
-            graph, loss_spec, config.steps, lr=config.lr, rng=rngs, init_scale=init_scales, pin=seed_node
+            graph, loss_spec, config.steps, lr=config.lr, rng=rngs, init_scale=init_scales, pin=seed_node, parts=parts
         )
         return list(ps)
     if config.producer == "mpnn":
@@ -304,7 +308,16 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     symmetric start of the first restart), the same decodes, and its own
     certificate parameters, ``CliqueLossParams.for_graph(ball)``.  Each
     candidate is mapped back to the full graph and grown there, so the
-    weight, volume and winner are those of the full graph.
+    weight, volume and winner are those of the full graph.  The direct
+    producer runs all balls as one chunk, one ``optimize_direct`` call on
+    their disjoint union, whose p has each ball's own bits; ``threads`` and
+    ``time_budget`` then act on the whole ball set.  The MPNN and uniform
+    producers run one ball per chunk.
+
+    Raises:
+        ValueError: on an unknown decode, an empty graph or a bad setting.
+        FloatingPointError: when the direct producer's loss stops being
+            finite, naming the restart or seed ball and ``opt_beta``/``lr``.
     """
     config = config or SolveConfig()
     decode = config.decode or "hybrid"
@@ -317,6 +330,16 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     _check_config(config)
     t0 = time.perf_counter()
     opt_spec = CliqueLossSpec(beta=config.opt_beta)
+
+    def produce(g: Graph, rngs: list, scales: list[float], names: list[str], parts=None) -> list[np.ndarray]:
+        """``_produce`` under ``opt_spec``; ``names[i]`` says where row or part i sits in the solve."""
+        try:
+            return _produce(g, config, rngs, opt_spec, scales, parts=parts)
+        except NonFiniteLossError as exc:
+            raise FloatingPointError(
+                f"loss became {exc.value} at step {exc.step} {names[exc.row]}"
+                f" (opt_beta={config.opt_beta}, lr={config.lr})"
+            ) from None
 
     def outcome(g: Graph, index: np.ndarray | None, cert_params: CliqueLossParams, opt_params, p: np.ndarray):
         """The best clique decoded from p on g, whose node i is the graph's ``index[i]``
@@ -354,23 +377,26 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         for v in seeds.tolist():
             ball, index = induced(graph, np.append(graph.neighbors(v), v))
             cert_params = CliqueLossParams.for_graph(ball, gamma=config.gamma, beta=config.beta)
-            units.append((ball, index, cert_params, opt_spec.resolve(ball)))
+            units.append((v, ball, index, cert_params, opt_spec.resolve(ball)))
 
         def ball_worker(balls: list, rngs: list[np.random.Generator]):
-            out = []
-            for (ball, index, cert_params, opt_params), rng in zip(balls, rngs):
-                (p,) = _produce(ball, config, [rng], opt_spec, [0.0])
-                out.append(outcome(ball, index, cert_params, opt_params, p))
-            return out
+            if config.producer == "direct":
+                union, offsets = disjoint_union([ball for _, ball, *_ in balls])
+                names = [f"on the seed ball of node {v}" for v, *_ in balls]
+                ps = produce(union, rngs, [0.0] * len(balls), names, offsets)
+            else:
+                ps = [_produce(ball, config, [rng], opt_spec, [0.0])[0] for (_, ball, *_), rng in zip(balls, rngs)]
+            return [outcome(*unit[1:], p) for unit, p in zip(balls, ps)]
 
-        return _solve(graph, config, "clique", decode, units, ball_worker, t0)
+        chunk = len(units) if config.producer == "direct" else 1
+        return _solve(graph, config, "clique", decode, units, ball_worker, t0, chunk)
 
     cert_params = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
     opt_params = opt_spec.resolve(graph)
 
     def worker(restarts: range, rngs: list[np.random.Generator]):
         scales = [0.0 if i == 0 else config.init_jitter for i in restarts]
-        ps = _produce(graph, config, rngs, opt_spec, scales)
+        ps = produce(graph, rngs, scales, [f"in restart {i}" for i in restarts])
         return [outcome(graph, None, cert_params, opt_params, p) for p in ps]
 
     chunk = max(1, _STACK_ENTRIES // max(1, graph.rows.size)) if config.producer == "direct" else 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cliquecut import MpnnParams, graph_digest, graphs, save_checkpoint, to_edge_list_text
+from cliquecut import Graph, MpnnParams, graph_digest, graphs, save_checkpoint, to_edge_list_text
 from cliquecut.cli import main
 
 from helpers import complete_graph, path_graph, two_triangles
@@ -303,8 +303,17 @@ def test_overflowing_optimizer_is_input_error(tmp_path, capsys):
     graph_path = write_graph(tmp_path, complete_graph(4))
     code, out, err = run(capsys, ["solve", "--graph", str(graph_path), "--opt-beta", "1e308"])
     assert code == 1 and out == ""
-    assert err.startswith("error: loss became nan at step 0")
-    assert len(err.splitlines()) == 1
+    # Restart 0 starts at p = 0.5, where the two huge terms still cancel; restart 2 is the first to overflow.
+    assert err == "error: loss became nan at step 0 in restart 2 (opt_beta=1e+308, lr=0.1)\n"
+
+
+def test_overflowing_optimizer_names_the_seed_ball(tmp_path, capsys):
+    # A 5-clique and 40 isolated nodes take the seed-ball path; node 0's ball is the first.
+    u, v = np.triu_indices(5, k=1)
+    graph_path = write_graph(tmp_path, Graph(45, u, v, np.ones(u.size)))
+    code, out, err = run(capsys, ["solve", "--graph", str(graph_path), "--opt-beta", "1e308", "--lr", "0.5"])
+    assert code == 1 and out == ""
+    assert err == "error: loss became nan at step 0 on the seed ball of node 0 (opt_beta=1e+308, lr=0.5)\n"
 
 
 @pytest.mark.parametrize(

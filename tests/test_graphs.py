@@ -11,6 +11,7 @@ from cliquecut import (
     conductance,
     core_numbers,
     cut_weight,
+    disjoint_union,
     graph_digest,
     graphs,
     hop_distances,
@@ -344,6 +345,25 @@ def test_induced_subgraph():
     assert empty.n == 0 and none.size == 0
     whole, identity = induced(g, np.ones(g.n, dtype=bool))
     assert np.array_equal(identity, np.arange(g.n)) and graph_digest(whole) == graph_digest(g)
+
+
+def test_disjoint_union_shifts_each_part():
+    rng = np.random.default_rng(13)
+    parts = [random_graph(rng, 12, 0.4, weighted=True), Graph(3, [], [], []), complete_graph(4, 0.5), path_graph(5)]
+    union, offsets = disjoint_union(parts)
+    assert offsets.tolist() == [0, 12, 15, 19, 24] and union.n == 24
+    assert union.num_edges == sum(g.num_edges for g in parts)
+    for i, g in enumerate(parts):
+        lo = offsets[i]
+        sub, index = induced(union, np.arange(lo, offsets[i + 1]))
+        assert graph_digest(sub) == graph_digest(g)
+        # Every node keeps its adjacency, in its order, shifted by the part's offset.
+        rows = slice(union.offsets[lo], union.offsets[offsets[i + 1]])
+        assert np.array_equal(union.rows[rows], g.rows + lo)
+        assert np.array_equal(union.targets[rows], g.targets + lo)
+        assert np.array_equal(union.weights[rows], g.weights)
+    empty, none = disjoint_union([])
+    assert empty.n == 0 and none.tolist() == [0]
 
 
 def load_edge_list_by_lines(text: str, **kwargs) -> Graph:

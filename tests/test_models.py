@@ -10,10 +10,13 @@ from cliquecut import (
     CutLossSpec,
     Graph,
     MpnnParams,
+    NonFiniteLossError,
     OptimState,
     VolumeConstraint,
     clique_loss,
     cut_loss,
+    disjoint_union,
+    induced,
     expected_volume,
     load_checkpoint,
     mpnn_forward,
@@ -22,10 +25,11 @@ from cliquecut import (
     save_checkpoint,
     train_mpnn,
 )
+from cliquecut import models, solver
 from cliquecut.distributions import weighted_neighbor_sums
 from cliquecut.models import _channel_bins, _draw_interval, _neighbor_sum, _pick_seed, mpnn_backward, sigmoid
 
-from helpers import complete_graph, path_graph, random_graph, two_triangles
+from helpers import complete_graph, path_graph, random_graph, sparse_planted_clique, two_triangles
 
 
 def triangle_with_pendant():
@@ -381,6 +385,77 @@ def test_stacked_restarts_reject_mismatched_rows():
         optimize_direct(g, CliqueLossSpec(), 3, rng=[])
 
 
+def seed_ball_sets():
+    """The seed balls a default clique solve takes on each of three sparse graphs."""
+    rng = np.random.default_rng(12)
+    unit, _ = sparse_planted_clique(rng, 1200, 8, 6)
+    weighted, _ = sparse_planted_clique(rng, 1500, 7, 8)
+    weighted = Graph(weighted.n, weighted.edge_u, weighted.edge_v, rng.uniform(0.05, 0.95, weighted.num_edges))
+    out = {}
+    for name, g in {"unit": unit, "weighted": weighted, "edgeless": Graph(40, [], [], [])}.items():
+        seeds = solver._seed_balls(g, 10)
+        assert seeds is not None
+        out[name] = [induced(g, np.append(g.neighbors(v), v))[0] for v in seeds.tolist()]
+    return out
+
+
+@pytest.mark.parametrize("name", ["unit", "weighted", "edgeless"])
+@pytest.mark.parametrize("spec", [CliqueLossSpec(beta=2.0), CliqueLossSpec()], ids=["opt-beta", "per-ball-beta"])
+@pytest.mark.parametrize("jitter", [0.0, 1.0])
+def test_union_parts_keep_their_own_bits(name, spec, jitter):
+    balls = seed_ball_sets()[name]
+    union, offsets = disjoint_union(balls)
+    seeds = np.random.SeedSequence(5).spawn(len(balls))
+    scales = [jitter * (1 + i % 3) for i in range(len(balls))]
+    ps, losses = optimize_direct(
+        union, spec, 60, lr=0.1, rng=[np.random.default_rng(q) for q in seeds], init_scale=scales, parts=offsets
+    )
+    assert len(ps) == len(losses) == len(balls)
+    for ball, p, part_losses, seq, scale in zip(balls, ps, losses, seeds, scales):
+        want_p, want_losses = optimize_direct(ball, spec, 60, lr=0.1, rng=np.random.default_rng(seq), init_scale=scale)
+        assert np.array_equal(p, want_p)
+        assert part_losses == pytest.approx(want_losses, rel=1e-12)
+
+
+def test_union_kernel_matches_each_part_kernel():
+    balls = seed_ball_sets()["weighted"]
+    union, offsets = disjoint_union(balls)
+    p = np.random.default_rng(2).random(union.n)
+    for spec in (CliqueLossSpec(beta=2.0), CliqueLossSpec(), CliqueLossSpec(gamma=0.5, beta=3.0)):
+        values, gradient = spec.step_kernel(union, parts=offsets)(p)
+        for i, ball in enumerate(balls):
+            part = slice(offsets[i], offsets[i + 1])
+            want_value, want_gradient = spec.step_kernel(ball)(p[part])
+            assert_same_bits(gradient[part], want_gradient)
+            assert values[i] == pytest.approx(want_value, rel=1e-12)
+
+
+def test_union_call_rejects_bad_parts():
+    a, b = complete_graph(3), path_graph(4)
+    union, offsets = disjoint_union([a, b])
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="one rng per part"):
+        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs[:1], parts=offsets)
+    with pytest.raises(ValueError, match="one rng per part"):
+        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs[0], parts=offsets)
+    with pytest.raises(ValueError, match="pin does not apply"):
+        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=offsets, pin=0)
+    with pytest.raises(ValueError, match="an edge joins two parts"):
+        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=[0, 2, 7])
+    for parts in ([0, 3, 6], [0, 8, 7], [[0, 3, 7]]):
+        with pytest.raises(ValueError, match="node offsets from 0 to 7"):
+            optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=parts)
+
+
+def test_union_call_names_the_part_whose_loss_overflows():
+    union, offsets = disjoint_union([Graph(2, [], [], []), complete_graph(5), complete_graph(4)])
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    # Two parts overflow at the symmetric start; the lower index is named.
+    with pytest.raises(NonFiniteLossError, match=r"loss became nan at step 0 in part 1") as info:
+        optimize_direct(union, CliqueLossSpec(beta=1e308), 3, rng=rngs, parts=offsets)
+    assert (info.value.step, info.value.row) == (0, 1)
+
+
 def test_sigmoid_extremes():
     x = np.array([-800.0, 0.0, 800.0])
     s = sigmoid(x)
@@ -543,6 +618,24 @@ def test_train_mpnn_tracks_validation():
     corpus = _tiny_corpus(graphs, ["train", "train", "val", "val"])
     result = train_mpnn(corpus, CliqueLossSpec(), epochs=5, hidden=4, layers=1, rng=np.random.default_rng(1))
     assert len(result.history["val"]) == 5
+
+
+def test_train_mpnn_runs_validation_bfs_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    graphs = [random_graph(rng, 8, density=0.5) for _ in range(5)]
+    corpus = _tiny_corpus(graphs, ["train", "train", "train", "val", "val"])
+    sources = []
+    bfs = models.hop_distances
+
+    def counted(graph, source):
+        sources.append((graphs.index(graph), source))
+        return bfs(graph, source)
+
+    monkeypatch.setattr(models, "hop_distances", counted)
+    train_mpnn(corpus, CliqueLossSpec(), epochs=4, hidden=4, layers=1, rng=np.random.default_rng(1))
+    # One BFS per training forward pass, and one per validation graph for the whole run.
+    assert len(sources) == 4 * 3 + 2
+    assert sum(g >= 3 for g, _ in sources) == 2
 
 
 def test_train_mpnn_cut_objective_smoke():

@@ -6,7 +6,8 @@ optimizer step was fused; the per-producer and per-decode hashes were
 recorded before the two conditional-decode loops and the two producer
 dispatches were merged.  The training hashes (best weights and loss history
 of ``train_mpnn``) were recorded before message passing and the BFS were
-vectorized.  None may move under behaviour-preserving changes.  An intended
+vectorized.  The sparse hashes were recorded before a clique solve's seed
+balls shared one Adam loop.  None may move under behaviour-preserving changes.  An intended
 payload change re-records them and says why in CHANGES.md.  The payloads carry
 float losses, so a numpy build whose elementwise ``exp`` rounds differently in
 the last bit can also move them.
@@ -32,6 +33,8 @@ from cliquecut import (
     train_mpnn,
 )
 
+from helpers import sparse_planted_clique
+
 CLIQUE_GOLDEN = {
     1: "8a3c4730128639cb598afccb5a5c8e1e6fc74ce653fb4451f56a23e0ac97d9b6",
     2: "a842a042d65e70f0e981882a85a9efb5b0baa9d6a988ca9c7db1fea23a16332d",
@@ -50,6 +53,15 @@ PARTITION_PATH_GOLDEN = {
     "uniform": "f1e217dd50e3c80ddefd34da12eb26a482b1a74e90d05661ec3de053b9c673fe",
     "mpnn": "02e2f712a682bf63827a86b13913c5d76a912cc38352ccd4a70a459f7b181cae",
     "sampled": "5d9b31db300cf5bc568ed0135b4b71227b2206c12d01d067e969c9c390e0739b",
+}
+
+# The default config and the conditional decode on sparse_golden_graph(), which
+# take the seed-ball path; no golden above does, because every one is dense.
+SPARSE_GOLDEN = {
+    ("unit", "hybrid"): "9d36140d58e7b0b6fd51f4fe1b82c1a589ff7406ad0b6a2267ed63f3e8040188",
+    ("unit", "conditional"): "4df27328708f06ab52c9d88c02c28533abfaec8d168a74b4136ea75c8b201b8d",
+    ("weighted", "hybrid"): "9f3fd4fc84b65d90cfcaf6d42b0209f67496dd551a90167b88eb1a8913d5adf1",
+    ("weighted", "conditional"): "ba0f41f8a99dc1f5ce2ed2e77ddb23854878684af375bc489219def18ba0c262",
 }
 
 # train_mpnn on training_corpus(); the cut spec is unbound, so every pass draws an interval.
@@ -92,6 +104,21 @@ def test_partition_path_payload_is_golden(name):
     graph = gen_gnp(60, 0.1, np.random.default_rng(5))
     result = solve_local_partition(graph, 0, path_config(name))
     assert payload_sha256(result) == PARTITION_PATH_GOLDEN[name]
+
+
+def sparse_golden_graph(kind: str) -> Graph:
+    """A sparse planted 9-clique on 1500 nodes; "weighted" redraws every weight in (0.05, 0.95)."""
+    rng = np.random.default_rng(31 + (kind == "weighted"))
+    graph, _ = sparse_planted_clique(rng, 1500, 9, 7)
+    if kind == "weighted":
+        graph = Graph(graph.n, graph.edge_u, graph.edge_v, rng.uniform(0.05, 0.95, graph.num_edges))
+    return graph
+
+
+@pytest.mark.parametrize("kind, decode", sorted(SPARSE_GOLDEN))
+def test_sparse_clique_payload_is_golden(kind, decode):
+    config = SolveConfig() if decode == "hybrid" else SolveConfig(decode=decode)
+    assert payload_sha256(solve_max_clique(sparse_golden_graph(kind), config)) == SPARSE_GOLDEN[kind, decode]
 
 
 def training_corpus() -> Corpus:

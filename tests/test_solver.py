@@ -230,17 +230,21 @@ def test_time_budget_stops_at_a_chunk_boundary(monkeypatch):
     assert result.seeds_tried == 4
 
 
-def counted_sizes(monkeypatch) -> list[int]:
-    """Patch optimize_direct to record the node count of every graph it optimizes on."""
-    sizes = []
+def counted_sizes(monkeypatch) -> list[list[int]]:
+    """Patch optimize_direct to record, per call, the node count of every graph it optimizes on.
+
+    A call on a disjoint union records the node count of each of its parts.
+    """
+    calls = []
     direct = solver.optimize_direct
 
     def counted(graph, spec, steps, **kwargs):
-        sizes.append(graph.n)
+        parts = kwargs.get("parts")
+        calls.append([graph.n] if parts is None else np.diff(parts).tolist())
         return direct(graph, spec, steps, **kwargs)
 
     monkeypatch.setattr(solver, "optimize_direct", counted)
-    return sizes
+    return calls
 
 
 @pytest.mark.parametrize("n", [2000, 5000, 20000])
@@ -256,10 +260,11 @@ def test_default_config_recovers_sparse_planted_clique(n):
 
 def test_ball_path_solves_top_core_balls(monkeypatch):
     g, planted = sparse_planted_clique(np.random.default_rng(9), 3000, 10, 6)
-    sizes = counted_sizes(monkeypatch)
+    calls = counted_sizes(monkeypatch)
     solve_max_clique(g, SolveConfig(restarts=4, steps=20))
-    # The planted nodes have the top core number, 9; the lowest four indices go first.
-    assert sizes == [g.neighbors(v).size + 1 for v in planted[:4]]
+    # The planted nodes have the top core number, 9; the lowest four indices go first,
+    # all in one call on the balls' disjoint union.
+    assert calls == [[g.neighbors(v).size + 1 for v in planted[:4]]]
 
 
 def test_ball_path_payload_thread_invariant_and_budgeted():
@@ -271,8 +276,8 @@ def test_ball_path_payload_thread_invariant_and_budgeted():
     assert base.volume == pytest.approx(volume(g, base.node_indices))
     for threads in (2, 4):
         assert solve_max_clique(g, replace(config, threads=threads)).payload() == base.payload()
-    budgeted = solve_max_clique(g, replace(config, time_budget=0.0))
-    assert budgeted.seeds_tried >= 1 and is_clique(g, budgeted.node_indices)
+    # The direct producer's balls are one chunk, so even a zero budget runs them all.
+    assert solve_max_clique(g, replace(config, time_budget=0.0)).payload() == base.payload()
 
 
 def test_ball_path_verifies_on_the_full_graph():
@@ -286,14 +291,14 @@ def test_ball_path_verifies_on_the_full_graph():
 
 
 def test_edgeless_graph_takes_single_node_balls(monkeypatch):
-    sizes = counted_sizes(monkeypatch)
+    calls = counted_sizes(monkeypatch)
     result = solve_max_clique(Graph(50, [], [], []), SolveConfig(restarts=3, steps=5))
-    assert sizes == [1, 1, 1]
+    assert calls == [[1, 1, 1]]
     assert result.objective == 0.0 and result.node_indices == [0]
 
 
 def test_dense_shapes_keep_whole_graph_restarts(monkeypatch):
-    sizes = counted_sizes(monkeypatch)
+    calls = counted_sizes(monkeypatch)
     graphs = [gen_planted_clique(40, 8, 0.3, np.random.default_rng(seed))[0] for seed in (1, 2, 3)]  # the goldens
     rng = np.random.default_rng(0)
     for n in (40, 70, 100):
@@ -301,9 +306,9 @@ def test_dense_shapes_keep_whole_graph_restarts(monkeypatch):
             graphs.append(gen_planted_clique(n, 12, p, rng)[0])  # shaped like the dense clique bench
         graphs.append(gen_planted_clique(n - 20, 8, 0.25, rng)[0])  # shaped like the MPNN training corpus
     for g in graphs:
-        sizes.clear()
+        calls.clear()
         solve_max_clique(g, SolveConfig(steps=5))
-        assert sizes and set(sizes) == {g.n}
+        assert calls and all(sizes == [g.n] for sizes in calls)
 
 
 def test_mpnn_producer_runs_with_params():
