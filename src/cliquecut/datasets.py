@@ -150,7 +150,8 @@ def load_corpus(manifest_path) -> Corpus:
     Raises:
         ValueError: on an unsupported version, a manifest that is not a JSON
             object with a ``graphs`` list of entry objects, an entry field of
-            the wrong type, or a digest mismatch.
+            the wrong type, an entry path that is absolute or holds ``..``,
+            or a digest mismatch.
     """
     path = Path(manifest_path)
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -177,9 +178,16 @@ def load_corpus(manifest_path) -> Corpus:
 
 
 def _check_entry(entry) -> None:
-    """An entry is an object with string ``name`` and ``path``, optional string ``split`` and object ``meta``."""
+    """An entry is an object with string ``name`` and ``path``, optional string ``split`` and object ``meta``.
+
+    ``path`` must be relative and hold no ``..`` component.
+    """
     if not isinstance(entry, dict):
         raise ValueError(f"corpus manifest entry must be a JSON object, got {entry!r}")
     for key, kind, default in (("name", str, None), ("path", str, None), ("split", str, ""), ("meta", dict, {})):
         if not isinstance(entry.get(key, default), kind):
             raise ValueError(f"corpus manifest entry field {key!r} must be a {kind.__name__}, got {entry.get(key)!r}")
+    # The path is read relative to the manifest; it must not reach outside its directory.
+    rel = Path(entry["path"])
+    if rel.is_absolute() or ".." in rel.parts:
+        raise ValueError(f"corpus manifest entry field 'path' must be relative and free of '..', got {entry['path']!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -68,7 +69,8 @@ class Graph:
     Edges are stored in both directions (CSR adjacency) for O(deg) neighbor
     scans, and once as a sorted u < v edge list for serialization and
     edge-parallel numpy work.  ``degree`` is the weighted degree; the
-    combinatorial degree is ``np.diff(offsets)``.
+    combinatorial degree is ``np.diff(offsets)``.  ``_digest`` memoizes
+    ``graph_digest``; the arrays are read-only, so it cannot go stale.
     """
 
     __slots__ = (
@@ -82,6 +84,7 @@ class Graph:
         "edge_w",
         "degree",
         "total_weight",
+        "_digest",
     )
 
     def __init__(self, n: int, edge_u, edge_v, edge_w) -> None:
@@ -143,6 +146,7 @@ class Graph:
         self.rows = src
         self.degree = np.bincount(src, weights=ww, minlength=n)
         self.total_weight = float(w.sum())
+        self._digest: str | None = None
         for name in ("offsets", "targets", "weights", "rows", "edge_u", "edge_v", "edge_w", "degree"):
             getattr(self, name).setflags(write=False)
 
@@ -458,6 +462,9 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
 _NODES_HEADER = re.compile(r"# nodes ([0-9]+)")
 # Everything an edge line of canonical text holds, besides its two spaces and newline.
 _EDGE_CHARS = b"0123456789.eE+-"
+_EDGE_FIELDS = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+# 10, 100, ..., 10**18: a non-negative int64 x has searchsorted(_TENS, x, "right") + 1 digits.
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Graph | None:
@@ -465,15 +472,20 @@ def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Grap
 
     That is an optional ``# nodes N`` first line, then ``u v w`` lines with
     one space between fields and none around them, each ending in a newline.
-    The fields are converted as the line loop converts them (``int`` and
-    ``float`` per token), so an accepted text yields the same graph.  Returns
-    None for any other text, and for any text the line loop would reject, so
-    that the line loop reports the error with its line number.
+    One ``np.loadtxt`` pass converts the fields as the line loop does (``int``
+    and ``float`` per token), so an accepted text yields the same graph.
+    Returns None for any other text, and for any text the line loop would
+    reject, so that the line loop reports the error with its line number.
+
+    When the text is exactly ``to_edge_list_text`` of the graph it yields,
+    the graph's digest is set to the SHA-256 of the text, so that
+    ``graph_digest`` does not serialize the graph again.
     """
     body = text
+    header = None
     if text.startswith("#"):
-        head, _, body = text.partition("\n")
-        pinned = _NODES_HEADER.fullmatch(head)
+        header, _, body = text.partition("\n")
+        pinned = _NODES_HEADER.fullmatch(header)
         if pinned is None:
             return None
         n = int(pinned[1])
@@ -482,19 +494,16 @@ def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Grap
     except UnicodeEncodeError:
         return None
     lines = raw.count(b"\n")
-    # Two spaces before every newline and nothing after the last one; with
-    # 3 tokens a line, no field is empty either.
+    # Two spaces before every newline and nothing after the last one.
     if lines == 0 or raw.translate(None, _EDGE_CHARS) != b"  \n" * lines:
         return None
-    tokens = body.split()
-    if len(tokens) != 3 * lines:
-        return None
     try:
-        u = np.array(tokens[0::3], dtype=np.int64) - index_base
-        v = np.array(tokens[1::3], dtype=np.int64) - index_base
-        w = np.array(tokens[2::3], dtype=np.float64)
-    except (ValueError, OverflowError):
+        fields = np.loadtxt(io.StringIO(body), dtype=_EDGE_FIELDS, comments=None, ndmin=1)
+    except (ValueError, OverflowError):  # an empty field, or a token int or float rejects
         return None
+    u = fields["u"] - index_base
+    v = fields["v"] - index_base
+    w = fields["w"]
     if n is not None and n > MAX_NODES:
         return None
     if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= MAX_NODES or np.any(u == v):
@@ -502,12 +511,53 @@ def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Grap
     if not np.all(np.isfinite(w) & (w >= 0.0)):
         return None
     keep = w != 0.0
+    rescale = w.max() > 1.0
+    canonical = header is not None and index_base == 0 and keep.all() and not rescale and header == f"# nodes {n}"
     u, v, w = u[keep], v[keep], w[keep]
     if n is None:
         n = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
-    if w.size and w.max() > 1.0:
+    if rescale:
         w = w / w.max()
-    return Graph(n, u, v, w)
+    graph = Graph(n, u, v, w)
+    if canonical and _spelled_canonically(raw, u, v, w, n):
+        graph._digest = hashlib.sha256(text.encode()).hexdigest()
+    return graph
+
+
+def _spelled_canonically(raw: bytes, u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> bool:
+    """Whether ``raw`` is exactly the edge lines ``to_edge_list_text`` writes for the parsed fields.
+
+    ``raw`` has the shape ``_load_canonical_edge_list`` accepts.  The lines
+    must be in the graph's edge order, which needs ``u < v`` and
+    ``u * n + v`` strictly increasing, and each must be spelled
+    ``f"{u} {v} {w!r}"``.
+    """
+    key = u * n + v
+    if not ((u < v).all() and (key[1:] > key[:-1]).all()):
+        return False
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    spaces = np.flatnonzero(chars == ord(" ")).reshape(-1, 2)
+    begins = np.concatenate([[0], ends[:-1] + 1])
+    # str(x) is the shortest spelling of an int x and the only one of its
+    # length, so each int token must merely have the length of str(x).
+    digits_u = np.searchsorted(_TENS, u, side="right") + 1
+    digits_v = np.searchsorted(_TENS, v, side="right") + 1
+    if not ((spaces[:, 0] - begins == digits_u).all() and (spaces[:, 1] - spaces[:, 0] - 1 == digits_v).all()):
+        return False
+    # A float has spellings shorter than its repr ('.5', '1.', '1') and others
+    # of the same length ('1e0'), so each weight token's bytes are compared
+    # with the repr of its value, formatted once per distinct weight.
+    distinct, which = np.unique(w, return_inverse=True)
+    spelled = np.array(list(map(repr, distinct.tolist())), dtype=bytes)  # null-padded to one width
+    width, sizes = spelled.itemsize, np.char.str_len(spelled)[which]
+    starts = spaces[:, 1] + 1
+    if not (ends - starts == sizes).all():
+        return False
+    # Each line's weight token, null-padded to the same width.
+    tokens = chars[np.minimum(starts[:, None] + np.arange(width), chars.size - 1)]
+    tokens[np.arange(width) >= sizes[:, None]] = 0
+    return bool((tokens == spelled.view(np.uint8).reshape(-1, width)[which]).all())
 
 
 def load_edge_list_file(path, *, index_base: int = 0, n: int | None = None) -> Graph:
@@ -584,8 +634,14 @@ def to_edge_list_text(graph: Graph) -> str:
 
 
 def graph_digest(graph: Graph) -> str:
-    """SHA-256 of the canonical serialization; used to pin results to inputs."""
-    return hashlib.sha256(to_edge_list_text(graph).encode()).hexdigest()
+    """SHA-256 of the canonical serialization; used to pin results to inputs.
+
+    Computed once per graph.  A graph that ``load_edge_list`` read from its
+    own canonical text already holds the hash of that text.
+    """
+    if graph._digest is None:
+        graph._digest = hashlib.sha256(to_edge_list_text(graph).encode()).hexdigest()
+    return graph._digest
 
 
 # ---------------------------------------------------------------------------

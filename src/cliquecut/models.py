@@ -51,12 +51,17 @@ CHECKPOINT_VERSION = 1
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere.
+
+    Both branches are computed as whole arrays: e = exp(-x) or exp(x), then
+    (1 or e) / (1 + e).  exp never sees a positive finite argument, so it
+    never overflows.  Its argument is picked with ``where`` rather than
+    written -|x|, which would flip the sign bit of a NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +226,24 @@ class OptimState:
                 self.m[key] = np.zeros_like(g)
                 self.v[key] = np.zeros_like(g)
             m, v = self.m[key], self.v[key]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            params[key] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            # In place, with the float operations of
+            #   m += (1 - beta1) * (g - m);  v += (1 - beta2) * (g * g - v)
+            #   params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            # in that order; products are commutative, so the bits are the same.
+            step = g - m
+            step *= 1.0 - self.beta1
+            m += step
+            np.multiply(g, g, out=step)
+            step -= v
+            step *= 1.0 - self.beta2
+            v += step
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            scale = v / c2
+            np.sqrt(scale, out=scale)
+            scale += self.eps
+            step /= scale
+            params[key] -= step
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -332,7 +352,10 @@ def optimize_direct(
                 row = int(np.argmin(finite.reshape(-1)))
                 raise NonFiniteLossError(np.reshape(value, -1)[row], step, row if stacked else None, unit)
             history.append(value)
-            state.apply({"logits": logits}, {"logits": gradient * p * (1.0 - p)})
+            # gradient * p * (1 - p), in place: the kernel returns a new array each step.
+            gradient *= p
+            gradient *= 1.0 - p
+            state.apply({"logits": logits}, {"logits": gradient})
             if pin is not None:
                 logits[..., pin] = _PIN_LOGIT
     p = sigmoid(logits)

@@ -6,7 +6,7 @@ import pytest
 from cliquecut import Graph, MpnnParams, graph_digest, graphs, save_checkpoint, to_edge_list_text
 from cliquecut.cli import main
 
-from helpers import complete_graph, path_graph, two_triangles
+from helpers import complete_graph, path_graph, random_graph, two_triangles
 
 
 def run(capsys, argv):
@@ -189,6 +189,48 @@ def test_verify_strict_fails_vacuous_certificate(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(out)["payload"]["certificate_vacuous"] is True
+
+
+def _solved_weighted(tmp_path, capsys):
+    """A weighted graph's canonical file, its edge lines, and a result solved from it."""
+    graph = random_graph(np.random.default_rng(21), 16, density=0.4, weighted=True)
+    graph_path = write_graph(tmp_path, graph)
+    result_path = tmp_path / "result.json"
+    code, _, _ = run(capsys, ["solve", "--graph", str(graph_path), "--restarts", "1", "--steps", "30",
+                              "--out", str(result_path)])
+    assert code == 0
+    header, *lines = graph_path.read_text(encoding="utf-8").splitlines()
+    return graph, result_path, header, lines
+
+
+@pytest.mark.parametrize("spelling", ["shuffled", "leading-zeros"])
+def test_verify_accepts_the_same_graph_in_other_text(tmp_path, capsys, spelling):
+    graph, result_path, header, lines = _solved_weighted(tmp_path, capsys)
+    if spelling == "shuffled":
+        lines = [lines[i] for i in np.random.default_rng(4).permutation(len(lines))]
+    else:
+        lines = [" ".join(f"00{token}" if i < 2 else token for i, token in enumerate(line.split())) for line in lines]
+    other = tmp_path / "other.edges"
+    other.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    # Not the canonical text, so the digest comes from re-serializing the graph.
+    assert graphs.load_edge_list_file(other)._digest is None
+    code, out, _ = run(capsys, ["verify", "--result", str(result_path), "--graph", str(other)])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["verified"] is True and payload["digest_ok"] is True
+    assert json.loads(result_path.read_text())["payload"]["graph_digest"] == graph_digest(graph)
+
+
+def test_verify_reports_a_dropped_edge(tmp_path, capsys):
+    graph, result_path, header, lines = _solved_weighted(tmp_path, capsys)
+    chosen = set(json.loads(result_path.read_text())["payload"]["node_indices"])
+    # Drop an edge outside the solution, so that only the digest can tell.
+    drop = next(i for i, line in enumerate(lines) if not {int(t) for t in line.split()[:2]} <= chosen)
+    other = tmp_path / "dropped.edges"
+    other.write_text("\n".join([header, *lines[:drop], *lines[drop + 1:]]) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["verify", "--result", str(result_path), "--graph", str(other)])
+    assert code == 1
+    assert json.loads(out)["payload"]["digest_ok"] is False
 
 
 # ---------------------------------------------------------------------------

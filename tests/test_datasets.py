@@ -147,3 +147,19 @@ def test_load_corpus_rejects_unknown_version(tmp_path):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="manifest version"):
         load_corpus(manifest)
+
+
+@pytest.mark.parametrize("where", ["absolute", "parent"])
+def test_load_corpus_rejects_paths_outside_its_directory(tmp_path, where):
+    # Both paths name the corpus's own, valid file, so only the spelling is refused.
+    corpus = Corpus(graphs=[complete_graph(3)], names=["k3"])
+    manifest = save_corpus(corpus, tmp_path / "corpus")
+    doc = json.loads(manifest.read_text())
+    entry = doc["graphs"][0]
+    entry["path"] = str(tmp_path / "corpus" / "k3.edges") if where == "absolute" else "../corpus/k3.edges"
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="field 'path'"):
+        load_corpus(manifest)
+    entry["path"] = "k3.edges"
+    manifest.write_text(json.dumps(doc))
+    assert graph_digest(load_corpus(manifest).graphs[0]) == graph_digest(complete_graph(3))

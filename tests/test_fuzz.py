@@ -3,12 +3,14 @@ corpus manifests and the result files ``cliquecut verify`` reads.
 
 Each case takes a valid input, applies one to three seeded mutations
 (truncation, byte flips, token swaps, huge indices, ``nan``/``inf`` and
-stray comments) and reads the result back from a file.  The property: the
-reader raises ``ValueError`` (``GraphFormatError`` is one) or returns a
-valid object; ``verify`` ends with an exit code.  Any other exception fails
-the test, as it would end the CLI in a traceback.
+stray comments; for the graph readers also other spellings of a number,
+swapped lines and CRLF line ends) and reads the result back from a file.
+The property: the reader raises ``ValueError`` (``GraphFormatError`` is
+one) or returns a valid object; ``verify`` ends with an exit code.  Any
+other exception fails the test, as it would end the CLI in a traceback.
 """
 
+import hashlib
 import math
 import re
 
@@ -79,10 +81,47 @@ def stray_comment(data: bytes, rng) -> bytes:
 
 MUTATIONS = [truncate, flip_bytes, swap_tokens, huge_index, non_finite, stray_comment]
 
+# Other spellings of the same number: a sign, leading or trailing zeros, a
+# dropped leading or trailing digit around the point, an exponent.
+RESPELLINGS = [
+    lambda t: b"+" + t,
+    lambda t: b"0" + t,
+    lambda t: t[1:] if t.startswith(b"0.") else t,
+    lambda t: t + b"0" if b"." in t else t,
+    lambda t: t[:-1] if t.endswith(b".0") else t,
+    lambda t: t[:-2] if t.endswith(b".0") else t,
+    lambda t: t + b"e0",
+]
 
-def mutate(data: bytes, rng) -> bytes:
+
+def respell(data: bytes, rng) -> bytes:
+    parts = _tokens(data)
+    slots = [i for i, p in enumerate(parts) if p[:1].isdigit()]
+    if not slots:
+        return data
+    i = slots[int(rng.integers(len(slots)))]
+    parts[i] = RESPELLINGS[int(rng.integers(len(RESPELLINGS)))](parts[i])
+    return b"".join(parts)
+
+
+def swap_lines(data: bytes, rng) -> bytes:
+    lines = data.split(b"\n")
+    i, j = rng.integers(len(lines), size=2)
+    lines[i], lines[j] = lines[j], lines[i]
+    return b"\n".join(lines)
+
+
+def crlf(data: bytes, rng) -> bytes:
+    return data.replace(b"\n", b"\r\n")
+
+
+# The graph readers also meet texts that hold the same graph in other words.
+GRAPH_MUTATIONS = MUTATIONS + [respell, swap_lines, crlf]
+
+
+def mutate(data: bytes, rng, mutations=MUTATIONS) -> bytes:
     for _ in range(int(rng.integers(1, 4))):
-        data = MUTATIONS[int(rng.integers(len(MUTATIONS)))](data, rng)
+        data = mutations[int(rng.integers(len(mutations)))](data, rng)
     return data
 
 
@@ -91,6 +130,8 @@ def assert_valid_graph(g) -> None:
     assert 0 <= g.n <= graphs.MAX_NODES
     assert np.all(g.edge_u < g.edge_v) and np.all(g.edge_v < g.n)
     assert np.all((g.edge_w > 0.0) & (g.edge_w <= 1.0))
+    # The digest, pinned while loading or not, is the hash of the canonical text.
+    assert graph_digest(g) == hashlib.sha256(to_edge_list_text(g).encode()).hexdigest()
     assert graph_digest(load_edge_list(to_edge_list_text(g))) == graph_digest(g)
 
 
@@ -122,7 +163,7 @@ def test_graph_loaders_reject_or_load_mutated_input(tmp_path, small_cap, suffix,
     assert graph_digest(reader_bytes(tmp_path, suffix, reader, base)) == graph_digest(g)
     outcomes = {"loaded": 0, "rejected": 0}
     for seed in range(CASES):
-        data = mutate(base, np.random.default_rng([1, seed]))
+        data = mutate(base, np.random.default_rng([1, seed]), GRAPH_MUTATIONS)
         try:
             loaded = reader_bytes(tmp_path, suffix, reader, data)
         except ValueError:

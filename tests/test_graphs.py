@@ -366,6 +366,11 @@ def test_disjoint_union_shifts_each_part():
     assert empty.n == 0 and none.tolist() == [0]
 
 
+def serialized_digest(g: Graph) -> str:
+    """graph_digest as it is defined: the SHA-256 of the graph's canonical text."""
+    return hashlib.sha256(to_edge_list_text(g).encode()).hexdigest()
+
+
 def load_edge_list_by_lines(text: str, **kwargs) -> Graph:
     """The edge-list loader with its canonical-text fast path turned off."""
     fast = graphs._load_canonical_edge_list
@@ -386,16 +391,21 @@ def test_canonical_edge_list_fast_path_matches_line_loop(tmp_path, weighted):
     text = path.read_text(encoding="utf-8")
     assert graphs._load_canonical_edge_list(text, 0, None) is not None
     fast, slow = graphs.load_edge_list_file(path), load_edge_list_by_lines(text)
+    # The canonical text pins the digest as it is read: the hash of that text.
+    assert fast._digest == hashlib.sha256(text.encode()).hexdigest() == serialized_digest(fast)
+    assert slow._digest is None
     for name in ("offsets", "targets", "weights", "rows", "edge_u", "edge_v", "edge_w", "degree"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
         assert getattr(fast, name).dtype == getattr(slow, name).dtype, name
     assert fast.n == slow.n == g.n and fast.total_weight == slow.total_weight
     assert graph_digest(fast) == graph_digest(slow) == graph_digest(g)
-    # The same text without the node-count header, and shifted to index base 1.
+    # The same text without the node-count header, and shifted to index base 1:
+    # the fast path parses both, but neither is the canonical text.
     body = text.partition("\n")[2]
-    assert graph_digest(load_edge_list(body)) == graph_digest(load_edge_list_by_lines(body))
     shifted = "".join(f"{int(u) + 1} {int(v) + 1} {w}\n" for u, v, w in (line.split() for line in body.splitlines()))
-    assert graph_digest(load_edge_list(shifted, index_base=1)) == graph_digest(load_edge_list_by_lines(body))
+    for other in (load_edge_list(body), load_edge_list(shifted, index_base=1)):
+        assert other._digest is None
+        assert graph_digest(other) == serialized_digest(other) == graph_digest(load_edge_list_by_lines(body))
 
 
 @pytest.mark.parametrize(
@@ -420,18 +430,49 @@ def test_canonical_edge_list_fast_path_matches_line_loop(tmp_path, weighted):
         "0 1 1.0\n# nodes 4\n",
         "0 1 1.0\r\n",
         "0 99999999999999999999 1.0\n",
+        # Texts the fast path parses that are not the canonical text of their graph.
+        "# nodes 3\n+0 1 1.0\n",
+        "# nodes 6\n01 05 1.0\n",
+        "# nodes 3\n-0 1 1.0\n",
+        "# nodes 03\n0 1 1.0\n",
+        "# nodes 3\n0 1 .5\n",
+        "# nodes 3\n0 1 .50\n",
+        "# nodes 3\n0 1 1.\n",
+        "# nodes 3\n0 1 1\n",
+        "# nodes 3\n0 1 1e0\n",
+        "# nodes 3\n0 1 1.00\n",
+        "# nodes 3\n0 1 +1.0\n",
+        "# nodes 3\n0 1 0.1000000000000000055511151231257827\n",
+        "# nodes 3\n1 2 1.0\n0 1 1.0\n",
+        "# nodes 3\n1 0 1.0\n",
+        "# nodes 3\r\n0 1 1.0\r\n1 2 0.5\r\n",
+        "0 1 1.0\n1 2 0.5\n",
+        # Canonical texts, whose digest is the hash of the text itself.
+        "# nodes 3\n0 1 1.0\n1 2 0.5\n",
+        "# nodes 12\n0 1 1e-05\n0 11 5e-324\n10 11 0.30000000000000004\n",
     ],
 )
 def test_edge_list_fast_path_keeps_results_and_errors(text):
-    try:
-        want = load_edge_list_by_lines(text)
-    except ValueError as exc:
-        with pytest.raises(type(exc)) as got:
-            load_edge_list(text)
-        assert str(got.value) == str(exc)
-    else:
-        got = load_edge_list(text)
-        assert got.n == want.n and graph_digest(got) == graph_digest(want)
+    for index_base in (0, 1):
+        try:
+            want = load_edge_list_by_lines(text, index_base=index_base)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                load_edge_list(text, index_base=index_base)
+            assert str(got.value) == str(exc)
+            continue
+        got = load_edge_list(text, index_base=index_base)
+        # Only the canonical text pins the digest while loading (an edgeless
+        # graph's is hashed when asked for: the fast path needs an edge line).
+        canonical = index_base == 0 and text == to_edge_list_text(want) and want.num_edges > 0
+        assert (got._digest is not None) == canonical
+        assert got.n == want.n and graph_digest(got) == graph_digest(want) == serialized_digest(want)
+
+
+def test_loading_canonical_text_keeps_pinned_digests():
+    for _, args, digest in PINNED_DIGESTS:
+        loaded = load_edge_list(to_edge_list_text(Graph(*args)))
+        assert graph_digest(loaded) == digest
 
 
 def test_edge_list_round_trip():

@@ -463,6 +463,28 @@ def test_sigmoid_extremes():
     assert np.all(np.isfinite(s))
 
 
+def test_sigmoid_and_adam_keep_the_masked_bits():
+    # The same float operations as the masked sigmoid and the allocating Adam
+    # update, compared bit for bit, NaN's sign and payload included.
+    edges = np.array([0.0, -0.0, 710.0, -710.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300, 36.5, -36.5])
+    rng = np.random.default_rng(13)
+    flat = np.concatenate([edges, 30.0 * rng.standard_normal(500)])
+    stack = np.stack([rng.permutation(flat) for _ in range(4)])
+    with np.errstate(all="ignore"):
+        for x in (flat, stack):
+            assert np.array_equal(sigmoid(x).view(np.int64), previous_sigmoid(x).view(np.int64))
+    logits = rng.standard_normal((3, 40))
+    previous = logits.copy()
+    adam, reference = OptimState(lr=0.05), PreviousAdam(0.05)
+    for _ in range(5):
+        g = rng.standard_normal(logits.shape) * 10.0 ** rng.integers(-6, 6, logits.shape)
+        adam.apply({"logits": logits}, {"logits": g})
+        reference.apply(previous, g)
+        assert np.array_equal(logits.view(np.int64), previous.view(np.int64))
+        assert np.array_equal(adam.m["logits"].view(np.int64), reference.m.view(np.int64))
+        assert np.array_equal(adam.v["logits"].view(np.int64), reference.v.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # MPNN forward/backward
 
