@@ -47,7 +47,7 @@ __all__ = [
 # comes from the caller, the largest node index, a ``# nodes N`` comment or a
 # DIMACS ``p edge N`` line.  A graph holds about 16 bytes per node before any
 # edge, so one short line must not be able to ask for gigabytes, and the
-# sort keys in ``Graph.__init__`` (below n**2) stay exact in int64.
+# edge sort key in ``Graph.__init__`` (below n**2) stays exact in int64.
 MAX_NODES = 1 << 24
 
 
@@ -70,7 +70,8 @@ class Graph:
     scans, and once as a sorted u < v edge list for serialization and
     edge-parallel numpy work.  ``degree`` is the weighted degree; the
     combinatorial degree is ``np.diff(offsets)``.  ``_digest`` memoizes
-    ``graph_digest``; the arrays are read-only, so it cannot go stale.
+    ``graph_digest`` and ``_layout`` memoizes ``gather_layout``; the arrays
+    are read-only, so neither can go stale.
     """
 
     __slots__ = (
@@ -85,6 +86,7 @@ class Graph:
         "degree",
         "total_weight",
         "_digest",
+        "_layout",
     )
 
     def __init__(self, n: int, edge_u, edge_v, edge_w) -> None:
@@ -133,11 +135,16 @@ class Graph:
         self.edge_v = hi
         self.edge_w = w
 
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
+        # Adjacency in (src, dst) order from one stable sort of src alone: the
+        # reversed half goes first, and within one source its neighbours are
+        # all lower than those of the forward half; each half already lists a
+        # source's neighbours in increasing order, because the edges are
+        # sorted by (lo, hi).  numpy radix-sorts keys of up to 16 bits.
+        src = np.concatenate([hi, lo])
+        dst = np.concatenate([lo, hi])
         ww = np.concatenate([w, w])
-        # Distinct (src, dst) pairs: a single key sorts them exactly as above.
-        adj_order = np.argsort(src * n + dst)
+        key = np.uint8 if n <= 1 << 8 else np.uint16 if n <= 1 << 16 else np.uint32
+        adj_order = np.argsort(src.astype(key), kind="stable")
         src, dst, ww = src[adj_order], dst[adj_order], ww[adj_order]
         counts = np.bincount(src, minlength=n)
         self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
@@ -147,6 +154,7 @@ class Graph:
         self.degree = np.bincount(src, weights=ww, minlength=n)
         self.total_weight = float(w.sum())
         self._digest: str | None = None
+        self._layout: tuple[list[np.ndarray], np.ndarray | None] | None = None
         for name in ("offsets", "targets", "weights", "rows", "edge_u", "edge_v", "edge_w", "degree"):
             getattr(self, name).setflags(write=False)
 
@@ -271,15 +279,18 @@ def hop_distances(graph: Graph, source: int) -> np.ndarray:
     """BFS hop counts from ``source``; unreachable nodes get graph.n + 1.
 
     Level-synchronous: each level gathers the frontier's CSR rows at once and
-    keeps the unvisited nodes among them as the next frontier.  A hop count is
-    the length of a shortest path, so it does not depend on the order nodes
-    are visited in, and the result equals a one-neighbour-at-a-time BFS.
+    keeps the unvisited nodes among them as the next frontier, in increasing
+    node order: sorted when the rows hold few entries against n, read off a
+    boolean mark over all nodes otherwise.  A hop count is the length of a
+    shortest path, so it does not depend on the order nodes are visited in,
+    and the result equals a one-neighbour-at-a-time BFS.
     """
     if not (0 <= source < graph.n):
         raise ValueError(f"source {source} out of range")
     unreached = graph.n + 1
     dist = np.full(graph.n, unreached, dtype=np.int64)
     dist[source] = 0
+    mark = np.zeros(graph.n, dtype=bool)
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while frontier.size:
@@ -290,9 +301,68 @@ def hop_distances(graph: Graph, source: int) -> np.ndarray:
         # Position j of the gathered block reads targets[starts[k] + j - (ends[k] - counts[k])].
         index = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
         reached = graph.targets[index]
-        frontier = np.unique(reached[dist[reached] == unreached])
+        if reached.size * 128 < graph.n:
+            # Sorting a few nodes beats a pass over all n marks, which would
+            # make a long path quadratic.
+            frontier = np.unique(reached[dist[reached] == unreached])
+        else:
+            # Marks left from an earlier level are on reached nodes, which the mask clears.
+            mark[reached] = True
+            mark &= dist == unreached
+            frontier = np.flatnonzero(mark)
         dist[frontier] = level
     return dist
+
+
+def gather_layout(graph: Graph) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Every node's neighbours as padded, rank-major index blocks; built once per graph.
+
+    Returns ``(blocks, position)``.  Each block has one column per node it
+    covers, and its row r holds every such node's r-th neighbour in
+    adjacency order, or the pad index n where the node has fewer; a
+    gather of rows then a reduce over the rows sums each node's neighbours
+    in adjacency order (the ELLPACK layout of sparse kernels).  While one
+    block over all nodes, as tall as the largest degree, holds at most twice
+    the adjacency entries plus n indices, it is the only block, its columns
+    are the nodes in order and ``position`` is None.  Otherwise the nodes
+    are bucketed by the bit length of their degree, in increasing node
+    order within a bucket, and each bucket is padded to its own largest
+    degree, so that no node takes more than twice its degree; node i is
+    then row ``position[i]`` of the blocks' columns laid end to end.  A
+    one-node bucket gets one more column, all pads: summing over rows with
+    a single output element would take numpy's pairwise order instead.
+    """
+    if graph._layout is None:
+        n, rows, targets = graph.n, graph.rows, graph.targets
+        degree = np.diff(graph.offsets)
+        rank = np.arange(targets.size) - graph.offsets[rows]
+        height = int(degree.max()) if n else 0
+        if height * n <= 2 * targets.size + n:
+            block = np.full((height, n), n, dtype=np.int64)
+            block[rank, rows] = targets
+            blocks, position = [block], None
+        else:
+            bucket = np.frexp(degree)[1]  # the bit length of each degree
+            entry_bucket = bucket[rows]
+            order = np.argsort(bucket, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(bucket[order])) + 1)
+            column = np.empty(n, dtype=np.int64)
+            position = np.empty(n, dtype=np.int64)
+            blocks = []
+            start = 0
+            for nodes in groups:
+                column[nodes] = np.arange(nodes.size)
+                position[nodes] = start + column[nodes]
+                block = np.full((int(degree[nodes].max()), nodes.size + (nodes.size == 1)), n, dtype=np.int64)
+                entries = np.flatnonzero(entry_bucket == bucket[nodes[0]])
+                block[rank[entries], column[rows[entries]]] = targets[entries]
+                blocks.append(block)
+                start += block.shape[1]
+            position.setflags(write=False)
+        for block in blocks:
+            block.setflags(write=False)
+        graph._layout = (blocks, position)
+    return graph._layout
 
 
 def core_numbers(graph: Graph) -> np.ndarray:

@@ -10,6 +10,7 @@ a two-layer readout, and min-max normalization onto [0, 1].
 from __future__ import annotations
 
 import json
+import math
 import sys
 import zipfile
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .distributions import (
     cut_loss,  # noqa: F401
     rescale_to_target,  # noqa: F401
 )
-from .graphs import Graph, hop_distances
+from .graphs import Graph, gather_layout, hop_distances
 
 __all__ = [
     "CliqueLossSpec",
@@ -422,31 +423,30 @@ def _node_features(graph: Graph, seed_node: int) -> np.ndarray:
     return x
 
 
-def _channel_bins(graph: Graph, width: int) -> np.ndarray:
-    """Flat (node, channel) bin of every (adjacency entry, channel) pair, row-major."""
-    return np.add.outer(graph.rows * width, np.arange(width)).ravel()
-
-
-def _neighbor_sum(graph: Graph, h: np.ndarray, bins: np.ndarray) -> np.ndarray:
+def _neighbor_sum(graph: Graph, h: np.ndarray) -> np.ndarray:
     """Row i is the sum of h over i's neighbours (unweighted message passing).
 
-    One bincount over the flat (node, channel) index, ``bins`` from
-    ``_channel_bins(graph, h.shape[1])``, which a forward pass builds once for
-    all its layers and its backward pass.  Each bin starts at +0.0 and adds
-    its terms in adjacency order, as ``np.add.at(out, rows, h[targets])`` on
-    a zero ``out`` does, so the result has the same bits.
+    One gather of h's rows through ``gather_layout(graph)``, with a zero row
+    appended at the pad index n, then a reduce over the gathered rows: each
+    node adds its terms in adjacency order, then +0.0 for each pad.  The
+    final ``+= 0.0`` turns a sum of -0.0 terms alone into +0.0 where numpy
+    starts a reduce from its first term rather than from +0.0, so the
+    result has the bits of ``np.add.at(out, rows, h[targets])`` on a zero
+    ``out``, which starts every node at +0.0.
     """
-    width = h.shape[1]
-    # bincount returns int64 when there are no edges to weight.
-    out = np.bincount(bins, weights=h[graph.targets].ravel(), minlength=graph.n * width)
-    return out.astype(np.float64, copy=False).reshape(graph.n, width)
+    blocks, position = gather_layout(graph)
+    padded = np.concatenate([h, np.zeros((1, h.shape[1]))])
+    sums = [np.add.reduce(padded.take(block, axis=0), axis=0) for block in blocks]
+    out = sums[0] if position is None else np.concatenate(sums)[position]
+    out += 0.0
+    return out
 
 
-def _forward_context(graph: Graph, seed_node: int, hidden: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What ``mpnn_forward`` computes before any weight: node features, hop distances, channel bins."""
+def _forward_context(graph: Graph, seed_node: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``mpnn_forward`` computes from the seed before any weight: node features and hop distances."""
     if not (0 <= seed_node < graph.n):
         raise ValueError(f"seed node {seed_node} out of range")
-    return _node_features(graph, seed_node), hop_distances(graph, seed_node), _channel_bins(graph, hidden)
+    return _node_features(graph, seed_node), hop_distances(graph, seed_node)
 
 
 def mpnn_forward(
@@ -457,21 +457,23 @@ def mpnn_forward(
     After round k, nodes farther than k hops from the seed are zeroed, so
     depth bounds the receptive field.  The readout scalars are min-max
     normalized onto [0, 1]; an all-equal readout degenerates to 0.5
-    everywhere.  ``context`` is ``_forward_context(graph, seed_node,
-    params.hidden)``, computed here unless a caller that runs the same
-    (graph, seed) pair many times passes it in.
+    everywhere.  ``context`` is ``_forward_context(graph, seed_node)``,
+    computed here unless a caller that runs the same (graph, seed) pair many
+    times passes it in.  Message passing gathers through the graph's
+    ``gather_layout``, which is built on the first pass over a graph and
+    kept on it for every later pass, forward or backward.
     """
     if context is None:
-        context = _forward_context(graph, seed_node, params.hidden)
+        context = _forward_context(graph, seed_node)
     w = params.weights
-    x, dist, bins = context
+    x, dist = context
     h = x @ w["embed_w"].T + w["embed_b"]
     hs = [h]
     aggs: list[np.ndarray] = []
     zs: list[np.ndarray] = []
     masks: list[np.ndarray] = []
     for k in range(params.layers):
-        agg = h + _neighbor_sum(graph, h, bins)
+        agg = h + _neighbor_sum(graph, h)
         z = agg @ w[f"layer{k}_w"].T + w[f"layer{k}_b"]
         mask = (dist <= k + 1).astype(np.float64)
         h = (np.maximum(z, 0.0) + h) * mask[:, None]
@@ -493,7 +495,6 @@ def mpnn_forward(
         return p
     cache = {
         "x": x,
-        "bins": bins,
         "hs": hs,
         "aggs": aggs,
         "zs": zs,
@@ -547,7 +548,7 @@ def mpnn_backward(
         grads[f"layer{k}_w"] = gz.T @ cache["aggs"][k]
         grads[f"layer{k}_b"] = gz.sum(axis=0)
         g_agg = gz @ w[f"layer{k}_w"]
-        gh = gu + g_agg + _neighbor_sum(graph, g_agg, cache["bins"])
+        gh = gu + g_agg + _neighbor_sum(graph, g_agg)
 
     grads["embed_w"] = gh.T @ cache["x"]
     grads["embed_b"] = gh.sum(axis=0)
@@ -617,11 +618,23 @@ def train_mpnn(
     Each epoch resamples one seed node per training graph (and, for cut
     losses without a pinned interval, a volume interval inside the seed's
     receptive field).  Validation contexts are drawn once up front so the
-    selection criterion is stable, and so are their features, hop distances
-    and channel bins; without a validation split the training loss is used
-    instead.  Losses come from the spec's ``step_kernel``, as in
-    ``optimize_direct``.
+    selection criterion is stable, and so are their features and hop
+    distances; without a validation split the training loss is used
+    instead.  Every forward and backward pass on one graph, over all epochs,
+    gathers through the ``gather_layout`` kept on that graph.  Losses come
+    from the spec's ``step_kernel``, as in ``optimize_direct``.
+
+    Raises:
+        ValueError: before any work, on ``epochs < 0``, ``batch_size < 1``,
+            an ``lr`` that is not finite and positive, or a corpus without
+            training graphs.
     """
+    if epochs < 0:
+        raise ValueError(f"need epochs >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ValueError(f"need batch_size >= 1, got {batch_size}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     rng = rng if rng is not None else np.random.default_rng(0)
     train_graphs = [g for g, s in zip(corpus.graphs, corpus.splits) if s == "train"]
     val_graphs = [g for g, s in zip(corpus.graphs, corpus.splits) if s == "val"]
@@ -634,7 +647,7 @@ def train_mpnn(
     val_ctx = []
     for g in val_graphs:
         seed, step = _sample_context(loss_spec, g, _neighbor_sums_kernel(g), rng, hops)
-        val_ctx.append((g, seed, step, _forward_context(g, seed, params.hidden)))
+        val_ctx.append((g, seed, step, _forward_context(g, seed)))
     train_sums = [_neighbor_sums_kernel(g) for g in train_graphs]
     history: dict[str, list[float]] = {"train": [], "val": []}
     best_params, best_score = params.copy(), np.inf

@@ -475,6 +475,28 @@ def test_train_and_reuse_checkpoint(tmp_path, capsys):
     assert json.loads(out)["payload"]["producer"] == "mpnn"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--batch-size", "0", "need batch_size >= 1, got 0"),
+        ("--batch-size", "-2", "need batch_size >= 1, got -2"),
+        ("--lr", "nan", "lr must be finite and positive, got nan"),
+        ("--lr", "-1", "lr must be finite and positive, got -1.0"),
+        ("--epochs", "-3", "need epochs >= 0, got -3"),
+    ],
+    ids=["batch-size=0", "batch-size=-2", "lr=nan", "lr=-1", "epochs=-3"],
+)
+def test_bad_train_setting_is_input_error(tmp_path, capsys, flag, value, message):
+    corpus_dir = tmp_path / "train-corpus"
+    run(capsys, ["generate", "--count", "3", "--nodes", "8", "--prob", "0.6",
+                 "--splits", "none", "--out", str(corpus_dir)])
+    ckpt = tmp_path / "producer.npz"
+    code, out, err = run(capsys, ["train", "--corpus", str(corpus_dir), "--out", str(ckpt), flag, value])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert not ckpt.exists()
+
+
 def test_mpnn_without_checkpoint_is_input_error(tmp_path, capsys):
     graph_path = write_graph(tmp_path, complete_graph(3))
     code, _, err = run(capsys, ["solve", "--graph", str(graph_path), "--producer", "mpnn"])

@@ -118,6 +118,14 @@ def test_graph_build_matches_lexsort_reference():
         # Low densities leave isolated nodes, trailing ones included.
         g = random_graph(rng, int(rng.integers(1, 60)), density=float(rng.uniform(0.0, 0.9)), weighted=bool(rng.integers(2)))
         cases.append((g.n, *shuffled_edges(rng, g)))
+    cases += [(2, [1], [0], [0.5]), (9, [3], [8], [1.0])]
+    # The adjacency sort key narrows to uint8 up to 256 nodes and to uint16 up
+    # to 65536: graphs on either side of each width, with edges at the top node.
+    for n in (256, 257, 65536, 65537):
+        ends = np.concatenate([rng.integers(0, n, size=(400, 2)), [[n - 1, 0], [n - 2, n - 1], [255, n - 1]]])
+        ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+        g = Graph(n, ends[:, 0], ends[:, 1], rng.uniform(0.1, 1.0, len(ends)))
+        cases += [(n, [n - 1], [n - 2], [1.0]), (n, *shuffled_edges(rng, g))]
     for n, u, v, w in cases:
         g = Graph(n, u, v, w)
         want = lexsort_build(n, u, v, w)
@@ -272,8 +280,11 @@ def test_hop_distances_match_per_neighbor_bfs():
     rng = np.random.default_rng(47)
     cases = [components_graph(rng, [int(k) for k in rng.integers(2, 15, size=3)], 2) for _ in range(6)]
     cases += [path_graph(9), Graph(1, [], [], []), Graph(4, [1], [2], [1.0])]
+    # Frontiers far smaller than n take the sorted branch, and those of the
+    # sparse graph grow from it into the marked one.
+    cases += [path_graph(300), sparse_planted_clique(rng, 2000, 6, 3)[0]]
     for g in cases:
-        for source in range(g.n):
+        for source in range(g.n) if g.n < 100 else rng.choice(g.n, 5, replace=False).tolist():
             got = hop_distances(g, source)
             assert got.dtype == np.int64
             assert np.array_equal(got, reference_hop_distances(g, source))

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from cliquecut import (
 )
 from cliquecut import models, solver
 from cliquecut.distributions import weighted_neighbor_sums
-from cliquecut.models import _channel_bins, _draw_interval, _neighbor_sum, _pick_seed, mpnn_backward, sigmoid
+from cliquecut.graphs import gather_layout
+from cliquecut.models import _draw_interval, _neighbor_sum, _pick_seed, mpnn_backward, sigmoid
 
 from helpers import complete_graph, path_graph, random_graph, sparse_planted_clique, two_triangles
 
@@ -548,10 +550,22 @@ def neighbor_sum_inputs(rng, n, width):
     yield np.asfortranarray(rng.standard_normal((n, width)))
 
 
-@pytest.mark.parametrize("width", [1, 16])
+def star_graph(n):
+    return Graph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), np.ones(n - 1))
+
+
+def heavy_tailed_graph(rng, n):
+    """Chung-Lu edges: node i's expected degree falls as 1 / sqrt(i + 1), from about n down to a few."""
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < np.minimum(1.0, 4.0 / np.sqrt((iu + 1.0) * (iv + 1.0)))
+    return Graph(n, iu[keep], iv[keep], np.ones(int(keep.sum())))
+
+
+@pytest.mark.parametrize("width", [1, 16, 32])
 def test_neighbor_sum_matches_scatter_add_bits(width):
     rng = np.random.default_rng(61)
     base = random_graph(rng, 12, density=0.3, weighted=True)
+    star, heavy = star_graph(40), heavy_tailed_graph(rng, 120)
     graphs = [
         random_graph(rng, 9, density=0.5),
         base,
@@ -559,13 +573,32 @@ def test_neighbor_sum_matches_scatter_add_bits(width):
         Graph(base.n + 3, base.edge_u, base.edge_v, base.edge_w),
         Graph(5, [], [], []),
         Graph(0, [], [], []),
+        star,
+        heavy,
     ]
     for g in graphs:
-        bins = _channel_bins(g, width)
         for h in neighbor_sum_inputs(rng, g.n, width):
-            got = _neighbor_sum(g, h, bins)
+            got = _neighbor_sum(g, h)
             assert got.dtype == np.float64 and got.shape == (g.n, width)
             assert np.array_equal(got.view(np.int64), reference_neighbor_sum(g, h).view(np.int64))
+        assert sum(block.size for block in gather_layout(g)[0]) <= 2 * g.targets.size + g.n
+    # Both large-degree graphs take the degree buckets, with a one-node bucket for the star's centre.
+    assert gather_layout(star)[1] is not None and gather_layout(heavy)[1] is not None
+    assert sorted(block.shape for block in gather_layout(star)[0]) == [(1, 39), (39, 2)]
+    assert gather_layout(base)[1] is None
+
+
+def test_gather_layout_is_built_once_per_graph():
+    rng = np.random.default_rng(62)
+    g = random_graph(rng, 10, density=0.4)
+    params = MpnnParams.init(rng, hidden=4, layers=2)
+    assert g._layout is None
+    _, cache = mpnn_forward(g, params, 0, want_cache=True)
+    layout = g._layout
+    mpnn_backward(g, params, cache, rng.standard_normal(g.n))
+    mpnn_forward(g, params, 1)
+    assert gather_layout(g) is layout
+    assert all(not block.flags.writeable for block in layout[0])
 
 
 def test_mpnn_backward_matches_finite_differences():
@@ -626,6 +659,30 @@ def test_train_mpnn_zero_epochs():
     result = train_mpnn(corpus, CliqueLossSpec(), epochs=0, rng=np.random.default_rng(0))
     assert result.epochs_trained == 0
     assert result.history == {"train": [], "val": []}
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"epochs": -3}, "need epochs >= 0, got -3"),
+        ({"batch_size": 0}, "need batch_size >= 1, got 0"),
+        ({"batch_size": -2}, "need batch_size >= 1, got -2"),
+        ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
+        ({"lr": float("inf")}, "lr must be finite and positive, got inf"),
+        ({"lr": 0.0}, "lr must be finite and positive, got 0.0"),
+    ],
+    ids=["epochs=-3", "batch_size=0", "batch_size=-2", "lr=nan", "lr=inf", "lr=0"],
+)
+def test_train_mpnn_rejects_bad_settings_before_any_work(setting, message):
+    corpus = _tiny_corpus([complete_graph(3), complete_graph(4)], ["train", "val"])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    kwargs = {"epochs": 2, **setting}
+    epochs = kwargs.pop("epochs")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train_mpnn(corpus, CliqueLossSpec(), epochs, rng=rng, **kwargs)
+    # Nothing was drawn: no weights were initialized and no seed was picked.
+    assert rng.bit_generator.state == before
 
 
 def test_train_mpnn_requires_train_split():
