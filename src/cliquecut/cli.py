@@ -84,12 +84,27 @@ def _read_config_file(path: str) -> dict:
     return overrides
 
 
-def _apply_config(sub: argparse.ArgumentParser, overrides: dict) -> None:
-    valid = {action.dest for action in sub._actions} - {"help", "config"}
-    for key in overrides:
-        if key not in valid:
+def _config_args(sub: argparse.ArgumentParser, overrides: dict) -> list[str]:
+    """A config file's settings as ``sub``'s command-line arguments.
+
+    argparse then converts and checks them as it does typed flags (it
+    converts only string defaults): ``restarts = 2.5`` fails as
+    ``--restarts 2.5`` does.  A flag takes a JSON boolean, another option a
+    JSON scalar or a bare string; ``null`` keeps a default of None.
+    """
+    actions = {action.dest: action for action in sub._actions if action.dest not in ("help", "config")}
+    args = []
+    for key, value in overrides.items():
+        if key not in actions:
             sub.error(f"unknown config key {key!r}")
-    sub.set_defaults(**overrides)
+        action, flag = actions[key], actions[key].nargs == 0
+        if isinstance(value, (list, dict)) or (flag and not isinstance(value, bool)):
+            sub.error(f"config key {key!r} takes {'true or false' if flag else 'a JSON scalar'}, got {value!r}")
+        if flag:
+            args += action.option_strings if value else []
+        elif value is not None or action.default is not None:
+            args.append(f"{action.option_strings[0]}={value}")
+    return args
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -307,7 +322,7 @@ def _benchmark_clique_row(args, name: str, graph: Graph, config: SolveConfig) ->
     oracle = ""
     ratio = ""
     if not args.no_oracle and graph.n <= args.oracle_limit:
-        best = brute_force_max_clique(graph)
+        best = brute_force_max_clique(graph, node_limit=args.oracle_limit)
         optimal = set_weight(graph, best.mask)
         oracle = repr(float(optimal))
         ratio = repr(float(result.objective / optimal)) if optimal > 0 else ""
@@ -545,8 +560,10 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return 1
-        _apply_config(subs[args.command], overrides)
-        args = parser.parse_args(argv)
+        # After the subcommand, so that flags given on the command line win.
+        argv = sys.argv[1:] if argv is None else list(argv)
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_args(subs[args.command], overrides) + argv[at:])
     try:
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:

@@ -63,33 +63,18 @@ def _neighbor_sums_kernel(graph: Graph):
     while consecutive adds land on different nodes.  The ranks are sorted in
     the narrowest unsigned dtype that holds them, where numpy's stable sort
     is a radix sort, with the same order as the int64 sort.
-
-    The bound function also takes a stack of R probability rows, shape
-    (R, n), and sums them in one bincount over the flat (row, node) bins
-    r * n + node: row r's entries are row 0's shifted by r * n, so each bin
-    still starts at +0.0 and adds its node's terms in adjacency order, and
-    every row has the bits of its own 1-D call.  A 1-D p keeps the arrays
-    above and their plain gather; the shifted copies for a stack are built
-    on its first call.
     """
     rank = np.arange(graph.rows.size) - graph.offsets[graph.rows]
     order = np.argsort(rank.astype(np.min_scalar_type(rank.max(initial=0))), kind="stable")
     rows, targets, weights, n = graph.rows[order], graph.targets[order], graph.weights[order], graph.n
-    stacks = {1: (rows, targets, weights)}
 
     def sums(p: np.ndarray) -> np.ndarray:
-        height = p.shape[0] if p.ndim == 2 else 1
-        if height not in stacks:
-            shift = (n * np.arange(height))[:, None]
-            stacks[height] = ((rows + shift).ravel(), (targets + shift).ravel(), np.tile(weights, height))
-        bins, flat_targets, flat_weights = stacks[height]
         # One temporary, multiplied in place: with a second one for the
-        # product the call took about 1.8x as long on a 30,000-entry stack.
-        terms = p.ravel().take(flat_targets)
-        terms *= flat_weights
-        out = np.bincount(bins, weights=terms, minlength=height * n)
+        # product the call took about 1.8x as long on 30,000 entries.
+        terms = p.take(targets)
+        terms *= weights
         # bincount returns int64 when there are no edges to weight.
-        return out.astype(np.float64, copy=False).reshape(p.shape)
+        return np.bincount(rows, weights=terms, minlength=n).astype(np.float64, copy=False)
 
     return sums
 

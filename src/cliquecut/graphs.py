@@ -438,10 +438,13 @@ def disjoint_union(graphs) -> tuple[Graph, np.ndarray]:
     Returns ``(union, offsets)``: graph i's node j is the union's node
     ``offsets[i] + j``, and ``offsets`` ends at the union's n.  Every part
     keeps its edges, their weights and their order, in the edge list and in
-    each node's adjacency.
+    each node's adjacency.  A graph is immutable, so the union of one graph
+    is that graph itself.
     """
     graphs = list(graphs)
     offsets = np.cumsum([0] + [g.n for g in graphs], dtype=np.int64)
+    if len(graphs) == 1:
+        return graphs[0], offsets
     shift = np.repeat(offsets[:-1], [g.num_edges for g in graphs])
     empty = [np.zeros(0, dtype=np.int64)]
     u = np.concatenate(empty + [g.edge_u for g in graphs]) + shift

@@ -101,11 +101,6 @@ class CliqueLossSpec:
         ``neighbor_sums`` is ``_neighbor_sums_kernel(graph)``, built here
         unless a caller that binds many kernels to one graph passes it in.
 
-        The kernel also takes a stack of rows, shape (R, n), and returns R
-        values and an (R, n) gradient, each row with the bits of its own 1-D
-        call: ``p.sum(axis=1)`` sums each row pairwise as ``p.sum()`` does,
-        and batched ``np.matmul`` takes each row's dot products as ``@`` does.
-
         ``parts`` binds the loss to each part of a disjoint union instead:
         node offsets as ``graphs.disjoint_union`` returns them.  The kernel
         then takes the union's 1-D p and returns one value per part and the
@@ -121,17 +116,10 @@ class CliqueLossSpec:
             return self._union_kernel(graph, neighbor_sums, np.asarray(parts, dtype=np.int64))
         params = self.resolve(graph)
 
-        def step(p: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        def step(p: np.ndarray) -> tuple[float, np.ndarray]:
             s = neighbor_sums(p)
-            if p.ndim == 1:
-                total = p.sum()
-                value = _penalty_value(params, 0.5 * float(p @ s), float(total * total - p @ p))
-            else:
-                total = p.sum(axis=1)
-                row = p[:, None, :]
-                ps, pp = np.matmul(row, s[:, :, None]).ravel(), np.matmul(row, p[:, :, None]).ravel()
-                value = _penalty_value(params, 0.5 * ps, total * total - pp)
-                total = total[:, None]
+            total = p.sum()
+            value = _penalty_value(params, 0.5 * float(p @ s), float(total * total - p @ p))
             return value, -(params.beta + 1.0) * s + params.beta * (total - p)
 
         return step
@@ -151,11 +139,13 @@ class CliqueLossSpec:
         params = SimpleNamespace(gamma=np.array([q.gamma for q in resolved]), beta=np.array([q.beta for q in resolved]))
         beta = params.beta[part_of]
         slices = [slice(a, b) for a, b in zip(parts.tolist(), parts[1:].tolist())]
-        add = np.add.reduce
+        # Parts of one size (restarts on copies of a graph) sum as the rows of one
+        # reshape, each pairwise as ``p.sum()`` sums: the same bits in one call.
+        size = int(sizes[0]) if np.all(sizes == sizes[0]) else 0
 
         def step(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s = neighbor_sums(p)
-            total = np.array([add(p[part]) for part in slices])
+            total = p.reshape(-1, size).sum(axis=1) if size else np.array([np.add.reduce(p[part]) for part in slices])
             ps = np.bincount(part_of, weights=p * s, minlength=sizes.size)
             pp = np.bincount(part_of, weights=p * p, minlength=sizes.size)
             value = _penalty_value(params, 0.5 * ps, total * total - pp)
@@ -250,13 +240,12 @@ class OptimState:
 class NonFiniteLossError(FloatingPointError):
     """``optimize_direct``'s loss stopped being finite.
 
-    ``step`` is the step it happened at and ``row`` the stacked row or
-    union part whose loss it was (the lowest such index), or None for a
-    one-generator call.
+    ``step`` is the step it happened at and ``row`` the union part whose
+    loss it was (the lowest such index), or None for a one-problem call.
     """
 
-    def __init__(self, value: float, step: int, row: int | None, unit: str = "row") -> None:
-        where = "" if row is None else f" in {unit} {row}"
+    def __init__(self, value: float, step: int, row: int | None) -> None:
+        where = "" if row is None else f" in part {row}"
         super().__init__(f"loss became {value} at step {step}{where}")
         self.value, self.step, self.row = value, step, row
 
@@ -279,16 +268,10 @@ def optimize_direct(
 
     Returns the final probability vector and the loss recorded before every
     update plus once at the end (``steps + 1`` values).  With ``steps=0`` the
-    initial probabilities come back unchanged.  ``pin`` clamps one node's
-    logit high throughout, for objectives where that node is forced into the
-    solution anyway.
-
-    A list of generators for ``rng`` optimizes a stack of restarts, one row
-    each, in the same loop: ``init_scale`` is then one float for every row
-    or one per row, p comes back with shape (R, n) and the losses as one
-    list per row.  Every row gets the float operations, and so the bits, of
-    its own one-generator call; a one-row stack runs on 1-D arrays, exactly
-    as that call does.
+    initial probabilities come back unchanged.  ``init_scale`` > 0 draws the
+    initial logits from ``rng`` with that spread; 0 starts every node at
+    p = 0.5.  ``pin`` clamps one node's logit high throughout, for
+    objectives where that node is forced into the solution anyway.
 
     ``parts``, node offsets of a disjoint union from ``graphs.disjoint_union``,
     optimizes each part as if it were its own graph, all in one loop on the
@@ -299,6 +282,8 @@ def optimize_direct(
     has the bits of its own one-generator call on that part: the kernel
     keeps them (see ``CliqueLossSpec.step_kernel``), and sigmoid and Adam
     work elementwise.  Its losses agree with that call's up to rounding.
+    Independent restarts on one graph are the parts of a union of copies of
+    it, ``disjoint_union([graph] * R)``.
 
     Each step calls the spec's ``step_kernel``, bound once per call, which
     skips validation and takes E[weight in S] = p.s / 2 from the one
@@ -308,39 +293,30 @@ def optimize_direct(
     2e-15 relative, 9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
 
     Raises:
-        NonFiniteLossError: if the loss of any row or part stops being
-            finite; it is a FloatingPointError.
+        ValueError: on a list ``rng`` without ``parts``, or on ``parts``
+            without one rng (and one ``init_scale``, if a list) per part.
+        NonFiniteLossError: if the loss of the problem or of any part stops
+            being finite; it is a FloatingPointError.
     """
-    stacked = isinstance(rng, (list, tuple))
-    rngs = list(rng) if stacked else [rng]
-    scales = list(init_scale) if np.ndim(init_scale) else [init_scale] * len(rngs)
-    if not rngs or len(scales) != len(rngs):
-        raise ValueError(f"need at least one row and one init_scale per rng, got {len(rngs)} and {len(scales)}")
     if parts is None:
-        step_fn = loss_spec.step_kernel(graph)
-        sizes, unit = [graph.n] * len(rngs), "row"
+        if isinstance(rng, (list, tuple)):
+            raise ValueError("a list of rngs needs parts, the node offsets of a disjoint union")
+        step_fn, rngs, scales, sizes = loss_spec.step_kernel(graph), [rng], [init_scale], [graph.n]
     else:
         step_fn = loss_spec.step_kernel(graph, parts=parts)
         parts = np.asarray(parts, dtype=np.int64)
-        sizes, unit = np.diff(parts).tolist(), "part"
-        if not stacked or len(sizes) != len(rngs):
-            raise ValueError(f"need a list of one rng per part, got {len(rngs)} for {len(sizes)} parts")
+        sizes = np.diff(parts).tolist()
+        rngs = list(rng) if isinstance(rng, (list, tuple)) else []
+        scales = list(init_scale) if np.ndim(init_scale) else [init_scale] * len(sizes)
+        if len(rngs) != len(sizes) or len(scales) != len(sizes):
+            raise ValueError(f"need one rng per part and one init_scale per part, got {len(rngs)} and {len(scales)}")
         if pin is not None:
             raise ValueError("pin does not apply to a union of parts")
-    rows = []
-    for row_rng, scale, size in zip(rngs, scales, sizes):
-        if scale > 0.0:
-            if row_rng is None:
-                raise ValueError("init_scale > 0 requires an rng")
-            rows.append(scale * row_rng.standard_normal(size))
-        else:
-            rows.append(np.zeros(size))
-    if parts is not None:
-        logits = np.concatenate(rows)
-    else:
-        logits = rows[0] if len(rows) == 1 else np.stack(rows)
+    if any(scale > 0.0 and r is None for r, scale in zip(rngs, scales)):
+        raise ValueError("init_scale > 0 requires an rng")
+    logits = np.concatenate([s * r.standard_normal(n) if s > 0.0 else np.zeros(n) for r, s, n in zip(rngs, scales, sizes)])
     if pin is not None:
-        logits[..., pin] = _PIN_LOGIT
+        logits[pin] = _PIN_LOGIT
     state = OptimState(lr=lr)
     history = []
     # A loss that overflows is reported by the check below, not by numpy warnings.
@@ -351,22 +327,18 @@ def optimize_direct(
             finite = np.isfinite(value)
             if not finite.all():
                 row = int(np.argmin(finite.reshape(-1)))
-                raise NonFiniteLossError(np.reshape(value, -1)[row], step, row if stacked else None, unit)
+                raise NonFiniteLossError(np.reshape(value, -1)[row], step, None if parts is None else row)
             history.append(value)
             # gradient * p * (1 - p), in place: the kernel returns a new array each step.
             gradient *= p
             gradient *= 1.0 - p
             state.apply({"logits": logits}, {"logits": gradient})
             if pin is not None:
-                logits[..., pin] = _PIN_LOGIT
+                logits[pin] = _PIN_LOGIT
     p = sigmoid(logits)
     history.append(step_fn(p)[0])
-    losses = np.array(history).reshape(steps + 1, len(rows)).T.tolist()
-    if parts is not None:
-        return np.split(p, parts[1:-1]), losses
-    if stacked:
-        return p.reshape(len(rows), graph.n), losses
-    return p, losses[0]
+    losses = np.array(history).reshape(steps + 1, len(sizes)).T.tolist()
+    return (p, losses[0]) if parts is None else (np.split(p, parts[1:-1]), losses)
 
 
 # ---------------------------------------------------------------------------

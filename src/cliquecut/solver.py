@@ -2,12 +2,12 @@
 
 Clique solving runs multiple restarts (different RNG streams; for the direct
 producer the first restart starts from the symmetric p = 0.5 point and later
-ones jitter the initial logits, and on small graphs several restarts share
-one stacked Adam loop) and keeps the best decoded clique.  On sparse graphs
-the restarts become seed balls instead: one solve on the closed
-neighbourhood of each of the highest-core nodes, whose cliques are exactly
-the cliques through that node; the direct producer optimizes all of a
-solve's balls in one Adam loop on their disjoint union.  Local
+ones jitter the initial logits) and keeps the best decoded clique.  On
+sparse graphs the restarts become seed balls instead: one solve on the
+closed neighbourhood of each of the highest-core nodes, whose cliques are
+exactly the cliques through that node.  Either way the direct producer
+optimizes several units in one Adam loop on their disjoint union: copies of
+the graph for restarts, the balls themselves for seed balls.  Local
 partitioning scans a schedule of volume intervals around the seed and keeps
 the lowest-conductance feasible decode.  Both run their units (restarts,
 balls or intervals) through one driver, ``_solve``; the units are
@@ -155,11 +155,11 @@ class SolveResult:
         return {"payload": self.payload(), "timing": {"wall_time_s": float(self.wall_time)}}
 
 
-# The clique solver's direct restarts run as stacked Adam loops of R rows
-# with R * 2E <= _STACK_ENTRIES adjacency entries (at least one row).  On
-# planted-clique graphs, a stack ran 2-4x as fast as one row at a time at
-# 2E = 2,000-5,000 but 0.95-1.08x at 2E = 32,000, so graphs with more than
-# 2**14 entries get one row per loop, the plain 1-D path.
+# The clique solver's direct producer runs its units in chunks of R, one Adam
+# loop on their disjoint union each, with R * 2E <= _STACK_ENTRIES (2E: the
+# largest unit's adjacency entries).  Restarts sharing a loop (then an (R, n)
+# stack) ran 2-4x as fast as one at a time at 2E = 2,000-5,000 on planted-clique
+# graphs but 0.95-1.08x at 2E = 32,000: above 2**14 entries a unit runs alone.
 _STACK_ENTRIES = 2**15
 
 
@@ -210,31 +210,21 @@ def _check_config(config: SolveConfig) -> None:
 def _produce(
     graph: Graph,
     config: SolveConfig,
-    rngs: list[np.random.Generator],
+    rng: np.random.Generator,
     loss_spec,
-    init_scales: list[float],
+    init_scale: float,
     seed_node: int | None = None,
-    parts: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """One probability vector per rng from the configured producer (checked by ``_check_config``).
+) -> np.ndarray:
+    """One probability vector from the configured producer (checked by ``_check_config``).
 
-    The direct producer optimizes all rows in one stacked ``optimize_direct``
-    call, row i from ``rngs[i]`` at ``init_scales[i]``, or, given the node
-    offsets ``parts`` of a disjoint union, part i of the union in one call.
     ``seed_node`` is pinned by the direct producer and seeds the MPNN;
-    without it the MPNN draws its seed from each rng.
+    without it the MPNN draws its seed from ``rng``.
     """
     if config.producer == "direct":
-        ps, _ = optimize_direct(
-            graph, loss_spec, config.steps, lr=config.lr, rng=rngs, init_scale=init_scales, pin=seed_node, parts=parts
-        )
-        return list(ps)
+        return optimize_direct(graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale, pin=seed_node)[0]
     if config.producer == "mpnn":
-        return [
-            mpnn_forward(graph, config.mpnn, int(rng.integers(graph.n)) if seed_node is None else seed_node)
-            for rng in rngs
-        ]
-    return [rng.random(graph.n) for rng in rngs]
+        return mpnn_forward(graph, config.mpnn, int(rng.integers(graph.n)) if seed_node is None else seed_node)
+    return rng.random(graph.n)
 
 
 def _solve(
@@ -309,10 +299,10 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     certificate parameters, ``CliqueLossParams.for_graph(ball)``.  Each
     candidate is mapped back to the full graph and grown there, so the
     weight, volume and winner are those of the full graph.  The direct
-    producer runs all balls as one chunk, one ``optimize_direct`` call on
-    their disjoint union, whose p has each ball's own bits; ``threads`` and
-    ``time_budget`` then act on the whole ball set.  The MPNN and uniform
-    producers run one ball per chunk.
+    producer runs the units, restarts or balls, in chunks (see
+    ``_STACK_ENTRIES``), one ``optimize_direct`` call on the disjoint union
+    of a chunk's graphs, whose p has each unit's own bits; ``threads`` and
+    ``time_budget`` act per chunk.  Other producers run one unit per chunk.
 
     Raises:
         ValueError: on an unknown decode, an empty graph or a bad setting.
@@ -330,16 +320,6 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     _check_config(config)
     t0 = time.perf_counter()
     opt_spec = CliqueLossSpec(beta=config.opt_beta)
-
-    def produce(g: Graph, rngs: list, scales: list[float], names: list[str], parts=None) -> list[np.ndarray]:
-        """``_produce`` under ``opt_spec``; ``names[i]`` says where row or part i sits in the solve."""
-        try:
-            return _produce(g, config, rngs, opt_spec, scales, parts=parts)
-        except NonFiniteLossError as exc:
-            raise FloatingPointError(
-                f"loss became {exc.value} at step {exc.step} {names[exc.row]}"
-                f" (opt_beta={config.opt_beta}, lr={config.lr})"
-            ) from None
 
     def outcome(g: Graph, index: np.ndarray | None, cert_params: CliqueLossParams, opt_params, p: np.ndarray):
         """The best clique decoded from p on g, whose node i is the graph's ``index[i]``
@@ -371,36 +351,35 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
             "gamma": cert_params.gamma,
         }
 
+    def unit(name: str, g: Graph, index: np.ndarray | None, scale: float) -> tuple:
+        """(name, graph, index, certificate params, optimization params, init scale) of one restart or ball."""
+        return name, g, index, CliqueLossParams.for_graph(g, gamma=config.gamma, beta=config.beta), opt_spec.resolve(g), scale
+
     seeds = _seed_balls(graph, config.restarts)
-    if seeds is not None:
-        units = []
-        for v in seeds.tolist():
-            ball, index = induced(graph, np.append(graph.neighbors(v), v))
-            cert_params = CliqueLossParams.for_graph(ball, gamma=config.gamma, beta=config.beta)
-            units.append((v, ball, index, cert_params, opt_spec.resolve(ball)))
+    if seeds is None:
+        units = [unit(f"in restart {i}", graph, None, 0.0 if i == 0 else config.init_jitter) for i in range(config.restarts)]
+    else:
+        balls = [(v, *induced(graph, np.append(graph.neighbors(v), v))) for v in seeds.tolist()]
+        units = [unit(f"on the seed ball of node {v}", ball, index, 0.0) for v, ball, index in balls]
 
-        def ball_worker(balls: list, rngs: list[np.random.Generator]):
-            if config.producer == "direct":
-                union, offsets = disjoint_union([ball for _, ball, *_ in balls])
-                names = [f"on the seed ball of node {v}" for v, *_ in balls]
-                ps = produce(union, rngs, [0.0] * len(balls), names, offsets)
-            else:
-                ps = [_produce(ball, config, [rng], opt_spec, [0.0])[0] for (_, ball, *_), rng in zip(balls, rngs)]
-            return [outcome(*unit[1:], p) for unit, p in zip(balls, ps)]
+    def worker(chunk: list, rngs: list[np.random.Generator]):
+        scales = [unit[5] for unit in chunk]
+        if config.producer != "direct":
+            ps = [_produce(unit[1], config, rng, opt_spec, scale) for unit, rng, scale in zip(chunk, rngs, scales)]
+        else:
+            union, offsets = disjoint_union([unit[1] for unit in chunk])
+            try:
+                ps, _ = optimize_direct(union, opt_spec, config.steps, lr=config.lr, rng=rngs, init_scale=scales, parts=offsets)
+            except NonFiniteLossError as exc:
+                raise FloatingPointError(
+                    f"loss became {exc.value} at step {exc.step} {chunk[exc.row][0]}"
+                    f" (opt_beta={config.opt_beta}, lr={config.lr})"
+                ) from None
+        return [outcome(*unit[1:5], p) for unit, p in zip(chunk, ps)]
 
-        chunk = len(units) if config.producer == "direct" else 1
-        return _solve(graph, config, "clique", decode, units, ball_worker, t0, chunk)
-
-    cert_params = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
-    opt_params = opt_spec.resolve(graph)
-
-    def worker(restarts: range, rngs: list[np.random.Generator]):
-        scales = [0.0 if i == 0 else config.init_jitter for i in restarts]
-        ps = produce(graph, rngs, scales, [f"in restart {i}" for i in restarts])
-        return [outcome(graph, None, cert_params, opt_params, p) for p in ps]
-
-    chunk = max(1, _STACK_ENTRIES // max(1, graph.rows.size)) if config.producer == "direct" else 1
-    return _solve(graph, config, "clique", decode, range(config.restarts), worker, t0, chunk)
+    entries = max(1, *(unit[1].rows.size for unit in units))
+    chunk = max(1, _STACK_ENTRIES // entries) if config.producer == "direct" else 1
+    return _solve(graph, config, "clique", decode, units, worker, t0, chunk)
 
 
 def uniform_random_baseline(graph: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -486,6 +465,8 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
     usable = [vc for vc in intervals if vc.upper >= d_s]
     if not usable:
         raise ValueError(f"seed degree {d_s} exceeds every interval's upper bound")
+    # The network sees neither the interval nor an rng, so one pass serves every interval.
+    shared = mpnn_forward(graph, config.mpnn, seed_node) if config.producer == "mpnn" else None
 
     def interval_outcome(vc: VolumeConstraint, rng: np.random.Generator):
         # The symmetric p = 0.5 start is a stationary point of the cut loss
@@ -493,7 +474,9 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
         # producer always jitters here, unlike the clique path.  Pinning the
         # seed keeps the optimizer on the seed's side of the graph; decode
         # forces the seed into the set regardless.
-        (p,) = _produce(graph, config, [rng], CutLossSpec(vc), [max(config.init_jitter, 1e-3)], seed_node)
+        p = shared
+        if p is None:
+            p = _produce(graph, config, rng, CutLossSpec(vc), max(config.init_jitter, 1e-3), seed_node)
         q = rescale_to_target(p, graph.degree, vc.target)
         loss_value = expected_cut(graph, q)
         if decode == "conditional":

@@ -263,6 +263,43 @@ def test_config_file_unknown_key_errors(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_file_values_convert_like_flags(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, complete_graph(3))
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text('restarts = "2"\nlr = 1\ngamma = null\nproducer = uniform\n')
+    code, out, _ = run(capsys, ["solve", "--graph", str(graph_path), "--config", str(cfg)])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["restarts"], config["lr"], config["gamma"], config["producer"]) == (2, 1.0, None, "uniform")
+    assert type(config["lr"]) is float
+
+
+BAD_CONFIG_LINES = [
+    ("solve", "restarts = 2.5", "argument --restarts: invalid int value: '2.5'"),
+    ("solve", "lr = [1]", "config key 'lr' takes a JSON scalar"),
+    ("solve", "steps = true", "argument --steps: invalid int value: 'True'"),
+    ("solve", 'seed = "x"', "argument --seed: invalid int value: 'x'"),
+    ("solve", "threads = null", "argument --threads: invalid int value: 'None'"),
+    ("solve", "producer = magic", "argument --producer: invalid choice: 'magic'"),
+    ("solve", 'decode = {"a": 1}', "config key 'decode' takes a JSON scalar"),
+    ("benchmark", "no_oracle = 1", "config key 'no_oracle' takes true or false"),
+    ("benchmark", 'no_oracle = "true"', "config key 'no_oracle' takes true or false"),
+]
+
+
+@pytest.mark.parametrize("command, line, message", BAD_CONFIG_LINES, ids=[line for _, line, _ in BAD_CONFIG_LINES])
+def test_config_file_bad_value_is_usage_error(tmp_path, capsys, command, line, message):
+    graph_path = write_graph(tmp_path, complete_graph(3))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    source = ["--graph", str(graph_path)] if command == "solve" else ["--corpus", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--config", str(cfg)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
 def test_config_file_missing_errors(tmp_path, capsys):
     graph_path = write_graph(tmp_path, complete_graph(3))
     code, _, err = run(capsys, ["solve", "--graph", str(graph_path), "--config", str(tmp_path / "nope.cfg")])
@@ -418,6 +455,34 @@ def test_benchmark_partition_csv(small_corpus, capsys):
     assert lines[0].split(",")[:4] == ["name", "nodes", "edges", "seed_node"]
     assert lines[0].split(",")[-1] == "time_s"
     assert len(lines) == 5
+
+
+def test_benchmark_oracle_limit_reaches_the_oracle(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    code, _, _ = run(
+        capsys,
+        ["generate", "--kind", "planted", "--count", "1", "--nodes", "70", "--prob", "0.1",
+         "--clique-size", "7", "--splits", "none", "--out", str(corpus)],
+    )
+    assert code == 0
+    argv = ["benchmark", "--corpus", str(corpus), "--split", "train", "--restarts", "2", "--steps", "20"]
+    code, out, _ = run(capsys, argv + ["--oracle-limit", "100"])
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert row[header.index("nodes")] == "70"
+    assert float(row[header.index("oracle")]) >= 21.0  # the planted 7-clique
+    assert 0.0 < float(row[header.index("ratio")]) <= 1.0 + 1e-9
+    # Below the graph's size the oracle is skipped, as before.
+    code, out, _ = run(capsys, argv + ["--oracle-limit", "60"])
+    assert code == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert row[header.index("oracle")] == ""
+    # A config file sets the flag that skips it.
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("no_oracle = true\n")
+    code, out, _ = run(capsys, argv + ["--oracle-limit", "100", "--config", str(cfg)])
+    header, row = (line.split(",") for line in out.splitlines())
+    assert code == 0 and row[header.index("oracle")] == ""
 
 
 def test_benchmark_empty_split_errors(small_corpus, capsys):

@@ -9,6 +9,7 @@ from cliquecut import (
     clique_loss,
     clique_violation_bound,
     cut_loss,
+    disjoint_union,
     expected_cut,
     expected_set_weight,
     expected_volume,
@@ -347,12 +348,14 @@ def test_neighbor_sums_kernel_sums_a_stack_row_by_row(weighted):
     for _ in range(15):
         n, density = int(rng.integers(1, 60)), float(rng.uniform(0.0, 0.9))
         graphs.append(random_graph(rng, n, density=density, weighted=weighted))
+    # A stack of restarts is the union of copies of the graph: its rank order
+    # interleaves the copies, yet every copy keeps the bits of its own sums.
     for g in graphs:
-        sums = _neighbor_sums_kernel(g)
-        for height in (1, 2, 7, 16, 7):
+        for height in (1, 2, 7, 16):
+            union, _ = disjoint_union([g] * height)
             p = rng.random((height, g.n)) * float(rng.choice([1.0, 1e-8, 1e8]))
-            out = sums(p)
-            assert out.shape == p.shape and out.dtype == np.float64
+            out = _neighbor_sums_kernel(union)(p.ravel()).reshape(p.shape)
+            assert out.dtype == np.float64
             for row, probs in zip(out, p):
                 assert np.array_equal(row.view(np.int64), weighted_neighbor_sums(g, probs).view(np.int64))
 

@@ -243,7 +243,7 @@ def previous_sigmoid(x):
 
 
 class PreviousAdam:
-    """OptimState.apply for one "logits" array, as it ran before stacked restarts."""
+    """OptimState.apply for one "logits" array, as it ran before restarts shared one Adam loop."""
 
     def __init__(self, lr):
         self.lr, self.beta1, self.beta2, self.eps, self.step = lr, 0.9, 0.999, 1e-8, 0
@@ -261,7 +261,7 @@ class PreviousAdam:
 
 
 def previous_clique_step(graph, params):
-    """The one-row clique kernel as it ran before stacked restarts."""
+    """The one-row clique kernel as it ran before restarts shared one Adam loop."""
 
     def step(p):
         s = weighted_neighbor_sums(graph, p)
@@ -274,7 +274,7 @@ def previous_clique_step(graph, params):
 
 
 def previous_optimize_direct(graph, spec, steps, *, lr, rng, init_scale, pin=None):
-    """One restart of optimize_direct as it ran before stacked restarts."""
+    """One restart of optimize_direct as it ran before restarts shared one Adam loop."""
     logits = init_scale * rng.standard_normal(graph.n) if init_scale > 0.0 else np.zeros(graph.n)
     if pin is not None:
         logits[pin] = 12.0
@@ -318,21 +318,39 @@ def assert_same_bits(got, want):
 @pytest.mark.parametrize("rows", [1, 2, 7, 16])
 @pytest.mark.parametrize("pin", [None, 0])
 def test_stacked_restarts_match_previous_loop_bits(name, rows, pin):
+    """Restarts, run as the solvers run them, keep the bits of the loop before restarts shared one.
+
+    Unpinned restarts (the clique solver's) run as the parts of one union of
+    copies of the graph; pinned ones (the partition solver's) one call each.
+    """
     g = stack_test_graphs()[name]
     spec = CliqueLossSpec(beta=2.0)
     scales = [0.0] + [1.0 + 0.25 * r for r in range(1, rows)]
     seeds = np.random.SeedSequence(7).spawn(rows)
-    p, losses = optimize_direct(
-        g, spec, 40, lr=0.1, rng=[np.random.default_rng(s) for s in seeds], init_scale=scales, pin=pin
-    )
-    assert p.shape == (rows, g.n) and len(losses) == rows
+    if pin is None:
+        union, offsets = disjoint_union([g] * rows)
+        assert offsets.tolist() == [g.n * r for r in range(rows + 1)]
+        ps, losses = optimize_direct(
+            union, spec, 40, lr=0.1, rng=[np.random.default_rng(q) for q in seeds], init_scale=scales, parts=offsets
+        )
+    else:
+        runs = [
+            optimize_direct(g, spec, 40, lr=0.1, rng=np.random.default_rng(q), init_scale=scale, pin=pin)
+            for q, scale in zip(seeds, scales)
+        ]
+        ps, losses = [p for p, _ in runs], [part_losses for _, part_losses in runs]
+    assert len(ps) == len(losses) == rows
     for r in range(rows):
         want_p, want_losses = previous_optimize_direct(
             g, spec, 40, lr=0.1, rng=np.random.default_rng(seeds[r]), init_scale=scales[r], pin=pin
         )
-        assert_same_bits(p[r], want_p)
+        assert_same_bits(ps[r], want_p)
         assert all(type(value) is float for value in losses[r])
-        assert_same_bits(losses[r], want_losses)
+        if pin is None:
+            # The union's values add p.s and p.p in node order, not by ``@``.
+            assert losses[r] == pytest.approx(want_losses, rel=1e-12, abs=1e-12)
+        else:
+            assert_same_bits(losses[r], want_losses)
 
 
 @pytest.mark.parametrize("name", ["unit", "weighted", "edgeless"])
@@ -347,22 +365,27 @@ def test_one_restart_call_is_unchanged(name):
     assert all(type(value) is float for value in losses)
     assert_same_bits(p, want_p)
     assert_same_bits(losses, want_losses)
-    stacked_p, stacked_losses = optimize_direct(
-        g, spec, 30, lr=0.1, rng=[np.random.default_rng(5)], init_scale=[1.0], pin=1
+    # The union of one graph is that graph; as one part it keeps the same bits.
+    union, offsets = disjoint_union([g])
+    assert union is g and offsets.tolist() == [0, g.n]
+    (part_p,), (part_losses,) = optimize_direct(
+        union, spec, 30, lr=0.1, rng=[np.random.default_rng(5)], init_scale=[1.0], parts=offsets
     )
-    assert_same_bits(stacked_p, want_p[None, :])
-    assert stacked_losses == [losses]
+    unpinned_p, unpinned_losses = optimize_direct(g, spec, 30, lr=0.1, rng=np.random.default_rng(5), init_scale=1.0)
+    assert_same_bits(part_p, unpinned_p)
+    assert part_losses == pytest.approx(unpinned_losses, rel=1e-12, abs=1e-12)
 
 
 def test_stacked_restarts_check_every_row():
+    """A loss that turns non-finite in a later part, after some steps, is named by part and step."""
     g = random_graph(np.random.default_rng(3), 12, 0.5)
     inner = CliqueLossSpec(beta=2.0)
 
-    class PoisonRow:
-        """The clique kernel, but row 2's loss turns NaN at the fourth step."""
+    class PoisonPart:
+        """The clique kernel, but part 2's loss turns NaN at the fourth step."""
 
-        def step_kernel(self, graph):
-            step_fn, calls = inner.step_kernel(graph), []
+        def step_kernel(self, graph, parts=None):
+            step_fn, calls = inner.step_kernel(graph, parts=parts), []
 
             def step(p):
                 value, gradient = step_fn(p)
@@ -374,17 +397,24 @@ def test_stacked_restarts_check_every_row():
 
             return step
 
+    union, offsets = disjoint_union([g] * 4)
     rngs = [np.random.default_rng(s) for s in range(4)]
-    with pytest.raises(FloatingPointError, match=r"loss became nan at step 3 in row 2"):
-        optimize_direct(g, PoisonRow(), 10, lr=0.1, rng=rngs, init_scale=1.0)
+    with pytest.raises(NonFiniteLossError, match=r"loss became nan at step 3 in part 2") as info:
+        optimize_direct(union, PoisonPart(), 10, lr=0.1, rng=rngs, init_scale=1.0, parts=offsets)
+    assert (info.value.step, info.value.row) == (3, 2)
 
 
 def test_stacked_restarts_reject_mismatched_rows():
     g = complete_graph(4)
-    with pytest.raises(ValueError, match="one init_scale per rng"):
-        optimize_direct(g, CliqueLossSpec(), 3, rng=[np.random.default_rng(0)] * 2, init_scale=[1.0])
-    with pytest.raises(ValueError, match="at least one row"):
-        optimize_direct(g, CliqueLossSpec(), 3, rng=[])
+    union, offsets = disjoint_union([g, g])
+    with pytest.raises(ValueError, match="one init_scale per part"):
+        optimize_direct(union, CliqueLossSpec(), 3, rng=[np.random.default_rng(0)] * 2, init_scale=[1.0], parts=offsets)
+    with pytest.raises(ValueError, match="one rng per part"):
+        optimize_direct(union, CliqueLossSpec(), 3, rng=[], parts=offsets)
+    # Several generators describe several problems, which only parts can hold.
+    for rngs in ([np.random.default_rng(0)] * 2, [np.random.default_rng(0)], []):
+        with pytest.raises(ValueError, match="needs parts"):
+            optimize_direct(g, CliqueLossSpec(), 3, rng=rngs)
 
 
 def seed_ball_sets():
@@ -398,10 +428,12 @@ def seed_ball_sets():
         seeds = solver._seed_balls(g, 10)
         assert seeds is not None
         out[name] = [induced(g, np.append(g.neighbors(v), v))[0] for v in seeds.tolist()]
+    # Restarts on one graph are the parts of a union of its copies, all of one size.
+    out["copies"] = [stack_test_graphs()["weighted"]] * 7
     return out
 
 
-@pytest.mark.parametrize("name", ["unit", "weighted", "edgeless"])
+@pytest.mark.parametrize("name", ["unit", "weighted", "edgeless", "copies"])
 @pytest.mark.parametrize("spec", [CliqueLossSpec(beta=2.0), CliqueLossSpec()], ids=["opt-beta", "per-ball-beta"])
 @pytest.mark.parametrize("jitter", [0.0, 1.0])
 def test_union_parts_keep_their_own_bits(name, spec, jitter):

@@ -32,6 +32,7 @@ from cliquecut import (
     solve_max_clique,
     train_mpnn,
 )
+from cliquecut import solver
 
 from helpers import sparse_planted_clique
 
@@ -104,6 +105,22 @@ def test_partition_path_payload_is_golden(name):
     graph = gen_gnp(60, 0.1, np.random.default_rng(5))
     result = solve_local_partition(graph, 0, path_config(name))
     assert payload_sha256(result) == PARTITION_PATH_GOLDEN[name]
+
+
+def test_partition_mpnn_runs_one_forward_pass(monkeypatch):
+    # The golden was recorded when each of the 8 volume intervals ran its own pass.
+    seeds = []
+    forward = solver.mpnn_forward
+
+    def counted(graph, params, seed_node, **kwargs):
+        seeds.append(seed_node)
+        return forward(graph, params, seed_node, **kwargs)
+
+    monkeypatch.setattr(solver, "mpnn_forward", counted)
+    graph = gen_gnp(60, 0.1, np.random.default_rng(5))
+    result = solve_local_partition(graph, 0, path_config("mpnn"))
+    assert seeds == [0] and result.seeds_tried == 8
+    assert payload_sha256(result) == PARTITION_PATH_GOLDEN["mpnn"]
 
 
 def sparse_golden_graph(kind: str) -> Graph:

@@ -13,6 +13,7 @@ from cliquecut import (
     default_interval_schedule,
     gen_planted_clique,
     greedy_mis_complement,
+    induced,
     is_clique,
     set_weight,
     solve_local_partition,
@@ -202,7 +203,8 @@ def test_stacked_restarts_keep_clique_payloads(monkeypatch, restarts, weighted):
         for threads in (1, 2):
             assert solve_max_clique(g, replace(config, threads=threads)).payload() == default
         want = [min(chunk, restarts - start) for start in range(0, restarts, chunk)]
-        assert calls == want * 2
+        # With two threads the chunks run concurrently, in either order.
+        assert sorted(calls) == sorted(want * 2)
 
 
 def test_default_chunk_stacks_small_graphs_only(monkeypatch):
@@ -267,6 +269,20 @@ def test_ball_path_solves_top_core_balls(monkeypatch):
     assert calls == [[g.neighbors(v).size + 1 for v in planted[:4]]]
 
 
+def test_ball_chunks_fit_the_largest_ball(monkeypatch):
+    g, planted = sparse_planted_clique(np.random.default_rng(9), 3000, 10, 6)
+    config = SolveConfig(restarts=5, steps=20)
+    base = solve_max_clique(g, config).payload()
+    calls = counted_sizes(monkeypatch)
+    balls = [induced(g, np.append(g.neighbors(v), v))[0] for v in solver._seed_balls(g, 5).tolist()]
+    # Room for two of the largest ball's adjacency entries: chunks of 2, 2 and 1 balls.
+    monkeypatch.setattr(solver, "_STACK_ENTRIES", 2 * max(ball.rows.size for ball in balls) + 1)
+    for threads in (1, 2):
+        calls.clear()
+        assert solve_max_clique(g, replace(config, threads=threads)).payload() == base
+        assert sorted(calls) == sorted([[b.n for b in balls[i : i + 2]] for i in range(0, 5, 2)])
+
+
 def test_ball_path_payload_thread_invariant_and_budgeted():
     g, _ = sparse_planted_clique(np.random.default_rng(17), 2500, 10, 8)
     config = SolveConfig(restarts=6, steps=60, seed=4)
@@ -276,7 +292,7 @@ def test_ball_path_payload_thread_invariant_and_budgeted():
     assert base.volume == pytest.approx(volume(g, base.node_indices))
     for threads in (2, 4):
         assert solve_max_clique(g, replace(config, threads=threads)).payload() == base.payload()
-    # The direct producer's balls are one chunk, so even a zero budget runs them all.
+    # These balls are small enough to make one chunk, so even a zero budget runs them all.
     assert solve_max_clique(g, replace(config, time_budget=0.0)).payload() == base.payload()
 
 
@@ -308,7 +324,9 @@ def test_dense_shapes_keep_whole_graph_restarts(monkeypatch):
     for g in graphs:
         calls.clear()
         solve_max_clique(g, SolveConfig(steps=5))
-        assert calls and all(sizes == [g.n] for sizes in calls)
+        # Restarts run as the parts of a union of copies of the whole graph.
+        assert calls and all(size == g.n for sizes in calls for size in sizes)
+        assert sum(len(sizes) for sizes in calls) == SolveConfig().restarts
 
 
 def test_mpnn_producer_runs_with_params():
