@@ -159,7 +159,8 @@ class SolveResult:
 # loop on their disjoint union each, with R * 2E <= _STACK_ENTRIES (2E: the
 # largest unit's adjacency entries).  Restarts sharing a loop (then an (R, n)
 # stack) ran 2-4x as fast as one at a time at 2E = 2,000-5,000 on planted-clique
-# graphs but 0.95-1.08x at 2E = 32,000: above 2**14 entries a unit runs alone.
+# graphs but 0.95-1.08x at 2E = 32,000: above 2**14 entries a unit runs alone,
+# in the one-graph loop (see ``CliqueLossSpec.step_kernel``).
 _STACK_ENTRIES = 2**15
 
 
@@ -221,7 +222,9 @@ def _produce(
     without it the MPNN draws its seed from ``rng``.
     """
     if config.producer == "direct":
-        return optimize_direct(graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale, pin=seed_node)[0]
+        return optimize_direct(
+            graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale, pin=seed_node
+        )[0]
     if config.producer == "mpnn":
         return mpnn_forward(graph, config.mpnn, int(rng.integers(graph.n)) if seed_node is None else seed_node)
     return rng.random(graph.n)
@@ -258,6 +261,18 @@ def _solve(
         wall_time=time.perf_counter() - t0,
         **winner,
     )
+
+
+@dataclass(frozen=True)
+class _CliqueUnit:
+    """One restart or seed ball of a clique solve."""
+
+    name: str  # where the unit sits in the solve, for error messages
+    graph: Graph
+    index: np.ndarray | None  # node i of graph is the full graph's index[i]; None for the full graph
+    cert_params: CliqueLossParams
+    opt_params: CliqueLossParams
+    init_scale: float
 
 
 def _seed_balls(graph: Graph, count: int) -> np.ndarray | None:
@@ -321,16 +336,16 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     t0 = time.perf_counter()
     opt_spec = CliqueLossSpec(beta=config.opt_beta)
 
-    def outcome(g: Graph, index: np.ndarray | None, cert_params: CliqueLossParams, opt_params, p: np.ndarray):
-        """The best clique decoded from p on g, whose node i is the graph's ``index[i]``
-        (the identity when ``index`` is None), grown to a maximal clique of the graph."""
+    def outcome(unit: _CliqueUnit, p: np.ndarray):
+        """The best clique decoded from p on the unit's graph, grown to a maximal clique of the graph."""
+        g, index, cert_params = unit.graph, unit.index, unit.cert_params
         candidates: list[np.ndarray] = []
         if decode in ("conditional", "hybrid"):
             ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, cert_params))
             if is_clique(g, ns.mask):
                 candidates.append(ns.mask)
         if decode == "hybrid":
-            ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, opt_params))
+            ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, unit.opt_params))
             if is_clique(g, ns.mask):
                 candidates.append(ns.mask)
         if decode in ("hybrid", "sweep") or not candidates:
@@ -351,33 +366,37 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
             "gamma": cert_params.gamma,
         }
 
-    def unit(name: str, g: Graph, index: np.ndarray | None, scale: float) -> tuple:
-        """(name, graph, index, certificate params, optimization params, init scale) of one restart or ball."""
-        return name, g, index, CliqueLossParams.for_graph(g, gamma=config.gamma, beta=config.beta), opt_spec.resolve(g), scale
-
     seeds = _seed_balls(graph, config.restarts)
     if seeds is None:
-        units = [unit(f"in restart {i}", graph, None, 0.0 if i == 0 else config.init_jitter) for i in range(config.restarts)]
+        cert = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
+        opt = opt_spec.resolve(graph)
+        scales = [0.0] + [config.init_jitter] * (config.restarts - 1)
+        units = [_CliqueUnit(f"in restart {i}", graph, None, cert, opt, scale) for i, scale in enumerate(scales)]
     else:
-        balls = [(v, *induced(graph, np.append(graph.neighbors(v), v))) for v in seeds.tolist()]
-        units = [unit(f"on the seed ball of node {v}", ball, index, 0.0) for v, ball, index in balls]
+        units = []
+        for v in seeds.tolist():
+            ball, index = induced(graph, np.append(graph.neighbors(v), v))
+            cert = CliqueLossParams.for_graph(ball, gamma=config.gamma, beta=config.beta)
+            units.append(_CliqueUnit(f"on the seed ball of node {v}", ball, index, cert, opt_spec.resolve(ball), 0.0))
 
-    def worker(chunk: list, rngs: list[np.random.Generator]):
-        scales = [unit[5] for unit in chunk]
+    def worker(chunk: list[_CliqueUnit], rngs: list[np.random.Generator]):
         if config.producer != "direct":
-            ps = [_produce(unit[1], config, rng, opt_spec, scale) for unit, rng, scale in zip(chunk, rngs, scales)]
+            ps = [_produce(unit.graph, config, rng, opt_spec, unit.init_scale) for unit, rng in zip(chunk, rngs)]
         else:
-            union, offsets = disjoint_union([unit[1] for unit in chunk])
+            union, offsets = disjoint_union([unit.graph for unit in chunk])
+            scales = [unit.init_scale for unit in chunk]
             try:
-                ps, _ = optimize_direct(union, opt_spec, config.steps, lr=config.lr, rng=rngs, init_scale=scales, parts=offsets)
+                ps, _ = optimize_direct(
+                    union, opt_spec, config.steps, lr=config.lr, rng=rngs, init_scale=scales, parts=offsets
+                )
             except NonFiniteLossError as exc:
                 raise FloatingPointError(
-                    f"loss became {exc.value} at step {exc.step} {chunk[exc.row][0]}"
+                    f"loss became {exc.value} at step {exc.step} {chunk[exc.row].name}"
                     f" (opt_beta={config.opt_beta}, lr={config.lr})"
                 ) from None
-        return [outcome(*unit[1:5], p) for unit, p in zip(chunk, ps)]
+        return [outcome(unit, p) for unit, p in zip(chunk, ps)]
 
-    entries = max(1, *(unit[1].rows.size for unit in units))
+    entries = max(1, *(unit.graph.rows.size for unit in units))
     chunk = max(1, _STACK_ENTRIES // entries) if config.producer == "direct" else 1
     return _solve(graph, config, "clique", decode, units, worker, t0, chunk)
 

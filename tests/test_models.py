@@ -365,7 +365,7 @@ def test_one_restart_call_is_unchanged(name):
     assert all(type(value) is float for value in losses)
     assert_same_bits(p, want_p)
     assert_same_bits(losses, want_losses)
-    # The union of one graph is that graph; as one part it keeps the same bits.
+    # The union of one graph is that graph; as one part it runs the plain kernel.
     union, offsets = disjoint_union([g])
     assert union is g and offsets.tolist() == [0, g.n]
     (part_p,), (part_losses,) = optimize_direct(
@@ -373,7 +373,7 @@ def test_one_restart_call_is_unchanged(name):
     )
     unpinned_p, unpinned_losses = optimize_direct(g, spec, 30, lr=0.1, rng=np.random.default_rng(5), init_scale=1.0)
     assert_same_bits(part_p, unpinned_p)
-    assert part_losses == pytest.approx(unpinned_losses, rel=1e-12, abs=1e-12)
+    assert_same_bits(part_losses, unpinned_losses)
 
 
 def test_stacked_restarts_check_every_row():
@@ -476,7 +476,7 @@ def test_union_call_rejects_bad_parts():
         optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=offsets, pin=0)
     with pytest.raises(ValueError, match="an edge joins two parts"):
         optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=[0, 2, 7])
-    for parts in ([0, 3, 6], [0, 8, 7], [[0, 3, 7]]):
+    for parts in ([0, 3, 6], [0, 8, 7], [[0, 3, 7]], [0, 8]):
         with pytest.raises(ValueError, match="node offsets from 0 to 7"):
             optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=parts)
 
