@@ -160,7 +160,12 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
         default=SolveConfig.restarts,
         help="restarts over the whole graph; on a sparse clique instance, the number of seed balls instead",
     )
-    sub.add_argument("--steps", type=int, default=SolveConfig.steps)
+    sub.add_argument(
+        "--steps",
+        type=int,
+        default=SolveConfig.steps,
+        help="most Adam steps of the direct producer per restart, seed ball or interval; a partition interval stops early once its loss is flat",
+    )
     sub.add_argument("--lr", type=float, default=SolveConfig.lr)
     sub.add_argument("--opt-beta", type=float, default=SolveConfig.opt_beta, help="penalty weight used during optimization")
     sub.add_argument("--init-jitter", type=float, default=SolveConfig.init_jitter, help="logit noise spread for restarts after the first")

@@ -84,6 +84,12 @@ class SolveConfig:
     ``restarts`` is the number of restarts over the whole graph, except on
     a clique solve of a sparse graph, where it is the number of seed balls
     (see ``solve_max_clique``).
+
+    ``steps`` is the most Adam steps the direct producer takes per unit.  A
+    clique solve always takes all of them.  A partition interval stops at
+    the first multiple of 20 steps where its loss moved by at most 1e-6
+    times max(|loss|, 1) over the last 20 (``optimize_direct``'s ``rtol``),
+    with the p it would have after exactly that many steps.
     """
 
     producer: str = "direct"
@@ -163,6 +169,13 @@ class SolveResult:
 # in the one-graph loop (see ``CliqueLossSpec.step_kernel``).
 _STACK_ENTRIES = 2**15
 
+# The relative change over 20 steps below which a one-problem direct producer
+# stops (``optimize_direct``'s ``rtol``).  On the partition-local bench graphs
+# cut losses go flat long before step 300 and the stop kept every payload's
+# conductance and certificate; 1e-4 over 10 steps did not (it lost a
+# non-vacuous certificate on one seed).
+_STOP_RTOL = 1e-6
+
 
 def _run_indexed(worker, count: int, threads: int, time_budget: float | None) -> list:
     """Run worker(0..count-1); budget mode is serial and may stop early."""
@@ -219,11 +232,14 @@ def _produce(
     """One probability vector from the configured producer (checked by ``_check_config``).
 
     ``seed_node`` is pinned by the direct producer and seeds the MPNN;
-    without it the MPNN draws its seed from ``rng``.
+    without it the MPNN draws its seed from ``rng``.  The direct producer
+    stops once its loss is flat (``_STOP_RTOL``).  Only the partition
+    solver's direct producer comes here: the clique solver runs it on
+    unions of parts, which take no stop.
     """
     if config.producer == "direct":
         return optimize_direct(
-            graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale, pin=seed_node
+            graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale, pin=seed_node, rtol=_STOP_RTOL
         )[0]
     if config.producer == "mpnn":
         return mpnn_forward(graph, config.mpnn, int(rng.integers(graph.n)) if seed_node is None else seed_node)

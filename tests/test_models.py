@@ -233,6 +233,50 @@ def test_optimize_direct_cut_kernel_matches_public_loss():
     assert_same_run(fused, reference)
 
 
+def flat_cut_run(steps, **kwargs):
+    """A pinned cut-spec run on a weighted G(n, p) whose loss goes flat before step 300."""
+    g = random_graph(np.random.default_rng(12), 60, 0.1, weighted=True)
+    interval = VolumeConstraint(0.1 * g.degree.sum(), 0.2 * g.degree.sum())
+    pin = int(np.argmax(g.degree))
+    return optimize_direct(
+        g, CutLossSpec(interval), steps, lr=0.1, rng=np.random.default_rng(4), init_scale=1.0, pin=pin, **kwargs
+    )
+
+
+def test_optimize_direct_stop_is_a_fixed_run_of_that_length():
+    p, losses = flat_cut_run(300, rtol=1e-6)
+    steps = len(losses) - 1
+    assert 0 < steps < 300 and steps % 20 == 0
+    want_p, want_losses = flat_cut_run(steps)
+    assert_same_bits(p, want_p)
+    assert_same_bits(losses, want_losses)
+    # It stopped at the first multiple of 20 where the loss moved by at most rtol over 20 steps.
+    moved = [abs(losses[k] - losses[k - 20]) / max(abs(losses[k]), 1.0) for k in range(20, steps + 1, 20)]
+    assert moved[-1] <= 1e-6 and min(moved[:-1]) > 1e-6
+
+
+def test_optimize_direct_zero_rtol_takes_every_step():
+    p, losses = flat_cut_run(300, rtol=0.0)
+    want_p, want_losses = flat_cut_run(300)
+    assert len(losses) == 301
+    assert_same_bits(p, want_p)
+    assert_same_bits(losses, want_losses)
+
+
+def test_optimize_direct_rejects_bad_rtol_before_any_work():
+    class NoWork:
+        def step_kernel(self, graph, parts=None):
+            raise AssertionError("bound a kernel before rejecting rtol")
+
+    union, offsets = disjoint_union([complete_graph(3), path_graph(4)])
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="rtol does not apply to a union of parts"):
+        optimize_direct(union, NoWork(), 3, rng=rngs, parts=offsets, rtol=1e-6)
+    for bad in (-1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
+            optimize_direct(complete_graph(3), NoWork(), 3, rtol=bad)
+
+
 def previous_sigmoid(x):
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0

@@ -7,7 +7,8 @@ recorded before the two conditional-decode loops and the two producer
 dispatches were merged.  The training hashes (best weights and loss history
 of ``train_mpnn``) were recorded before message passing and the BFS were
 vectorized.  The sparse hashes were recorded before a clique solve's seed
-balls shared one Adam loop.  None may move under behaviour-preserving changes.  An intended
+balls shared one Adam loop.  The stop goldens were recorded when a partition
+interval's Adam loop began to stop once its loss was flat.  None may move under behaviour-preserving changes.  An intended
 payload change re-records them and says why in CHANGES.md.  The payloads carry
 float losses, so a numpy build whose elementwise ``exp`` rounds differently in
 the last bit can also move them.
@@ -42,6 +43,16 @@ CLIQUE_GOLDEN = {
     3: "47e9624443f07bbc55eb43fca6d3e7b744271f3fd6146d16afaa911ea5c8897d",
 }
 PARTITION_GOLDEN = "8e6b6810d5418ff27221f59a4e0c05c8bb52b8059c11995d7a04e80c92962348"
+
+# Partition solves where some interval's direct producer stops once its loss is
+# flat (``solver._STOP_RTOL``), by gen_gnp arguments.  The (60, 0.1, 5) graph is
+# PARTITION_GOLDEN's, whose payload the stop kept; on the (100, 0.05, 4) graph
+# the stop moves the reported loss (by about 1e-4), so that hash was recorded
+# with the stop and pins its rule.
+PARTITION_STOP_GOLDEN = {
+    (60, 0.1, 5): PARTITION_GOLDEN,
+    (100, 0.05, 4): "ae3e674a5df7f5b70975ccf565927350d2113bdef396748920d24e2fc4464c8d",
+}
 
 # Non-default paths, on the seed-1 clique instance and the partition instance.
 CLIQUE_PATH_GOLDEN = {
@@ -92,6 +103,23 @@ def test_clique_payload_is_golden(seed):
 def test_partition_payload_is_golden():
     graph = gen_gnp(60, 0.1, np.random.default_rng(5))
     assert payload_sha256(solve_local_partition(graph, 0)) == PARTITION_GOLDEN
+
+
+@pytest.mark.parametrize("args", sorted(PARTITION_STOP_GOLDEN))
+def test_partition_stop_payload_is_golden(monkeypatch, args):
+    stopped = []
+    optimize = solver.optimize_direct
+
+    def counted(graph, spec, steps, **kwargs):
+        p, losses = optimize(graph, spec, steps, **kwargs)
+        stopped.append(len(losses) < steps + 1)
+        return p, losses
+
+    monkeypatch.setattr(solver, "optimize_direct", counted)
+    n, p_edge, seed = args
+    result = solve_local_partition(gen_gnp(n, p_edge, np.random.default_rng(seed)), 0)
+    assert len(stopped) == 8 and any(stopped)
+    assert payload_sha256(result) == PARTITION_STOP_GOLDEN[args]
 
 
 @pytest.mark.parametrize("name", sorted(CLIQUE_PATH_GOLDEN))
