@@ -17,8 +17,10 @@ import numpy as np
 from .distributions import (
     CliqueLossParams,
     VolumeConstraint,
+    _cut_value,
     _penalty_value,
     check_probs,
+    expected_set_weight,
     sample,
     weighted_neighbor_sums,
 )
@@ -61,11 +63,10 @@ class _NeighborSums:
     def _start(self, p) -> np.ndarray:
         """Bind p; returns it as a float64 array and sets the edge term sum_ij w_ij p_i p_j."""
         probs = np.asarray(p, dtype=np.float64)
-        graph = self.graph
         self.p = probs.tolist()
-        self._sums = weighted_neighbor_sums(graph, probs)
+        self._sums = weighted_neighbor_sums(self.graph, probs)
         self.s = memoryview(self._sums)
-        self.edge_term = float(np.sum(graph.edge_w * probs[graph.edge_u] * probs[graph.edge_v]))
+        self.edge_term = expected_set_weight(self.graph, probs)
         return probs
 
     def _shift(self, i: int, d: float) -> None:
@@ -83,7 +84,8 @@ class CliquePenaltyObjective(_NeighborSums):
     """Incremental evaluator of the clique penalty expectation.
 
     Maintains per-node weighted neighbor sums plus the global probability
-    sums, so re-conditioning one node costs O(deg).
+    sums, so re-conditioning one node costs O(deg).  Values come from
+    ``clique_loss``'s helper, so ``start`` returns that loss bit for bit.
     """
 
     def __init__(self, graph: Graph, params: CliqueLossParams) -> None:
@@ -94,25 +96,21 @@ class CliquePenaltyObjective(_NeighborSums):
         probs = self._start(p)
         self.sum_p = float(probs.sum())
         self.sum_sq = float(np.sum(probs * probs))
-        # The constants of _penalty_value, hoisted out of the per-node work.
-        self._gamma = self.params.gamma
-        self._beta1 = self.params.beta + 1.0
-        self._half_beta = 0.5 * self.params.beta
         return self.value()
 
     def value(self) -> float:
         sp = self.sum_p
-        return self._gamma - self._beta1 * self.edge_term + self._half_beta * (sp * sp - self.sum_sq)
+        return _penalty_value(self.params.gamma, self.params.beta, self.edge_term, sp * sp - self.sum_sq)
 
     def branch(self, i: int) -> tuple[float, float]:
         old, s_i = self.p[i], self.s[i]
         edge, sp, sq, old_sq = self.edge_term, self.sum_p, self.sum_sq, old * old
-        gamma, beta1, half_beta = self._gamma, self._beta1, self._half_beta
+        gamma, beta = self.params.gamma, self.params.beta
         # The value with p_i set to v, for v = 1 and then v = 0 (1.0 and 0.0 stand for v * v).
         d = 1.0 - old
-        v_in = gamma - beta1 * (edge + d * s_i) + half_beta * ((sp + d) * (sp + d) - (sq + 1.0 - old_sq))
+        v_in = _penalty_value(gamma, beta, edge + d * s_i, (sp + d) * (sp + d) - (sq + 1.0 - old_sq))
         d = 0.0 - old
-        v_out = gamma - beta1 * (edge + d * s_i) + half_beta * ((sp + d) * (sp + d) - (sq + 0.0 - old_sq))
+        v_out = _penalty_value(gamma, beta, edge + d * s_i, (sp + d) * (sp + d) - (sq + 0.0 - old_sq))
         return v_in, v_out
 
     def commit(self, i: int, v: float) -> None:
@@ -127,7 +125,7 @@ class CliquePenaltyObjective(_NeighborSums):
 
 
 class CutObjective(_NeighborSums):
-    """Incremental evaluator of the expected cut (negated when maximizing)."""
+    """Incremental evaluator of ``expected_cut``, through its helper (negated when maximizing)."""
 
     def __init__(self, graph: Graph, *, maximize: bool = False) -> None:
         super().__init__(graph)
@@ -140,15 +138,15 @@ class CutObjective(_NeighborSums):
         return self.value()
 
     def value(self) -> float:
-        return self.sign * (self.vol_term - 2.0 * self.edge_term)
+        return self.sign * _cut_value(self.vol_term, self.edge_term)
 
     def branch(self, i: int) -> tuple[float, float]:
         old, s_i, deg_i = self.p[i], self.s[i], self._degree[i]
         vol, edge, sign = self.vol_term, self.edge_term, self.sign
         d_in, d_out = 1.0 - old, 0.0 - old
         return (
-            sign * (vol + d_in * deg_i - 2.0 * (edge + d_in * s_i)),
-            sign * (vol + d_out * deg_i - 2.0 * (edge + d_out * s_i)),
+            sign * _cut_value(vol + d_in * deg_i, edge + d_in * s_i),
+            sign * _cut_value(vol + d_out * deg_i, edge + d_out * s_i),
         )
 
     def commit(self, i: int, v: float) -> None:

@@ -4,6 +4,8 @@ A distribution is just a probability vector p; independence makes every
 objective of interest multilinear, so expectations and their gradients are
 closed-form edge scans.  This module holds the clique penalty loss, the cut
 and volume expectations, the volume rescaling recursion, and sampling.
+Each objective is written once: ``expected_set_weight`` and the ``_penalty_*``
+and ``_cut_*`` helpers serve every loss, step kernel and decode objective.
 """
 
 from __future__ import annotations
@@ -151,13 +153,27 @@ def _pair_sum(probs: np.ndarray) -> float:
     return s * s - float(np.sum(probs * probs))
 
 
-def _penalty_value(params: CliqueLossParams, ew: float, pairs: float) -> float:
-    """gamma - (beta + 1) * E[weight in S] + (beta / 2) * (ordered-pair mass).
+def _penalty_value(gamma, beta, ew, pairs):
+    """gamma - (beta + 1) * ew + (beta / 2) * pairs, elementwise on per-part arrays.
 
-    Only ``params.gamma`` and ``params.beta`` are read, so per-part arrays of
-    both, with arrays of ``ew`` and ``pairs``, give one value per part.
+    ew is E[weight in S] and pairs the ordered-pair mass sum_{i != j} p_i p_j.
     """
-    return params.gamma - (params.beta + 1.0) * ew + 0.5 * params.beta * pairs
+    return gamma - (beta + 1.0) * ew + 0.5 * beta * pairs
+
+
+def _penalty_gradient(beta, s: np.ndarray, total, p: np.ndarray) -> np.ndarray:
+    """-(beta + 1) * s + beta * (total - p), with s = A p and total = sum_j p_j (per node on a union)."""
+    return -(beta + 1.0) * s + beta * (total - p)
+
+
+def _cut_value(vol, ew):
+    """E of the cut weight from E[volume] and E[weight in S]."""
+    return vol - 2.0 * ew
+
+
+def _cut_gradient(degree: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d_i - 2 s_i, with s = A p."""
+    return degree - 2.0 * s
 
 
 def clique_violation_bound(graph: Graph, p) -> float:
@@ -180,12 +196,9 @@ def clique_loss(graph: Graph, p, params: CliqueLossParams) -> LossReport:
     probs = check_probs(graph, p)
     ew = expected_set_weight(graph, probs)
     pairs = _pair_sum(probs)
-    value = _penalty_value(params, ew, pairs)
-    s = weighted_neighbor_sums(graph, probs)
-    gradient = -(params.beta + 1.0) * s + params.beta * (probs.sum() - probs)
     return LossReport(
-        value=float(value),
-        gradient=gradient,
+        value=float(_penalty_value(params.gamma, params.beta, ew, pairs)),
+        gradient=_penalty_gradient(params.beta, weighted_neighbor_sums(graph, probs), probs.sum(), probs),
         terms={"expected_weight": float(ew), "violation_bound": float(0.5 * pairs - ew)},
     )
 
@@ -193,7 +206,7 @@ def clique_loss(graph: Graph, p, params: CliqueLossParams) -> LossReport:
 def expected_cut(graph: Graph, p) -> float:
     """E of the cut weight: sum_i d_i p_i - 2 * sum over edges of w_ij p_i p_j."""
     probs = check_probs(graph, p)
-    return float(graph.degree @ probs) - 2.0 * expected_set_weight(graph, probs)
+    return _cut_value(float(graph.degree @ probs), expected_set_weight(graph, probs))
 
 
 def expected_volume(graph: Graph, p) -> float:
@@ -206,10 +219,9 @@ def cut_loss(graph: Graph, p) -> LossReport:
     """Expected cut as a loss, with gradient d_i - 2 s_i."""
     probs = check_probs(graph, p)
     ec = expected_cut(graph, probs)
-    gradient = graph.degree - 2.0 * weighted_neighbor_sums(graph, probs)
     return LossReport(
         value=ec,
-        gradient=gradient,
+        gradient=_cut_gradient(graph.degree, weighted_neighbor_sums(graph, probs)),
         terms={"expected_cut": ec, "expected_volume": expected_volume(graph, probs)},
     )
 

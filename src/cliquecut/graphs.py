@@ -275,6 +275,16 @@ def conductance(graph: Graph, members) -> float:
     return cut_weight(graph, m) / vol
 
 
+def _row_targets(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """The CSR rows of a nonempty int64 array of ``nodes``, back to back, as one gather."""
+    starts = graph.offsets[nodes]
+    counts = graph.offsets[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    # Position j of the gathered block reads targets[starts[k] + j - (ends[k] - counts[k])].
+    index = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+    return graph.targets[index]
+
+
 def hop_distances(graph: Graph, source: int) -> np.ndarray:
     """BFS hop counts from ``source``; unreachable nodes get graph.n + 1.
 
@@ -295,12 +305,7 @@ def hop_distances(graph: Graph, source: int) -> np.ndarray:
     level = 0
     while frontier.size:
         level += 1
-        starts = graph.offsets[frontier]
-        counts = graph.offsets[frontier + 1] - starts
-        ends = np.cumsum(counts)
-        # Position j of the gathered block reads targets[starts[k] + j - (ends[k] - counts[k])].
-        index = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
-        reached = graph.targets[index]
+        reached = _row_targets(graph, frontier)
         if reached.size * 128 < graph.n:
             # Sorting a few nodes beats a pass over all n marks, which would
             # make a long path quadratic.
@@ -402,12 +407,7 @@ def core_numbers(graph: Graph) -> np.ndarray:
         while frontier.size:
             core[frontier] = k
             alive[frontier] = False
-            starts = graph.offsets[frontier]
-            counts = graph.offsets[frontier + 1] - starts
-            ends = np.cumsum(counts)
-            # The gather of hop_distances: the removed nodes' CSR rows, back to back.
-            index = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
-            reached = graph.targets[index]
+            reached = _row_targets(graph, frontier)
             touched, drops = np.unique(reached[alive[reached]], return_counts=True)
             deg[touched] -= drops
             low = deg[touched] <= k

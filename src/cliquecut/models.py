@@ -15,14 +15,16 @@ import sys
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from .distributions import (
     CliqueLossParams,
     VolumeConstraint,
+    _cut_gradient,
+    _cut_value,
     _neighbor_sums_kernel,
+    _penalty_gradient,
     _penalty_value,
     _rescale,
     # Unused here, but bench/spans.py wraps these three in this namespace by name.
@@ -96,8 +98,9 @@ class CliqueLossSpec:
 
         The kernel trusts p (no validation, no LossReport) and needs one
         neighbour-sum pass s = A p, taking E[weight in S] = p.s / 2 instead of
-        a second edge scan.  Its gradient is bit-identical to ``clique_loss``'s;
-        its value agrees up to rounding in the summation order.
+        a second edge scan.  It calls the helpers ``clique_loss`` calls, so its
+        gradient is bit-identical to ``clique_loss``'s and its value differs
+        only by the rounding of p.s / 2 against the edge scan.
         ``neighbor_sums`` is ``_neighbor_sums_kernel(graph)``, built here
         unless a caller that binds many kernels to one graph passes it in.
 
@@ -120,8 +123,8 @@ class CliqueLossSpec:
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
             s = neighbor_sums(p)
             total = p.sum()
-            value = _penalty_value(params, 0.5 * float(p @ s), float(total * total - p @ p))
-            return value, -(params.beta + 1.0) * s + params.beta * (total - p)
+            value = _penalty_value(params.gamma, params.beta, 0.5 * float(p @ s), float(total * total - p @ p))
+            return value, _penalty_gradient(params.beta, s, total, p)
 
         return step
 
@@ -142,8 +145,8 @@ class CliqueLossSpec:
         # one block, in that part's own order: the same total weight bits.
         ends = np.searchsorted(graph.edge_u, parts).tolist()
         resolved = [self._resolve(float(graph.edge_w[a:b].sum())) for a, b in zip(ends, ends[1:])]
-        params = SimpleNamespace(gamma=np.array([q.gamma for q in resolved]), beta=np.array([q.beta for q in resolved]))
-        beta = params.beta[part_of]
+        gamma, beta = np.array([q.gamma for q in resolved]), np.array([q.beta for q in resolved])
+        node_beta = beta[part_of]
         slices = [slice(a, b) for a, b in zip(parts.tolist(), parts[1:].tolist())]
         # Parts of one size (restarts on copies of a graph) sum as the rows of one
         # reshape, each pairwise as ``p.sum()`` sums: the same bits in one call.
@@ -154,8 +157,8 @@ class CliqueLossSpec:
             total = p.reshape(-1, size).sum(axis=1) if size else np.array([np.add.reduce(p[part]) for part in slices])
             ps = np.bincount(part_of, weights=p * s, minlength=sizes.size)
             pp = np.bincount(part_of, weights=p * p, minlength=sizes.size)
-            value = _penalty_value(params, 0.5 * ps, total * total - pp)
-            return value, -(beta + 1.0) * s + beta * (total[part_of] - p)
+            value = _penalty_value(gamma, beta, 0.5 * ps, total * total - pp)
+            return value, _penalty_gradient(node_beta, s, total[part_of], p)
 
         return step
 
@@ -174,9 +177,10 @@ class CutLossSpec:
     def step_kernel(self, graph: Graph, neighbor_sums=None):
         """Bind the loss to ``graph``: an unvalidated p -> (value, gradient) kernel.
 
-        After rescaling p to q, the value is d.q - q.s (the expected cut, with
-        s = A q) and the gradient is (d - 2 s) * scale, bit-identical to
-        ``cut_loss(graph, q).gradient * scale``.  The rescale runs the loop of
+        After rescaling p to q, the value is the expected cut with E[weight in
+        S] = q.s / 2 (s = A q) and the gradient is (d - 2 s) * scale, from the
+        helpers ``cut_loss`` calls: bit-identical to ``cut_loss(graph,
+        q).gradient * scale``.  The rescale runs the loop of
         ``rescale_to_target`` without its validation: p comes from a sigmoid or
         the MPNN, the degrees were validated with the graph, and the target is
         a ``VolumeConstraint`` midpoint, which is positive.  The loop still
@@ -192,8 +196,7 @@ class CutLossSpec:
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
             q, scale, _ = _rescale(p, degree, target)
             s = neighbor_sums(q)
-            value = float(degree @ q) - float(q @ s)
-            return value, (degree - 2.0 * s) * scale
+            return _cut_value(float(degree @ q), 0.5 * float(q @ s)), _cut_gradient(degree, s) * scale
 
         return step
 
@@ -304,10 +307,11 @@ def optimize_direct(
 
     Each step calls the spec's ``step_kernel``, bound once per call, which
     skips validation and takes E[weight in S] = p.s / 2 from the one
-    neighbour-sum pass s = A p.  The probabilities are bit-identical to
-    stepping on the validated public losses (``clique_loss``, ``cut_loss``);
-    the recorded losses can differ from theirs by rounding (measured at most
-    2e-15 relative, 9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
+    neighbour-sum pass s = A p.  The kernels call the helpers of the
+    validated losses (``clique_loss``, ``cut_loss``), so the probabilities
+    are bit-identical to stepping on those; the recorded losses can differ
+    from theirs by rounding (measured at most 2e-15 relative, 9e-13
+    absolute, on G(n, p) graphs with n from 50 to 1000).
 
     Raises:
         ValueError: on a list ``rng`` without ``parts``, on ``parts``
@@ -628,8 +632,8 @@ def train_mpnn(
 
     Raises:
         ValueError: before any work, on ``epochs < 0``, ``batch_size < 1``,
-            an ``lr`` that is not finite and positive, or a corpus without
-            training graphs.
+            an ``lr`` that is not finite and positive, a corpus without
+            training graphs, or a train or val graph without nodes.
     """
     if epochs < 0:
         raise ValueError(f"need epochs >= 0, got {epochs}")
@@ -642,6 +646,9 @@ def train_mpnn(
     val_graphs = [g for g, s in zip(corpus.graphs, corpus.splits) if s == "val"]
     if not train_graphs:
         raise ValueError("corpus has no graphs in the train split")
+    for g, name, split in zip(corpus.graphs, corpus.names, corpus.splits):
+        if g.n == 0 and split in ("train", "val"):
+            raise ValueError(f"graph {name!r} in the {split} split has no nodes to seed the network at")
     params = init.copy() if init is not None else MpnnParams.init(rng, hidden, layers)
     state = optimizer_state if optimizer_state is not None else OptimState(lr=lr)
     hops = max(params.layers, 1)

@@ -221,31 +221,6 @@ def _check_config(config: SolveConfig) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _produce(
-    graph: Graph,
-    config: SolveConfig,
-    rng: np.random.Generator,
-    loss_spec,
-    init_scale: float,
-    seed_node: int | None = None,
-) -> np.ndarray:
-    """One probability vector from the configured producer (checked by ``_check_config``).
-
-    ``seed_node`` is pinned by the direct producer and seeds the MPNN;
-    without it the MPNN draws its seed from ``rng``.  The direct producer
-    stops once its loss is flat (``_STOP_RTOL``).  Only the partition
-    solver's direct producer comes here: the clique solver runs it on
-    unions of parts, which take no stop.
-    """
-    if config.producer == "direct":
-        return optimize_direct(
-            graph, loss_spec, config.steps, lr=config.lr, rng=rng, init_scale=init_scale, pin=seed_node, rtol=_STOP_RTOL
-        )[0]
-    if config.producer == "mpnn":
-        return mpnn_forward(graph, config.mpnn, int(rng.integers(graph.n)) if seed_node is None else seed_node)
-    return rng.random(graph.n)
-
-
 def _solve(
     graph: Graph, config: SolveConfig, problem: str, decode: str, units, worker, t0: float, chunk: int = 1
 ) -> SolveResult:
@@ -356,12 +331,9 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         """The best clique decoded from p on the unit's graph, grown to a maximal clique of the graph."""
         g, index, cert_params = unit.graph, unit.index, unit.cert_params
         candidates: list[np.ndarray] = []
-        if decode in ("conditional", "hybrid"):
-            ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, cert_params))
-            if is_clique(g, ns.mask):
-                candidates.append(ns.mask)
-        if decode == "hybrid":
-            ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, unit.opt_params))
+        conditional = {"conditional": [cert_params], "hybrid": [cert_params, unit.opt_params]}.get(decode, [])
+        for params in conditional:
+            ns, _ = decode_conditional(g, p, CliquePenaltyObjective(g, params))
             if is_clique(g, ns.mask):
                 candidates.append(ns.mask)
         if decode in ("hybrid", "sweep") or not candidates:
@@ -396,8 +368,11 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
             units.append(_CliqueUnit(f"on the seed ball of node {v}", ball, index, cert, opt_spec.resolve(ball), 0.0))
 
     def worker(chunk: list[_CliqueUnit], rngs: list[np.random.Generator]):
-        if config.producer != "direct":
-            ps = [_produce(unit.graph, config, rng, opt_spec, unit.init_scale) for unit, rng in zip(chunk, rngs)]
+        if config.producer == "mpnn":
+            # The network is conditioned on a seed node drawn from the unit's stream.
+            ps = [mpnn_forward(u.graph, config.mpnn, int(rng.integers(u.graph.n))) for u, rng in zip(chunk, rngs)]
+        elif config.producer == "uniform":
+            ps = [rng.random(unit.graph.n) for unit, rng in zip(chunk, rngs)]
         else:
             union, offsets = disjoint_union([unit.graph for unit in chunk])
             scales = [unit.init_scale for unit in chunk]
@@ -504,14 +479,20 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
     shared = mpnn_forward(graph, config.mpnn, seed_node) if config.producer == "mpnn" else None
 
     def interval_outcome(vc: VolumeConstraint, rng: np.random.Generator):
-        # The symmetric p = 0.5 start is a stationary point of the cut loss
-        # (every node sees half its degree on each side), so the direct
-        # producer always jitters here, unlike the clique path.  Pinning the
-        # seed keeps the optimizer on the seed's side of the graph; decode
-        # forces the seed into the set regardless.
-        p = shared
-        if p is None:
-            p = _produce(graph, config, rng, CutLossSpec(vc), max(config.init_jitter, 1e-3), seed_node)
+        if shared is not None:
+            p = shared
+        elif config.producer == "direct":
+            # The symmetric p = 0.5 start is a stationary point of the cut loss
+            # (every node sees half its degree on each side), so the direct
+            # producer always jitters here, unlike the clique path.  Pinning the
+            # seed keeps the optimizer on the seed's side of the graph; decode
+            # forces the seed into the set regardless.
+            p, _ = optimize_direct(
+                graph, CutLossSpec(vc), config.steps, lr=config.lr, rng=rng,
+                init_scale=max(config.init_jitter, 1e-3), pin=seed_node, rtol=_STOP_RTOL,
+            )
+        else:
+            p = rng.random(graph.n)
         q = rescale_to_target(p, graph.degree, vc.target)
         loss_value = expected_cut(graph, q)
         if decode == "conditional":

@@ -505,6 +505,17 @@ def test_benchmark_all_graphs_with_empty_split(small_corpus, capsys):
 # train
 
 
+def test_train_rejects_corpus_with_empty_graph(tmp_path, capsys):
+    corpus_dir = tmp_path / "empty"
+    run(capsys, ["generate", "--kind", "gnp", "--count", "2", "--nodes", "0",
+                 "--splits", "none", "--out", str(corpus_dir)])
+    ckpt = tmp_path / "c.npz"
+    code, _, err = run(capsys, ["train", "--corpus", str(corpus_dir), "--epochs", "1", "--out", str(ckpt)])
+    assert code != 0
+    assert "graph 'gnp-000' in the train split has no nodes" in err
+    assert not ckpt.exists()
+
+
 def test_train_and_reuse_checkpoint(tmp_path, capsys):
     corpus_dir = tmp_path / "train-corpus"
     run(capsys, ["generate", "--count", "3", "--nodes", "8", "--prob", "0.6",

@@ -51,7 +51,7 @@ def test_conditional_path_monotone_and_consistent():
         members, trace = decode_conditional(g, p, objective)
         path = trace.expectation_path
         assert path.shape == (n + 1,)
-        assert path[0] == pytest.approx(clique_loss(g, p, params).value, abs=1e-9)
+        assert path[0] == clique_loss(g, p, params).value
         assert np.all(np.diff(path) <= 1e-9)
         # Final entry is the loss of the integral indicator.
         ind = np.zeros(n)
@@ -290,8 +290,8 @@ def test_cut_objective_maximize_sign():
     p = np.array([0.5, 0.5, 0.5])
     mini = CutObjective(g)
     maxi = CutObjective(g, maximize=True)
-    assert mini.start(p) == pytest.approx(expected_cut(g, p))
-    assert maxi.start(p) == pytest.approx(-expected_cut(g, p))
+    assert mini.start(p) == expected_cut(g, p)
+    assert maxi.start(p) == -expected_cut(g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ class _ReferenceCliqueObjective:
 
     def value(self):
         pairs = self.sum_p * self.sum_p - self.sum_sq
-        return _penalty_value(self.params, self.edge_term, pairs)
+        return _penalty_value(self.params.gamma, self.params.beta, self.edge_term, pairs)
 
     def _value_with(self, i, v):
         old = self.p[i]
@@ -327,7 +327,7 @@ class _ReferenceCliqueObjective:
         edge = self.edge_term + d * self.s[i]
         sp = self.sum_p + d
         sq = self.sum_sq + v * v - old * old
-        return _penalty_value(self.params, edge, sp * sp - sq)
+        return _penalty_value(self.params.gamma, self.params.beta, edge, sp * sp - sq)
 
     def branch(self, i):
         return self._value_with(i, 1.0), self._value_with(i, 0.0)

@@ -767,6 +767,22 @@ def test_train_mpnn_requires_train_split():
         train_mpnn(corpus, CliqueLossSpec(), epochs=1)
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_mpnn_rejects_empty_graph_before_any_work(split):
+    corpus = _tiny_corpus([complete_graph(3), Graph(0, [], [], [])], ["train", split])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"graph 'g1' in the {split} split has no nodes"):
+        train_mpnn(corpus, CliqueLossSpec(), epochs=1, rng=rng)
+    assert rng.bit_generator.state == before
+
+
+def test_train_mpnn_ignores_empty_test_graph():
+    corpus = _tiny_corpus([complete_graph(3), Graph(0, [], [], [])], ["train", "test"])
+    result = train_mpnn(corpus, CliqueLossSpec(), epochs=1, hidden=4, layers=1, rng=np.random.default_rng(0))
+    assert len(result.history["train"]) == 1
+
+
 def test_train_mpnn_tracks_validation():
     rng = np.random.default_rng(9)
     graphs = [random_graph(rng, 8, density=0.5) for _ in range(4)]
