@@ -48,37 +48,39 @@ def check_probs(graph_or_n, p) -> np.ndarray:
     return probs
 
 
-def weighted_neighbor_sums(graph: Graph, p: np.ndarray) -> np.ndarray:
-    """s_i = sum over neighbors j of w_ij * p_j."""
-    sums = np.bincount(graph.rows, weights=graph.weights * p[graph.targets], minlength=graph.n)
-    # bincount returns int64 when the graph has no edges; keep the dtype stable.
-    return sums.astype(np.float64, copy=False)
+def weighted_neighbor_sums(graph: Graph, p) -> np.ndarray:
+    """s_i = sum over neighbors j of w_ij * p_j, as float64, from the graph's ``_neighbor_sums_kernel``."""
+    return _neighbor_sums_kernel(graph)(np.asarray(p, dtype=np.float64))
 
 
 def _neighbor_sums_kernel(graph: Graph):
-    """``weighted_neighbor_sums`` bound to ``graph`` for repeated calls, with the same bits.
+    """The graph's s = A p kernel, float64 p -> float64 sums; built once, kept on ``graph._sums``.
 
-    bincount adds each node's terms in adjacency order, and when those terms
-    are consecutive every add waits for the one before.  Listing the
+    A bincount over the CSR rows adds each node's terms in adjacency order,
+    one after another, so every add waits for the one before.  Listing the
     adjacency rank by rank (each node's first neighbour, then each node's
-    second, ...) keeps every node's own order, so the sums are unchanged,
-    while consecutive adds land on different nodes.  The ranks are sorted in
-    the narrowest unsigned dtype that holds them, where numpy's stable sort
-    is a radix sort, with the same order as the int64 sort.
+    second, ...) keeps every node's own order, so the sums have that
+    bincount's bits, while consecutive adds land on different nodes.  The
+    ranks are sorted in the narrowest unsigned dtype that holds them, where
+    numpy's stable sort is a radix sort, with the same order as the int64
+    sort.  The kernel holds 24 bytes per adjacency entry; threads racing
+    here keep one of two identical kernels.
     """
-    rank = np.arange(graph.rows.size) - graph.offsets[graph.rows]
-    order = np.argsort(rank.astype(np.min_scalar_type(rank.max(initial=0))), kind="stable")
-    rows, targets, weights, n = graph.rows[order], graph.targets[order], graph.weights[order], graph.n
+    if graph._sums is None:
+        rank = np.arange(graph.rows.size) - graph.offsets[graph.rows]
+        order = np.argsort(rank.astype(np.min_scalar_type(rank.max(initial=0))), kind="stable")
+        rows, targets, weights, n = graph.rows[order], graph.targets[order], graph.weights[order], graph.n
 
-    def sums(p: np.ndarray) -> np.ndarray:
-        # One temporary, multiplied in place: with a second one for the
-        # product the call took about 1.8x as long on 30,000 entries.
-        terms = p.take(targets)
-        terms *= weights
-        # bincount returns int64 when there are no edges to weight.
-        return np.bincount(rows, weights=terms, minlength=n).astype(np.float64, copy=False)
+        def sums(p: np.ndarray) -> np.ndarray:
+            # One temporary, multiplied in place: with a second one for the
+            # product the call took about 1.8x as long on 30,000 entries.
+            terms = p.take(targets)
+            terms *= weights
+            # bincount returns int64 when there are no edges to weight.
+            return np.bincount(rows, weights=terms, minlength=n).astype(np.float64, copy=False)
 
-    return sums
+        graph._sums = sums
+    return graph._sums
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,9 @@ class Graph:
     Edges are stored in both directions (CSR adjacency) for O(deg) neighbor
     scans, and once as a sorted u < v edge list for serialization and
     edge-parallel numpy work.  ``degree`` is the weighted degree; the
-    combinatorial degree is ``np.diff(offsets)``.  ``_digest`` memoizes
-    ``graph_digest`` and ``_layout`` memoizes ``gather_layout``; the arrays
-    are read-only, so neither can go stale.
+    combinatorial degree is ``np.diff(offsets)``.  ``_digest``, ``_layout``
+    and ``_sums`` memoize ``graph_digest``, ``gather_layout`` and the
+    neighbour-sum kernel; the arrays are read-only, so none can go stale.
     """
 
     __slots__ = (
@@ -87,6 +87,7 @@ class Graph:
         "total_weight",
         "_digest",
         "_layout",
+        "_sums",
     )
 
     def __init__(self, n: int, edge_u, edge_v, edge_w) -> None:
@@ -153,8 +154,7 @@ class Graph:
         self.rows = src
         self.degree = np.bincount(src, weights=ww, minlength=n)
         self.total_weight = float(w.sum())
-        self._digest: str | None = None
-        self._layout: tuple[list[np.ndarray], np.ndarray | None] | None = None
+        self._digest = self._layout = self._sums = None
         for name in ("offsets", "targets", "weights", "rows", "edge_u", "edge_v", "edge_w", "degree"):
             getattr(self, name).setflags(write=False)
 

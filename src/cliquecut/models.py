@@ -93,16 +93,15 @@ class CliqueLossSpec:
         gamma = min(default, self.beta) if self.gamma is None else self.gamma
         return CliqueLossParams(gamma=gamma, beta=self.beta)
 
-    def step_kernel(self, graph: Graph, neighbor_sums=None, parts=None):
+    def step_kernel(self, graph: Graph, parts=None):
         """Bind the loss to ``graph`` for an optimizer loop: returns p -> (value, gradient).
 
         The kernel trusts p (no validation, no LossReport) and needs one
         neighbour-sum pass s = A p, taking E[weight in S] = p.s / 2 instead of
         a second edge scan.  It calls the helpers ``clique_loss`` calls, so its
         gradient is bit-identical to ``clique_loss``'s and its value differs
-        only by the rounding of p.s / 2 against the edge scan.
-        ``neighbor_sums`` is ``_neighbor_sums_kernel(graph)``, built here
-        unless a caller that binds many kernels to one graph passes it in.
+        only by the rounding of p.s / 2 against the edge scan.  s comes from
+        the ``_neighbor_sums_kernel`` kept on the graph, built once for it.
 
         ``parts`` binds the loss to each part of a disjoint union instead:
         node offsets as ``graphs.disjoint_union`` returns them.  The kernel
@@ -115,9 +114,9 @@ class CliqueLossSpec:
         The part values add p.s and p.p in node order instead of by ``@``.
         A single part, ``[0, n]``, binds the plain kernel.
         """
-        neighbor_sums = neighbor_sums or _neighbor_sums_kernel(graph)
         if parts is not None:
-            return self._union_kernel(graph, neighbor_sums, np.asarray(parts, dtype=np.int64))
+            return self._union_kernel(graph, np.asarray(parts, dtype=np.int64))
+        neighbor_sums = _neighbor_sums_kernel(graph)
         params = self.resolve(graph)
 
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
@@ -128,7 +127,7 @@ class CliqueLossSpec:
 
         return step
 
-    def _union_kernel(self, graph: Graph, neighbor_sums, parts: np.ndarray):
+    def _union_kernel(self, graph: Graph, parts: np.ndarray):
         """``step_kernel`` on the parts of a disjoint union (see there)."""
         sizes = np.diff(parts)
         if parts.ndim != 1 or parts.size < 2 or parts[0] != 0 or parts[-1] != graph.n or np.any(sizes < 0):
@@ -137,7 +136,7 @@ class CliqueLossSpec:
             # The graph itself: its plain kernel, whose value is one float.  The
             # union's bookkeeping took a step from 170 to 190 us on a 400-node
             # graph with 2E = 32,000 (2-core VM, numpy 2.4).
-            return self.step_kernel(graph, neighbor_sums)
+            return self.step_kernel(graph)
         part_of = np.repeat(np.arange(sizes.size), sizes)
         if np.any(part_of[graph.edge_u] != part_of[graph.edge_v]):
             raise ValueError("an edge joins two parts")
@@ -151,6 +150,7 @@ class CliqueLossSpec:
         # Parts of one size (restarts on copies of a graph) sum as the rows of one
         # reshape, each pairwise as ``p.sum()`` sums: the same bits in one call.
         size = int(sizes[0]) if np.all(sizes == sizes[0]) else 0
+        neighbor_sums = _neighbor_sums_kernel(graph)
 
         def step(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s = neighbor_sums(p)
@@ -174,7 +174,7 @@ class CutLossSpec:
 
     interval: VolumeConstraint | None = None
 
-    def step_kernel(self, graph: Graph, neighbor_sums=None):
+    def step_kernel(self, graph: Graph):
         """Bind the loss to ``graph``: an unvalidated p -> (value, gradient) kernel.
 
         After rescaling p to q, the value is the expected cut with E[weight in
@@ -185,13 +185,13 @@ class CutLossSpec:
         the MPNN, the degrees were validated with the graph, and the target is
         a ``VolumeConstraint`` midpoint, which is positive.  The loop still
         raises ``ValueError`` on a non-finite p, which an overflowing MPNN can
-        produce.  ``neighbor_sums`` is as for ``CliqueLossSpec.step_kernel``.
+        produce.  s is as for ``CliqueLossSpec.step_kernel``.
         """
         if self.interval is None:
             raise ValueError("cut loss evaluation requires a bound volume interval")
         target = self.interval.target
         degree = graph.degree
-        neighbor_sums = neighbor_sums or _neighbor_sums_kernel(graph)
+        neighbor_sums = _neighbor_sums_kernel(graph)
 
         def step(p: np.ndarray) -> tuple[float, np.ndarray]:
             q, scale, _ = _rescale(p, degree, target)
@@ -584,26 +584,19 @@ def _draw_interval(graph: Graph, seed: int, hops: int, rng: np.random.Generator)
 
 
 def _pick_seed(graph: Graph, rng: np.random.Generator, need_degree: bool) -> int:
-    if not need_degree:
-        return int(rng.integers(graph.n))
-    eligible = np.flatnonzero(graph.degree > 0.0)
-    if eligible.size == 0:
-        raise ValueError("graph has no edges; cannot train a cut objective on it")
-    return int(rng.choice(eligible))
+    return int(rng.choice(np.flatnonzero(graph.degree > 0.0))) if need_degree else int(rng.integers(graph.n))
 
 
-def _sample_context(loss_spec, graph: Graph, neighbor_sums, rng: np.random.Generator, hops: int):
+def _sample_context(loss_spec, graph: Graph, rng: np.random.Generator, hops: int):
     """Pick a seed and bind the loss kernel for one training or validation pass.
 
     A cut spec without a pinned interval gets one drawn around the seed.
-    ``neighbor_sums`` is the graph's ``_neighbor_sums_kernel``, built once
-    per graph for the whole run.
     """
     cut = isinstance(loss_spec, CutLossSpec)
     seed = _pick_seed(graph, rng, need_degree=cut)
     if cut and loss_spec.interval is None:
         loss_spec = CutLossSpec(_draw_interval(graph, seed, hops, rng))
-    return seed, loss_spec.step_kernel(graph, neighbor_sums)
+    return seed, loss_spec.step_kernel(graph)
 
 
 def train_mpnn(
@@ -628,12 +621,14 @@ def train_mpnn(
     distances; without a validation split the training loss is used
     instead.  Every forward and backward pass on one graph, over all epochs,
     gathers through the ``gather_layout`` kept on that graph.  Losses come
-    from the spec's ``step_kernel``, as in ``optimize_direct``.
+    from the spec's ``step_kernel``, as in ``optimize_direct``; its
+    neighbour sums are built once per graph and kept there.
 
     Raises:
         ValueError: before any work, on ``epochs < 0``, ``batch_size < 1``,
             an ``lr`` that is not finite and positive, a corpus without
-            training graphs, or a train or val graph without nodes.
+            training graphs, a train or val graph without nodes, or, for a
+            ``CutLossSpec``, a train or val graph without edges to seed at.
     """
     if epochs < 0:
         raise ValueError(f"need epochs >= 0, got {epochs}")
@@ -646,18 +641,20 @@ def train_mpnn(
     val_graphs = [g for g, s in zip(corpus.graphs, corpus.splits) if s == "val"]
     if not train_graphs:
         raise ValueError("corpus has no graphs in the train split")
+    cut = isinstance(loss_spec, CutLossSpec)
     for g, name, split in zip(corpus.graphs, corpus.names, corpus.splits):
-        if g.n == 0 and split in ("train", "val"):
+        if split in ("train", "val") and g.n == 0:
             raise ValueError(f"graph {name!r} in the {split} split has no nodes to seed the network at")
+        if split in ("train", "val") and cut and g.num_edges == 0:
+            raise ValueError(f"graph {name!r} in the {split} split has no edges to seed a cut objective at")
     params = init.copy() if init is not None else MpnnParams.init(rng, hidden, layers)
     state = optimizer_state if optimizer_state is not None else OptimState(lr=lr)
     hops = max(params.layers, 1)
 
     val_ctx = []
     for g in val_graphs:
-        seed, step = _sample_context(loss_spec, g, _neighbor_sums_kernel(g), rng, hops)
+        seed, step = _sample_context(loss_spec, g, rng, hops)
         val_ctx.append((g, seed, step, _forward_context(g, seed)))
-    train_sums = [_neighbor_sums_kernel(g) for g in train_graphs]
     history: dict[str, list[float]] = {"train": [], "val": []}
     best_params, best_score = params.copy(), np.inf
     for _ in range(epochs):
@@ -668,7 +665,7 @@ def train_mpnn(
             acc: dict[str, np.ndarray] = {}
             for j in batch:
                 g = train_graphs[int(j)]
-                seed, step = _sample_context(loss_spec, g, train_sums[int(j)], rng, hops)
+                seed, step = _sample_context(loss_spec, g, rng, hops)
                 p, cache = mpnn_forward(g, params, seed, want_cache=True)
                 value, gradient = step(p)
                 epoch_losses.append(value)

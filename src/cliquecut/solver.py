@@ -453,8 +453,8 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
     decode = config.decode or "conditional"
     if decode not in ("conditional", "sampled"):
         raise ValueError(f"unknown partition decode {decode!r}")
-    if config.num_intervals < 1:
-        raise ValueError("need at least one volume interval (num_intervals >= 1)")
+    if config.num_intervals < 1 or (config.intervals is not None and not config.intervals):
+        raise ValueError("need at least one volume interval (num_intervals >= 1 and intervals not empty)")
     if config.k_samples < 1:
         raise ValueError("need at least one sample (k_samples >= 1)")
     _check_config(config)

@@ -56,6 +56,16 @@ def sparse_planted_clique(rng: np.random.Generator, n: int, k: int, mean_degree:
     return Graph(n, keys // n, keys % n, np.ones(keys.size)), planted
 
 
+def reference_neighbor_sums(graph: Graph, p: np.ndarray) -> np.ndarray:
+    """s = A p as one bincount over the CSR rows: each node adds w_ij * p_j in adjacency order.
+
+    bincount returns int64 when the graph has no edges to weight, so the
+    result is cast to float64, as every neighbour sum of the library is.
+    """
+    sums = np.bincount(graph.rows, weights=graph.weights * p[graph.targets], minlength=graph.n)
+    return sums.astype(np.float64, copy=False)
+
+
 def naive_max_clique(graph: Graph) -> tuple[float, tuple[int, ...]]:
     """Reference maximum-weight clique by full subset enumeration.
 

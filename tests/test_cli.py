@@ -516,6 +516,18 @@ def test_train_rejects_corpus_with_empty_graph(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_train_cut_rejects_corpus_with_edgeless_graph(tmp_path, capsys):
+    corpus_dir = tmp_path / "edgeless"
+    run(capsys, ["generate", "--kind", "gnp", "--count", "2", "--nodes", "4", "--prob", "0",
+                 "--splits", "none", "--out", str(corpus_dir)])
+    ckpt = tmp_path / "c.npz"
+    argv = ["train", "--corpus", str(corpus_dir), "--objective", "cut", "--epochs", "1", "--out", str(ckpt)]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "graph 'gnp-000' in the train split has no edges" in err
+    assert not ckpt.exists()
+
+
 def test_train_and_reuse_checkpoint(tmp_path, capsys):
     corpus_dir = tmp_path / "train-corpus"
     run(capsys, ["generate", "--count", "3", "--nodes", "8", "--prob", "0.6",

@@ -23,9 +23,9 @@ from cliquecut import (
     volume,
 )
 from cliquecut.decoding import _visit_order
-from cliquecut.distributions import _penalty_value, weighted_neighbor_sums
+from cliquecut.distributions import _penalty_value
 
-from helpers import complete_graph, path_graph, random_graph, two_triangles
+from helpers import complete_graph, path_graph, random_graph, reference_neighbor_sums, two_triangles
 
 
 def _clique_objective(graph, gamma=None, beta=None):
@@ -309,7 +309,7 @@ class _ReferenceCliqueObjective:
 
     def start(self, p):
         self.p = np.asarray(p, dtype=np.float64).copy()
-        self.s = weighted_neighbor_sums(self.graph, self.p)
+        self.s = reference_neighbor_sums(self.graph, self.p)
         self.edge_term = float(
             np.sum(self.graph.edge_w * self.p[self.graph.edge_u] * self.p[self.graph.edge_v])
         )
@@ -351,7 +351,7 @@ class _ReferenceCutObjective:
 
     def start(self, p):
         self.p = np.asarray(p, dtype=np.float64).copy()
-        self.s = weighted_neighbor_sums(self.graph, self.p)
+        self.s = reference_neighbor_sums(self.graph, self.p)
         self.edge_term = float(
             np.sum(self.graph.edge_w * self.p[self.graph.edge_u] * self.p[self.graph.edge_v])
         )

@@ -18,7 +18,7 @@ from cliquecut import (
 )
 from cliquecut.distributions import _neighbor_sums_kernel, _rescale, check_probs, weighted_neighbor_sums
 
-from helpers import complete_graph, path_graph, random_graph, two_triangles
+from helpers import complete_graph, path_graph, random_graph, reference_neighbor_sums, two_triangles
 
 
 def test_check_probs():
@@ -40,6 +40,18 @@ def test_weighted_neighbor_sums():
     assert s[0] == pytest.approx(0.75)  # neighbors 1, 2
     assert s[2] == pytest.approx(1.5)  # neighbors 0, 1, 3
     assert s[3] == pytest.approx(1.75)  # neighbors 2, 4, 5
+    rng = np.random.default_rng(30)
+    graphs = [g, random_graph(rng, 30, density=0.3), random_graph(rng, 30, density=0.3, weighted=True)]
+    for graph in graphs:
+        p = rng.random(graph.n)
+        assert np.array_equal(weighted_neighbor_sums(graph, p).view(np.int64), reference_neighbor_sums(graph, p).view(np.int64))
+        # A list or a float32 vector is read as float64 first, as the bincount reads it.
+        assert np.array_equal(weighted_neighbor_sums(graph, p.tolist()), reference_neighbor_sums(graph, p))
+        low = p.astype(np.float32)
+        assert np.array_equal(weighted_neighbor_sums(graph, low), reference_neighbor_sums(graph, low))
+    for n in (0, 4):
+        s = weighted_neighbor_sums(Graph(n, [], [], []), rng.random(n))
+        assert s.dtype == np.float64 and np.array_equal(s.view(np.int64), np.zeros(n, dtype=np.int64))
 
 
 def test_clique_loss_params_validation():
@@ -338,7 +350,7 @@ def test_neighbor_sums_kernel_matches_bit_for_bit(weighted):
             p = rng.random(n) * float(rng.choice([1.0, 1e-8, 1e8]))
             out = sums(p)
             assert out.dtype == np.float64
-            assert np.array_equal(out, weighted_neighbor_sums(g, p))
+            assert np.array_equal(out.view(np.int64), reference_neighbor_sums(g, p).view(np.int64))
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -357,7 +369,7 @@ def test_neighbor_sums_kernel_sums_a_stack_row_by_row(weighted):
             out = _neighbor_sums_kernel(union)(p.ravel()).reshape(p.shape)
             assert out.dtype == np.float64
             for row, probs in zip(out, p):
-                assert np.array_equal(row.view(np.int64), weighted_neighbor_sums(g, probs).view(np.int64))
+                assert np.array_equal(row.view(np.int64), reference_neighbor_sums(g, probs).view(np.int64))
 
 
 def test_neighbor_sums_kernel_orders_like_int64_stable_sort():

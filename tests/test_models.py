@@ -13,6 +13,7 @@ from cliquecut import (
     MpnnParams,
     NonFiniteLossError,
     OptimState,
+    SolveConfig,
     VolumeConstraint,
     clique_loss,
     cut_loss,
@@ -24,14 +25,14 @@ from cliquecut import (
     optimize_direct,
     rescale_to_target,
     save_checkpoint,
+    solve_local_partition,
     train_mpnn,
 )
 from cliquecut import models, solver
-from cliquecut.distributions import weighted_neighbor_sums
 from cliquecut.graphs import gather_layout
 from cliquecut.models import _draw_interval, _neighbor_sum, _pick_seed, mpnn_backward, sigmoid
 
-from helpers import complete_graph, path_graph, random_graph, sparse_planted_clique, two_triangles
+from helpers import complete_graph, path_graph, random_graph, reference_neighbor_sums, sparse_planted_clique, two_triangles
 
 
 def triangle_with_pendant():
@@ -308,7 +309,7 @@ def previous_clique_step(graph, params):
     """The one-row clique kernel as it ran before restarts shared one Adam loop."""
 
     def step(p):
-        s = weighted_neighbor_sums(graph, p)
+        s = reference_neighbor_sums(graph, p)
         total = p.sum()
         ew, pairs = 0.5 * float(p @ s), float(total * total - p @ p)
         value = params.gamma - (params.beta + 1.0) * ew + 0.5 * params.beta * pairs
@@ -677,6 +678,45 @@ def test_gather_layout_is_built_once_per_graph():
     assert all(not block.flags.writeable for block in layout[0])
 
 
+class KernelCountingGraph(Graph):
+    """A Graph that counts the neighbour-sum kernels stored on it, in ``kernels_built``."""
+
+    @property
+    def _sums(self):
+        return Graph._sums.__get__(self, Graph)
+
+    @_sums.setter
+    def _sums(self, kernel):
+        if kernel is not None:
+            self.kernels_built = getattr(self, "kernels_built", 0) + 1
+        Graph._sums.__set__(self, kernel)
+
+
+def kernel_counting_copy(g: Graph) -> KernelCountingGraph:
+    return KernelCountingGraph(g.n, g.edge_u, g.edge_v, g.edge_w)
+
+
+def test_neighbor_sums_kernel_is_built_once_per_graph():
+    rng = np.random.default_rng(63)
+    g = kernel_counting_copy(random_graph(rng, 12, density=0.4))
+    assert g._sums is None and not hasattr(g, "kernels_built")
+    first, second = CliqueLossSpec().step_kernel(g), CutLossSpec(VolumeConstraint(2.0, 6.0)).step_kernel(g)
+    first(np.full(g.n, 0.5)), second(np.full(g.n, 0.5))
+    assert g.kernels_built == 1
+
+    # A default partition solve binds a cut kernel and decodes once for each of its eight intervals.
+    g = kernel_counting_copy(random_graph(rng, 40, density=0.15))
+    result = solve_local_partition(g, int(np.argmax(g.degree)), SolveConfig())
+    assert result.seeds_tried == 8 and g.kernels_built == 1
+
+    # Training binds a kernel for every pass over a graph, train and val, in every epoch.
+    for spec in (CliqueLossSpec(), CutLossSpec()):
+        graphs = [kernel_counting_copy(random_graph(rng, 8, density=0.5)) for _ in range(4)]
+        corpus = _tiny_corpus(graphs, ["train", "train", "train", "val"])
+        train_mpnn(corpus, spec, epochs=3, hidden=4, layers=1, batch_size=2, rng=np.random.default_rng(1))
+        assert [graph.kernels_built for graph in graphs] == [1, 1, 1, 1]
+
+
 def test_mpnn_backward_matches_finite_differences():
     rng = np.random.default_rng(7)
     params = MpnnParams.init(rng, hidden=5, layers=2)
@@ -775,6 +815,21 @@ def test_train_mpnn_rejects_empty_graph_before_any_work(split):
     with pytest.raises(ValueError, match=f"graph 'g1' in the {split} split has no nodes"):
         train_mpnn(corpus, CliqueLossSpec(), epochs=1, rng=rng)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_train_mpnn_rejects_edgeless_graph_for_cut_before_any_work(split):
+    graphs = [complete_graph(5)] * 8 + [Graph(4, [], [], [])]
+    corpus = _tiny_corpus(graphs, ["train"] * 8 + [split])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"graph 'g8' in the {split} split has no edges to seed a cut objective at"):
+        train_mpnn(corpus, CutLossSpec(), epochs=50, rng=rng)
+    assert rng.bit_generator.state == before
+    # A clique objective needs no edge to seed at, and a test-split graph is not trained on.
+    train_mpnn(corpus, CliqueLossSpec(), epochs=1, hidden=4, layers=1, rng=rng)
+    test_corpus = _tiny_corpus(graphs, ["train"] * 8 + ["test"])
+    train_mpnn(test_corpus, CutLossSpec(), epochs=1, hidden=4, layers=1, rng=rng)
 
 
 def test_train_mpnn_ignores_empty_test_graph():

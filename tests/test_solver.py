@@ -431,6 +431,13 @@ def test_partition_input_validation():
         solve_local_partition(g, 0, SolveConfig(producer="mpnn", steps=1))
 
 
+def test_partition_rejects_empty_interval_list():
+    g = two_triangles()
+    for empty in ((), []):
+        with pytest.raises(ValueError, match=r"need at least one volume interval \(num_intervals >= 1 and intervals not empty\)"):
+            solve_local_partition(g, 0, SolveConfig(intervals=empty))
+
+
 def test_partition_payload_thread_invariant():
     g = petersen()
     base = solve_local_partition(g, 3, SolveConfig(steps=80, num_intervals=4, threads=1))
