@@ -112,7 +112,9 @@ class CliqueLossSpec:
         order, which the shift into the union keeps, and the gradient's
         total is the part's slice of p summed pairwise as ``p.sum()`` does.
         The part values add p.s and p.p in node order instead of by ``@``.
-        A single part, ``[0, n]``, binds the plain kernel.
+        A single part, ``[0, n]``, binds the plain kernel, whose value is one
+        float.  The clique solver binds this kernel on each chunk's union and
+        hands it to ``optimize_direct`` with the chunk's start.
         """
         if parts is not None:
             return self._union_kernel(graph, np.asarray(parts, dtype=np.int64))
@@ -249,8 +251,9 @@ class OptimState:
 class NonFiniteLossError(FloatingPointError):
     """``optimize_direct``'s loss stopped being finite.
 
-    ``step`` is the step it happened at and ``row`` the union part whose
-    loss it was (the lowest such index), or None for a one-problem call.
+    ``step`` is the step it happened at.  ``row`` is the union part whose
+    loss it was (the lowest such index) when the kernel returns one value
+    per part, and None when it returns one float.
     """
 
     def __init__(self, value: float, step: int, row: int | None) -> None:
@@ -265,102 +268,64 @@ _STOP_WINDOW = 20
 
 
 def optimize_direct(
-    graph: Graph,
-    loss_spec,
-    steps: int = 300,
-    *,
-    lr: float = 0.01,
-    rng: np.random.Generator | list[np.random.Generator] | None = None,
-    init_scale: float | list[float] = 0.0,
-    pin: int | None = None,
-    parts=None,
-    rtol: float = 0.0,
-) -> tuple[np.ndarray | list[np.ndarray], list]:
-    """Adam on free per-node logits; p = sigmoid(logits).
+    step, logits, steps: int = 300, *, lr: float = 0.01, pin: int | None = None, rtol: float = 0.0
+) -> tuple[np.ndarray, list]:
+    """Adam on free per-node logits from the start ``logits``; p = sigmoid(logits).
 
-    Returns the final probability vector and the loss recorded before every
-    update plus once at the end (``steps + 1`` values).  With ``steps=0`` the
-    initial probabilities come back unchanged.  ``init_scale`` > 0 draws the
-    initial logits from ``rng`` with that spread; 0 starts every node at
-    p = 0.5.  ``pin`` clamps one node's logit high throughout, for
-    objectives where that node is forced into the solution anyway.
+    ``step`` is a bound kernel, p -> (value, gradient): a spec's
+    ``step_kernel`` on one graph, whose value is one float, or
+    ``CliqueLossSpec.step_kernel(union, parts=offsets)`` on a disjoint
+    union, whose value is one float per part.  ``logits`` is copied; zeros
+    start every node at p = 0.5.  ``pin`` clamps one node's logit high
+    throughout, for objectives where that node is forced into the solution
+    anyway.
 
-    ``rtol`` > 0 stops a one-problem call once its loss is flat, so that
-    ``steps`` is the most steps it takes.  At every step k that is a
-    positive multiple of 20 (and below ``steps``) the loss L_k, recorded
-    before update k, is compared with L_{k-20}; if |L_k - L_{k-20}| <=
-    ``rtol`` * max(|L_k|, 1) the call returns the p of step k and the k + 1
-    losses recorded so far, which is what ``steps=k`` returns, bit for bit.
-    The default 0 always takes ``steps`` steps.
+    Returns the final p and the loss recorded before every update plus once
+    at the end (``steps + 1`` values), or, for a union kernel, one such list
+    per part.  With ``steps=0`` the start's p comes back.  Each part of a
+    union keeps the bits of its own run on that part alone: the kernel keeps
+    them (see ``CliqueLossSpec.step_kernel``), and sigmoid and Adam work
+    elementwise.  A spec's kernel calls the helpers of the validated losses,
+    so p has the bits of stepping on ``clique_loss`` or ``cut_loss``; the
+    recorded losses can differ from theirs by rounding (measured at most
+    2e-15 relative, 9e-13 absolute, on G(n, p) graphs with n from 50 to 1000).
 
-    ``parts``, node offsets of a disjoint union from ``graphs.disjoint_union``,
-    optimizes each part as if it were its own graph, all in one loop on the
-    union's 1-D logits.  ``rng`` is then a list with one generator per part,
-    ``init_scale`` one float or one per part, and ``loss_spec`` a spec whose
-    ``step_kernel`` takes ``parts`` (``CliqueLossSpec``).  p comes back as
-    one array per part and the losses as one list per part.  Every part's p
-    has the bits of its own one-generator call on that part: the kernel
-    keeps them (see ``CliqueLossSpec.step_kernel``), and sigmoid and Adam
-    work elementwise.  Its losses agree with that call's up to rounding.
-    Independent restarts on one graph are the parts of a union of copies of
-    it, ``disjoint_union([graph] * R)``.
-
-    Each step calls the spec's ``step_kernel``, bound once per call, which
-    skips validation and takes E[weight in S] = p.s / 2 from the one
-    neighbour-sum pass s = A p.  The kernels call the helpers of the
-    validated losses (``clique_loss``, ``cut_loss``), so the probabilities
-    are bit-identical to stepping on those; the recorded losses can differ
-    from theirs by rounding (measured at most 2e-15 relative, 9e-13
-    absolute, on G(n, p) graphs with n from 50 to 1000).
+    ``rtol`` > 0 stops the loop once the loss is flat, so that ``steps`` is
+    the most steps it takes.  At every step k that is a positive multiple of
+    20 (and below ``steps``) the loss L_k, recorded before update k, is
+    compared with L_{k-20}; if |L_k - L_{k-20}| <= ``rtol`` * max(|L_k|, 1)
+    (for every part of a union) the call returns the p of step k and the
+    k + 1 losses recorded so far, which is what ``steps=k`` returns, bit for
+    bit.  The default 0 always takes ``steps`` steps.
 
     Raises:
-        ValueError: on a list ``rng`` without ``parts``, on ``parts``
-            without one rng (and one ``init_scale``, if a list) per part, on
-            ``parts`` with ``pin`` or a non-zero ``rtol``, or on an ``rtol``
-            that is negative or not finite.
-        NonFiniteLossError: if the loss of the problem or of any part stops
-            being finite; it is a FloatingPointError.
+        ValueError: before any step, on a ``pin`` outside the logits or an
+            ``rtol`` that is negative or not finite.
+        NonFiniteLossError: if the loss, or any part's, stops being finite;
+            it is a FloatingPointError.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
-    if parts is not None and rtol:
-        raise ValueError("rtol does not apply to a union of parts")
-    if parts is None:
-        if isinstance(rng, (list, tuple)):
-            raise ValueError("a list of rngs needs parts, the node offsets of a disjoint union")
-        step_fn, rngs, scales, sizes = loss_spec.step_kernel(graph), [rng], [init_scale], [graph.n]
-    else:
-        step_fn = loss_spec.step_kernel(graph, parts=parts)
-        parts = np.asarray(parts, dtype=np.int64)
-        sizes = np.diff(parts).tolist()
-        rngs = list(rng) if isinstance(rng, (list, tuple)) else []
-        scales = list(init_scale) if np.ndim(init_scale) else [init_scale] * len(sizes)
-        if len(rngs) != len(sizes) or len(scales) != len(sizes):
-            raise ValueError(f"need one rng per part and one init_scale per part, got {len(rngs)} and {len(scales)}")
-        if pin is not None:
-            raise ValueError("pin does not apply to a union of parts")
-    if any(scale > 0.0 and r is None for r, scale in zip(rngs, scales)):
-        raise ValueError("init_scale > 0 requires an rng")
-    logits = np.concatenate(
-        [s * r.standard_normal(n) if s > 0.0 else np.zeros(n) for r, s, n in zip(rngs, scales, sizes)]
-    )
+    logits = np.array(logits, dtype=np.float64)
     if pin is not None:
+        if not 0 <= pin < logits.size:
+            raise ValueError(f"pin {pin} out of range for {logits.size} nodes")
         logits[pin] = _PIN_LOGIT
     state = OptimState(lr=lr)
     history = []
     # A loss that overflows is reported by the check below, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
+        for k in range(steps):
             p = sigmoid(logits)
-            value, gradient = step_fn(p)
+            value, gradient = step(p)
             finite = np.isfinite(value)
             if not finite.all():
-                row = int(np.argmin(finite.reshape(-1)))
-                raise NonFiniteLossError(np.reshape(value, -1)[row], step, None if parts is None else row)
+                row = int(np.argmin(finite)) if np.ndim(value) else None
+                raise NonFiniteLossError(value if row is None else value[row], k, row)
             history.append(value)
-            if rtol and step and step % _STOP_WINDOW == 0:
-                if abs(value - history[step - _STOP_WINDOW]) <= rtol * max(abs(value), 1.0):
-                    steps = step  # p and history are those of a call with steps=step
+            if rtol and k and k % _STOP_WINDOW == 0:
+                if np.all(np.abs(value - history[k - _STOP_WINDOW]) <= rtol * np.maximum(np.abs(value), 1.0)):
+                    steps = k  # p and history are those of a call with steps=k
                     break
             # gradient * p * (1 - p), in place: the kernel returns a new array each step.
             gradient *= p
@@ -370,9 +335,8 @@ def optimize_direct(
                 logits[pin] = _PIN_LOGIT
     if len(history) == steps:
         p = sigmoid(logits)
-        history.append(step_fn(p)[0])
-    losses = np.array(history).reshape(steps + 1, len(sizes)).T.tolist()
-    return (p, losses[0]) if parts is None else (np.split(p, parts[1:-1]), losses)
+        history.append(step(p)[0])
+    return p, np.array(history).T.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,13 @@ class SolveConfig:
     a clique solve of a sparse graph, where it is the number of seed balls
     (see ``solve_max_clique``).
 
+    The direct producer is ``optimize_direct``: Adam on a kernel the solver
+    binds, from logits the solver draws.  ``init_jitter`` is their spread.  A
+    clique solve starts its first restart and every seed ball at zero logits
+    (p = 0.5) and each later restart at ``init_jitter`` times standard
+    normals from its own stream.  A partition interval always draws, with
+    spread max(``init_jitter``, 1e-3), and pins its seed node.
+
     ``steps`` is the most Adam steps the direct producer takes per unit.  A
     clique solve always takes all of them.  A partition interval stops at
     the first multiple of 20 steps where its loss moved by at most 1e-6
@@ -163,16 +170,19 @@ class SolveResult:
 
 # The clique solver's direct producer runs its units in chunks of R, one Adam
 # loop on their disjoint union each, with R * 2E <= _STACK_ENTRIES (2E: the
-# largest unit's adjacency entries).  Restarts sharing a loop (then an (R, n)
-# stack) ran 2-4x as fast as one at a time at 2E = 2,000-5,000 on planted-clique
-# graphs but 0.95-1.08x at 2E = 32,000: above 2**14 entries a unit runs alone,
-# in the one-graph loop (see ``CliqueLossSpec.step_kernel``).
+# largest unit's adjacency entries).  Per unit and step, one loop on R copies
+# of a planted-clique graph (p = 0.3; best of 5 x 100 steps, two runs, 2-core
+# VM, numpy 2.4) took, alone against R = 2-8: 45-46 against 29-38 us at
+# 2E = 2**13; 66-68 against 56-59 us at 2**14; 103-105 against 108-117 us at
+# 2**15; and 216-249 against 220-237 us at 2**16.  Sharing a loop pays only up
+# to 2**14 entries; above that a unit runs alone, in the one-graph loop (see
+# ``CliqueLossSpec.step_kernel``).
 _STACK_ENTRIES = 2**15
 
-# The relative change over 20 steps below which a one-problem direct producer
-# stops (``optimize_direct``'s ``rtol``).  On the partition-local bench graphs
-# cut losses go flat long before step 300 and the stop kept every payload's
-# conductance and certificate; 1e-4 over 10 steps did not (it lost a
+# The relative change over 20 steps below which a partition interval's direct
+# producer stops (``optimize_direct``'s ``rtol``).  On the partition-local
+# bench graphs cut losses go flat long before step 300 and the stop kept every
+# payload's conductance and certificate; 1e-4 over 10 steps did not (it lost a
 # non-vacuous certificate on one seed).
 _STOP_RTOL = 1e-6
 
@@ -306,9 +316,11 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     candidate is mapped back to the full graph and grown there, so the
     weight, volume and winner are those of the full graph.  The direct
     producer runs the units, restarts or balls, in chunks (see
-    ``_STACK_ENTRIES``), one ``optimize_direct`` call on the disjoint union
-    of a chunk's graphs, whose p has each unit's own bits; ``threads`` and
-    ``time_budget`` act per chunk.  Other producers run one unit per chunk.
+    ``_STACK_ENTRIES``), one ``optimize_direct`` call on the clique kernel
+    bound to the disjoint union of a chunk's graphs, from the units' starts
+    laid end to end; each unit's p keeps the bits of its own run.
+    ``threads`` and ``time_budget`` act per chunk.  Other producers run one
+    unit per chunk.
 
     Raises:
         ValueError: on an unknown decode, an empty graph or a bad setting.
@@ -375,16 +387,19 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
             ps = [rng.random(unit.graph.n) for unit, rng in zip(chunk, rngs)]
         else:
             union, offsets = disjoint_union([unit.graph for unit in chunk])
-            scales = [unit.init_scale for unit in chunk]
+            logits = np.concatenate(
+                [u.init_scale * r.standard_normal(u.graph.n) if u.init_scale > 0.0 else np.zeros(u.graph.n)
+                 for u, r in zip(chunk, rngs)]
+            )
             try:
-                ps, _ = optimize_direct(
-                    union, opt_spec, config.steps, lr=config.lr, rng=rngs, init_scale=scales, parts=offsets
-                )
+                p, _ = optimize_direct(opt_spec.step_kernel(union, parts=offsets), logits, config.steps, lr=config.lr)
             except NonFiniteLossError as exc:
+                # A one-unit chunk binds the plain kernel, whose loss is one float (row None).
                 raise FloatingPointError(
-                    f"loss became {exc.value} at step {exc.step} {chunk[exc.row].name}"
+                    f"loss became {exc.value} at step {exc.step} {chunk[exc.row or 0].name}"
                     f" (opt_beta={config.opt_beta}, lr={config.lr})"
                 ) from None
+            ps = np.split(p, offsets[1:-1])
         return [outcome(unit, p) for unit, p in zip(chunk, ps)]
 
     entries = max(1, *(unit.graph.rows.size for unit in units))
@@ -406,6 +421,8 @@ def default_interval_schedule(
     scan local); each interval spans +/-25% of its center."""
     if count < 1:
         raise ValueError(f"need at least one volume interval (count >= 1), got {count}")
+    if not (0 <= seed_node < graph.n):
+        raise ValueError(f"seed node {seed_node} out of range")
     d_s = float(graph.degree[seed_node])
     if d_s <= 0.0:
         raise ValueError("seed node is isolated; no volume scale to scan")
@@ -488,8 +505,8 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
             # seed keeps the optimizer on the seed's side of the graph; decode
             # forces the seed into the set regardless.
             p, _ = optimize_direct(
-                graph, CutLossSpec(vc), config.steps, lr=config.lr, rng=rng,
-                init_scale=max(config.init_jitter, 1e-3), pin=seed_node, rtol=_STOP_RTOL,
+                CutLossSpec(vc).step_kernel(graph), max(config.init_jitter, 1e-3) * rng.standard_normal(graph.n),
+                config.steps, lr=config.lr, pin=seed_node, rtol=_STOP_RTOL,
             )
         else:
             p = rng.random(graph.n)

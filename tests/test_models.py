@@ -125,10 +125,26 @@ def test_optim_state_moves_params_downhill():
     assert state.step == 50
 
 
+def normal_start(seed, n, scale=1.0):
+    """A jittered start drawn as the solvers draw it: scale times standard normals."""
+    return scale * np.random.default_rng(seed).standard_normal(n)
+
+
+def union_run(graphs, spec, steps, rngs, scales, *, lr=0.1):
+    """The clique solver's direct call on the disjoint union of ``graphs``: one p and one loss list per graph."""
+    union, offsets = disjoint_union(graphs)
+    logits = np.concatenate(
+        [s * r.standard_normal(g.n) if s > 0.0 else np.zeros(g.n) for g, r, s in zip(graphs, rngs, scales)]
+    )
+    p, losses = optimize_direct(spec.step_kernel(union, parts=offsets), logits, steps, lr=lr)
+    # A one-part union binds the plain kernel, whose losses are one list of floats.
+    return np.split(p, offsets[1:-1]), losses if len(graphs) > 1 else [losses]
+
+
 def test_optimize_direct_converges_on_triangle():
     g = complete_graph(3)
     spec = CliqueLossSpec()  # gamma = beta = 3
-    p, losses = optimize_direct(g, spec, steps=300, lr=0.1)
+    p, losses = optimize_direct(spec.step_kernel(g), np.zeros(3), steps=300, lr=0.1)
     assert len(losses) == 301
     assert losses[-1] < 0.05
     assert np.all(p > 0.9)
@@ -136,26 +152,25 @@ def test_optimize_direct_converges_on_triangle():
 
 def test_optimize_direct_zero_steps_identity():
     g = complete_graph(3)
-    p, losses = optimize_direct(g, CliqueLossSpec(), steps=0)
+    p, losses = optimize_direct(CliqueLossSpec().step_kernel(g), np.zeros(3), steps=0)
     assert p == pytest.approx(np.full(3, 0.5))
     assert len(losses) == 1
 
 
-def test_optimize_direct_jitter_needs_rng():
-    g = complete_graph(3)
-    with pytest.raises(ValueError, match="rng"):
-        optimize_direct(g, CliqueLossSpec(), steps=1, init_scale=0.5)
-    p1, _ = optimize_direct(g, CliqueLossSpec(), steps=5, init_scale=0.5, rng=np.random.default_rng(4))
-    p2, _ = optimize_direct(g, CliqueLossSpec(), steps=5, init_scale=0.5, rng=np.random.default_rng(4))
+def test_optimize_direct_copies_its_start():
+    step = CliqueLossSpec().step_kernel(complete_graph(3))
+    start = normal_start(4, 3, 0.5)
+    kept = start.copy()
+    p1, _ = optimize_direct(step, start, steps=5)
+    p2, _ = optimize_direct(step, start, steps=5)
+    assert np.array_equal(start, kept)
     assert p1 == pytest.approx(p2)
 
 
 def test_optimize_direct_pin_keeps_node_in():
     g = two_triangles()
-    spec = CutLossSpec(VolumeConstraint(5.0, 9.0))
-    p, _ = optimize_direct(
-        g, spec, steps=200, lr=0.1, rng=np.random.default_rng(0), init_scale=1.0, pin=3
-    )
+    step = CutLossSpec(VolumeConstraint(5.0, 9.0)).step_kernel(g)
+    p, _ = optimize_direct(step, normal_start(0, 6), steps=200, lr=0.1, pin=3)
     assert p[3] == pytest.approx(sigmoid(np.array([12.0]))[0])
     assert p[3] > 0.999
 
@@ -203,7 +218,7 @@ def assert_same_run(fused, reference):
 def test_optimize_direct_clique_kernel_matches_public_loss():
     g = random_graph(np.random.default_rng(11), 60, 0.3)
     spec = CliqueLossSpec(beta=2.0)
-    fused = optimize_direct(g, spec, 50, lr=0.1, rng=np.random.default_rng(3), init_scale=1.0)
+    fused = optimize_direct(spec.step_kernel(g), normal_start(3, g.n), 50, lr=0.1)
     reference = reference_optimize_direct(
         g,
         public_clique_loss(g, spec),
@@ -219,9 +234,7 @@ def test_optimize_direct_cut_kernel_matches_public_loss():
     g = random_graph(np.random.default_rng(12), 60, 0.1, weighted=True)
     interval = VolumeConstraint(0.1 * g.degree.sum(), 0.2 * g.degree.sum())
     pin = int(np.argmax(g.degree))
-    fused = optimize_direct(
-        g, CutLossSpec(interval), 50, lr=0.1, rng=np.random.default_rng(4), init_scale=1.0, pin=pin
-    )
+    fused = optimize_direct(CutLossSpec(interval).step_kernel(g), normal_start(4, g.n), 50, lr=0.1, pin=pin)
     reference = reference_optimize_direct(
         g,
         lambda p: reference_cut_loss(g, p, interval),
@@ -239,9 +252,7 @@ def flat_cut_run(steps, **kwargs):
     g = random_graph(np.random.default_rng(12), 60, 0.1, weighted=True)
     interval = VolumeConstraint(0.1 * g.degree.sum(), 0.2 * g.degree.sum())
     pin = int(np.argmax(g.degree))
-    return optimize_direct(
-        g, CutLossSpec(interval), steps, lr=0.1, rng=np.random.default_rng(4), init_scale=1.0, pin=pin, **kwargs
-    )
+    return optimize_direct(CutLossSpec(interval).step_kernel(g), normal_start(4, g.n), steps, lr=0.1, pin=pin, **kwargs)
 
 
 def test_optimize_direct_stop_is_a_fixed_run_of_that_length():
@@ -264,18 +275,24 @@ def test_optimize_direct_zero_rtol_takes_every_step():
     assert_same_bits(losses, want_losses)
 
 
-def test_optimize_direct_rejects_bad_rtol_before_any_work():
-    class NoWork:
-        def step_kernel(self, graph, parts=None):
-            raise AssertionError("bound a kernel before rejecting rtol")
+def no_step(p):
+    raise AssertionError("stepped before rejecting an argument")
 
-    union, offsets = disjoint_union([complete_graph(3), path_graph(4)])
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-    with pytest.raises(ValueError, match="rtol does not apply to a union of parts"):
-        optimize_direct(union, NoWork(), 3, rng=rngs, parts=offsets, rtol=1e-6)
+
+def test_optimize_direct_rejects_bad_rtol_before_any_work():
     for bad in (-1e-6, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
-            optimize_direct(complete_graph(3), NoWork(), 3, rtol=bad)
+            optimize_direct(no_step, np.zeros(3), 3, rtol=bad)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_optimize_direct_rejects_out_of_range_pin_before_any_step(steps):
+    # -1 must not wrap round to the last node, nor 4 escape as a bare IndexError.
+    for pin in (-1, 4, 9):
+        with pytest.raises(ValueError, match=f"pin {pin} out of range for 4 nodes"):
+            optimize_direct(no_step, np.zeros(4), steps, pin=pin)
+    p, _ = optimize_direct(CliqueLossSpec().step_kernel(path_graph(4)), np.zeros(4), steps, pin=3)
+    assert p[3] == sigmoid(np.array([12.0]))[0]
 
 
 def previous_sigmoid(x):
@@ -373,14 +390,12 @@ def test_stacked_restarts_match_previous_loop_bits(name, rows, pin):
     scales = [0.0] + [1.0 + 0.25 * r for r in range(1, rows)]
     seeds = np.random.SeedSequence(7).spawn(rows)
     if pin is None:
-        union, offsets = disjoint_union([g] * rows)
+        _, offsets = disjoint_union([g] * rows)
         assert offsets.tolist() == [g.n * r for r in range(rows + 1)]
-        ps, losses = optimize_direct(
-            union, spec, 40, lr=0.1, rng=[np.random.default_rng(q) for q in seeds], init_scale=scales, parts=offsets
-        )
+        ps, losses = union_run([g] * rows, spec, 40, [np.random.default_rng(q) for q in seeds], scales)
     else:
         runs = [
-            optimize_direct(g, spec, 40, lr=0.1, rng=np.random.default_rng(q), init_scale=scale, pin=pin)
+            optimize_direct(spec.step_kernel(g), normal_start(q, g.n, scale), 40, lr=0.1, pin=pin)
             for q, scale in zip(seeds, scales)
         ]
         ps, losses = [p for p, _ in runs], [part_losses for _, part_losses in runs]
@@ -402,7 +417,7 @@ def test_stacked_restarts_match_previous_loop_bits(name, rows, pin):
 def test_one_restart_call_is_unchanged(name):
     g = stack_test_graphs()[name]
     spec = CliqueLossSpec(beta=2.0)
-    p, losses = optimize_direct(g, spec, 30, lr=0.1, rng=np.random.default_rng(5), init_scale=1.0, pin=1)
+    p, losses = optimize_direct(spec.step_kernel(g), normal_start(5, g.n), 30, lr=0.1, pin=1)
     want_p, want_losses = previous_optimize_direct(
         g, spec, 30, lr=0.1, rng=np.random.default_rng(5), init_scale=1.0, pin=1
     )
@@ -413,10 +428,8 @@ def test_one_restart_call_is_unchanged(name):
     # The union of one graph is that graph; as one part it runs the plain kernel.
     union, offsets = disjoint_union([g])
     assert union is g and offsets.tolist() == [0, g.n]
-    (part_p,), (part_losses,) = optimize_direct(
-        union, spec, 30, lr=0.1, rng=[np.random.default_rng(5)], init_scale=[1.0], parts=offsets
-    )
-    unpinned_p, unpinned_losses = optimize_direct(g, spec, 30, lr=0.1, rng=np.random.default_rng(5), init_scale=1.0)
+    (part_p,), (part_losses,) = union_run([union], spec, 30, [np.random.default_rng(5)], [1.0])
+    unpinned_p, unpinned_losses = optimize_direct(spec.step_kernel(g), normal_start(5, g.n), 30, lr=0.1)
     assert_same_bits(part_p, unpinned_p)
     assert_same_bits(part_losses, unpinned_losses)
 
@@ -424,42 +437,22 @@ def test_one_restart_call_is_unchanged(name):
 def test_stacked_restarts_check_every_row():
     """A loss that turns non-finite in a later part, after some steps, is named by part and step."""
     g = random_graph(np.random.default_rng(3), 12, 0.5)
-    inner = CliqueLossSpec(beta=2.0)
-
-    class PoisonPart:
-        """The clique kernel, but part 2's loss turns NaN at the fourth step."""
-
-        def step_kernel(self, graph, parts=None):
-            step_fn, calls = inner.step_kernel(graph, parts=parts), []
-
-            def step(p):
-                value, gradient = step_fn(p)
-                calls.append(None)
-                if len(calls) == 4:
-                    value = value.copy()
-                    value[2] = np.nan
-                return value, gradient
-
-            return step
-
     union, offsets = disjoint_union([g] * 4)
-    rngs = [np.random.default_rng(s) for s in range(4)]
+    step_fn, calls = CliqueLossSpec(beta=2.0).step_kernel(union, parts=offsets), []
+
+    def poison_part(p):
+        """The clique kernel, but part 2's loss turns NaN at the fourth step."""
+        value, gradient = step_fn(p)
+        calls.append(None)
+        if len(calls) == 4:
+            value = value.copy()
+            value[2] = np.nan
+        return value, gradient
+
+    logits = np.concatenate([normal_start(s, g.n) for s in range(4)])
     with pytest.raises(NonFiniteLossError, match=r"loss became nan at step 3 in part 2") as info:
-        optimize_direct(union, PoisonPart(), 10, lr=0.1, rng=rngs, init_scale=1.0, parts=offsets)
+        optimize_direct(poison_part, logits, 10, lr=0.1)
     assert (info.value.step, info.value.row) == (3, 2)
-
-
-def test_stacked_restarts_reject_mismatched_rows():
-    g = complete_graph(4)
-    union, offsets = disjoint_union([g, g])
-    with pytest.raises(ValueError, match="one init_scale per part"):
-        optimize_direct(union, CliqueLossSpec(), 3, rng=[np.random.default_rng(0)] * 2, init_scale=[1.0], parts=offsets)
-    with pytest.raises(ValueError, match="one rng per part"):
-        optimize_direct(union, CliqueLossSpec(), 3, rng=[], parts=offsets)
-    # Several generators describe several problems, which only parts can hold.
-    for rngs in ([np.random.default_rng(0)] * 2, [np.random.default_rng(0)], []):
-        with pytest.raises(ValueError, match="needs parts"):
-            optimize_direct(g, CliqueLossSpec(), 3, rng=rngs)
 
 
 def seed_ball_sets():
@@ -483,15 +476,13 @@ def seed_ball_sets():
 @pytest.mark.parametrize("jitter", [0.0, 1.0])
 def test_union_parts_keep_their_own_bits(name, spec, jitter):
     balls = seed_ball_sets()[name]
-    union, offsets = disjoint_union(balls)
     seeds = np.random.SeedSequence(5).spawn(len(balls))
     scales = [jitter * (1 + i % 3) for i in range(len(balls))]
-    ps, losses = optimize_direct(
-        union, spec, 60, lr=0.1, rng=[np.random.default_rng(q) for q in seeds], init_scale=scales, parts=offsets
-    )
+    ps, losses = union_run(balls, spec, 60, [np.random.default_rng(q) for q in seeds], scales)
     assert len(ps) == len(losses) == len(balls)
     for ball, p, part_losses, seq, scale in zip(balls, ps, losses, seeds, scales):
-        want_p, want_losses = optimize_direct(ball, spec, 60, lr=0.1, rng=np.random.default_rng(seq), init_scale=scale)
+        start = normal_start(seq, ball.n, scale) if scale > 0.0 else np.zeros(ball.n)
+        want_p, want_losses = optimize_direct(spec.step_kernel(ball), start, 60, lr=0.1)
         assert np.array_equal(p, want_p)
         assert part_losses == pytest.approx(want_losses, rel=1e-12)
 
@@ -511,28 +502,24 @@ def test_union_kernel_matches_each_part_kernel():
 
 def test_union_call_rejects_bad_parts():
     a, b = complete_graph(3), path_graph(4)
-    union, offsets = disjoint_union([a, b])
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-    with pytest.raises(ValueError, match="one rng per part"):
-        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs[:1], parts=offsets)
-    with pytest.raises(ValueError, match="one rng per part"):
-        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs[0], parts=offsets)
-    with pytest.raises(ValueError, match="pin does not apply"):
-        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=offsets, pin=0)
+    union, _ = disjoint_union([a, b])
     with pytest.raises(ValueError, match="an edge joins two parts"):
-        optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=[0, 2, 7])
+        CliqueLossSpec().step_kernel(union, parts=[0, 2, 7])
     for parts in ([0, 3, 6], [0, 8, 7], [[0, 3, 7]], [0, 8]):
         with pytest.raises(ValueError, match="node offsets from 0 to 7"):
-            optimize_direct(union, CliqueLossSpec(), 3, rng=rngs, parts=parts)
+            CliqueLossSpec().step_kernel(union, parts=parts)
 
 
 def test_union_call_names_the_part_whose_loss_overflows():
     union, offsets = disjoint_union([Graph(2, [], [], []), complete_graph(5), complete_graph(4)])
-    rngs = [np.random.default_rng(s) for s in range(3)]
     # Two parts overflow at the symmetric start; the lower index is named.
     with pytest.raises(NonFiniteLossError, match=r"loss became nan at step 0 in part 1") as info:
-        optimize_direct(union, CliqueLossSpec(beta=1e308), 3, rng=rngs, parts=offsets)
+        optimize_direct(CliqueLossSpec(beta=1e308).step_kernel(union, parts=offsets), np.zeros(union.n), 3)
     assert (info.value.step, info.value.row) == (0, 1)
+    # One graph's kernel returns one float, so no part is named.
+    with pytest.raises(NonFiniteLossError, match=r"loss became nan at step 0$") as info:
+        optimize_direct(CliqueLossSpec(beta=1e308).step_kernel(complete_graph(5)), np.zeros(5), 3)
+    assert (info.value.step, info.value.row) == (0, None)
 
 
 def test_sigmoid_extremes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cliquecut import (
+    CliqueLossSpec,
     Graph,
     MpnnParams,
     SolveConfig,
@@ -11,6 +12,7 @@ from cliquecut import (
     brute_force_max_clique,
     conductance,
     default_interval_schedule,
+    gen_gnp,
     gen_planted_clique,
     greedy_mis_complement,
     induced,
@@ -187,14 +189,7 @@ def test_stacked_restarts_keep_clique_payloads(monkeypatch, restarts, weighted):
     config = SolveConfig(restarts=restarts, steps=60, seed=3)
     default = solve_max_clique(g, config).payload()
     assert default["seeds_tried"] == restarts
-    calls = []
-    stacked = solver.optimize_direct
-
-    def counted(graph, spec, steps, **kwargs):
-        calls.append(len(kwargs["rng"]))
-        return stacked(graph, spec, steps, **kwargs)
-
-    monkeypatch.setattr(solver, "optimize_direct", counted)
+    calls = counted_sizes(monkeypatch)
     entries = g.rows.size
     for chunk in (1, 3, restarts):
         calls.clear()
@@ -204,25 +199,25 @@ def test_stacked_restarts_keep_clique_payloads(monkeypatch, restarts, weighted):
             assert solve_max_clique(g, replace(config, threads=threads)).payload() == default
         want = [min(chunk, restarts - start) for start in range(0, restarts, chunk)]
         # With two threads the chunks run concurrently, in either order.
-        assert sorted(calls) == sorted(want * 2)
+        assert sorted(len(sizes) for sizes in calls) == sorted(want * 2)
 
 
 def test_default_chunk_stacks_small_graphs_only(monkeypatch):
-    calls = []
-    stacked = solver.optimize_direct
-
-    def counted(graph, spec, steps, **kwargs):
-        calls.append(len(kwargs["rng"]))
-        return stacked(graph, spec, steps, **kwargs)
-
-    monkeypatch.setattr(solver, "optimize_direct", counted)
+    calls = counted_sizes(monkeypatch)
     solve_max_clique(random_graph(np.random.default_rng(4), 40, density=0.5), SolveConfig(restarts=10, steps=5))
-    assert calls == [10]
+    assert [len(sizes) for sizes in calls] == [10]
     calls.clear()
     # 2**15 // 2E is 1 once the adjacency has more than 2**14 entries.
     star = Graph(8194, np.zeros(8193, dtype=np.int64), np.arange(1, 8194), np.ones(8193))
     solve_max_clique(star, SolveConfig(restarts=3, steps=2))
-    assert calls == [1, 1, 1]
+    assert [len(sizes) for sizes in calls] == [1, 1, 1]
+
+
+def test_one_unit_chunk_names_its_unit_on_overflow():
+    # One seed ball is a one-part union, which binds the plain kernel: its loss is one float.
+    with pytest.raises(FloatingPointError) as info:
+        solve_max_clique(gen_gnp(40, 0.9, np.random.default_rng(0)), SolveConfig(restarts=1, opt_beta=1e308))
+    assert str(info.value) == "loss became nan at step 0 on the seed ball of node 0 (opt_beta=1e+308, lr=0.1)"
 
 
 def test_time_budget_stops_at_a_chunk_boundary(monkeypatch):
@@ -235,16 +230,22 @@ def test_time_budget_stops_at_a_chunk_boundary(monkeypatch):
 def counted_sizes(monkeypatch) -> list[list[int]]:
     """Patch optimize_direct to record, per call, the node count of every graph it optimizes on.
 
-    A call on a disjoint union records the node count of each of its parts.
+    A call on a disjoint union records the node count of each of its parts,
+    looked up from the clique kernel it was given.
     """
-    calls = []
-    direct = solver.optimize_direct
+    calls, bound = [], {}
+    kernel, direct = CliqueLossSpec.step_kernel, solver.optimize_direct
 
-    def counted(graph, spec, steps, **kwargs):
-        parts = kwargs.get("parts")
-        calls.append([graph.n] if parts is None else np.diff(parts).tolist())
-        return direct(graph, spec, steps, **kwargs)
+    def step_kernel(self, graph, parts=None):
+        step = kernel(self, graph, parts=parts)
+        bound[step] = [graph.n] if parts is None else np.diff(parts).tolist()
+        return step
 
+    def counted(step, logits, steps, **kwargs):
+        calls.append(bound[step])
+        return direct(step, logits, steps, **kwargs)
+
+    monkeypatch.setattr(CliqueLossSpec, "step_kernel", step_kernel)
     monkeypatch.setattr(solver, "optimize_direct", counted)
     return calls
 
@@ -457,6 +458,13 @@ def test_default_interval_schedule_shape():
     assert schedule[-1].upper <= 1.25 * g.degree.sum() / 2.0 + 1e-9
     with pytest.raises(ValueError, match="isolated"):
         default_interval_schedule(Graph(2, [], [], []), 0)
+    # -1 must not wrap round to the last node (isolated here), nor 3 escape as a bare IndexError.
+    last_isolated = Graph(3, [0], [1], [1.0])
+    for seed in (-1, 3, 4):
+        with pytest.raises(ValueError, match=f"seed node {seed} out of range"):
+            default_interval_schedule(last_isolated, seed)
+    with pytest.raises(ValueError, match="seed node -1 out of range"):
+        default_interval_schedule(g, -1)
     for count in (0, -1):
         with pytest.raises(ValueError, match="count >= 1"):
             default_interval_schedule(g, 0, hops=2, count=count)
