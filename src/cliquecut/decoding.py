@@ -40,25 +40,19 @@ __all__ = [
 ]
 
 
-# Up to this many neighbours a Python loop updates a node's neighbour sums
-# faster than one numpy scatter does.
-_LOOP_MAX_DEGREE = 16
-
-
 class _NeighborSums:
     """Neighbour sums s = A p kept up to date while single coordinates change.
 
-    The per-node work runs on Python floats: p is a list, and s and the
-    graph's arrays are read through memoryviews, so that a high-degree node
-    can still update its neighbours with one numpy scatter.
+    The per-node reads run on Python floats: p is a list, and s and the CSR
+    offsets are read through memoryviews.  Re-conditioning a node updates
+    its neighbours' sums with one numpy scatter; a node's neighbours are
+    distinct, so each sum takes exactly one addition.
     """
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
         self.p: list[float] | None = None
         self._offsets = memoryview(graph.offsets)
-        self._targets = memoryview(graph.targets)
-        self._weights = memoryview(graph.weights)
 
     def _start(self, p) -> np.ndarray:
         """Bind p; returns it as a float64 array and sets the edge term sum_ij w_ij p_i p_j."""
@@ -72,12 +66,7 @@ class _NeighborSums:
     def _shift(self, i: int, d: float) -> None:
         """Add d * w_ij to s_j for every neighbour j of i."""
         lo, hi = self._offsets[i], self._offsets[i + 1]
-        if hi - lo > _LOOP_MAX_DEGREE:
-            self._sums[self.graph.targets[lo:hi]] += d * self.graph.weights[lo:hi]
-        else:
-            s = self.s
-            for j, w in zip(self._targets[lo:hi], self._weights[lo:hi]):
-                s[j] += d * w
+        self._sums[self.graph.targets[lo:hi]] += d * self.graph.weights[lo:hi]
 
 
 class CliquePenaltyObjective(_NeighborSums):

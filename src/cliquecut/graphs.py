@@ -10,7 +10,6 @@ exponential on purpose and guarded by node limits.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import io
 import math
 import re
@@ -194,13 +193,7 @@ class NodeSet:
 
     @classmethod
     def from_indices(cls, graph: Graph, indices) -> "NodeSet":
-        m = np.zeros(graph.n, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= graph.n:
-                raise ValueError("node index out of range")
-            m[idx] = True
-        return cls.from_mask(graph, m)
+        return cls.from_mask(graph, as_mask(graph.n, list(indices)))
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
@@ -213,7 +206,7 @@ class NodeSet:
 
 
 def as_mask(n: int, members) -> np.ndarray:
-    """Coerce a NodeSet, boolean mask, or index iterable to a bool mask."""
+    """Coerce a NodeSet, boolean mask, or array-like of integer indices to a bool mask."""
     if isinstance(members, NodeSet):
         return members.mask
     arr = np.asarray(members)
@@ -222,8 +215,10 @@ def as_mask(n: int, members) -> np.ndarray:
             raise ValueError(f"mask has shape {arr.shape}, expected ({n},)")
         return arr
     mask = np.zeros(n, dtype=bool)
-    idx = arr.astype(np.int64).reshape(-1)
+    idx = arr.reshape(-1)
     if idx.size:
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"node indices must be integers, got dtype {idx.dtype}")
         if idx.min() < 0 or idx.max() >= n:
             raise ValueError("node index out of range")
         mask[idx] = True
@@ -343,6 +338,10 @@ def gather_layout(graph: Graph) -> tuple[list[np.ndarray], np.ndarray | None]:
         rank = np.arange(targets.size) - graph.offsets[rows]
         height = int(degree.max()) if n else 0
         if height * n <= 2 * targets.size + n:
+            # One block is one gather with no reorder through ``position``:
+            # on the bench's 30- to 80-node mpnn-train graphs, one
+            # ``models._neighbor_sum`` call took 9-27 us with it against
+            # 15-33 us with buckets (2-core VM, numpy 2.4).
             block = np.full((height, n), n, dtype=np.int64)
             block[rank, rows] = targets
             blocks, position = [block], None
@@ -373,47 +372,25 @@ def gather_layout(graph: Graph) -> tuple[list[np.ndarray], np.ndarray | None]:
 def core_numbers(graph: Graph) -> np.ndarray:
     """Core number of every node: the largest k such that it lies in a k-core.
 
-    The Batagelj-Zaversnik (2003) peel, on combinatorial degrees.  Each level
-    k pops the bucket of nodes whose degree is k, then removes, round by
-    round, every live node whose degree has fallen to k or below; a round
-    gathers only the removed nodes' CSR rows and re-buckets only the
-    neighbours whose degree dropped, so the whole peel touches each
-    adjacency entry once.  A stale bucket entry (a node already removed at a
-    lower level) is skipped when its bucket pops.
+    The Batagelj-Zaversnik (2003) peel on combinatorial degrees, one level at
+    a time: k is the smallest live degree, and every live node of degree k
+    or below is removed, round by round, until none is left.  A round
+    gathers only the removed nodes' CSR rows and lowers only their live
+    neighbours' degrees.
     """
     deg = np.diff(graph.offsets)
     alive = np.ones(graph.n, dtype=bool)
     core = np.zeros(graph.n, dtype=np.int64)
-    buckets: dict[int, list[np.ndarray]] = {}
-    levels: list[int] = []
-
-    def push(nodes: np.ndarray) -> None:
-        keys = deg[nodes]
-        order = np.argsort(keys, kind="stable")
-        nodes, keys = nodes[order], keys[order]
-        cuts = np.flatnonzero(np.diff(keys)) + 1
-        for part, key in zip(np.split(nodes, cuts), keys[np.concatenate([[0], cuts])].tolist()):
-            if key not in buckets:
-                buckets[key] = []
-                heapq.heappush(levels, key)
-            buckets[key].append(part)
-
-    if graph.n:
-        push(np.arange(graph.n))
-    while levels:
-        k = heapq.heappop(levels)
-        frontier = np.concatenate(buckets.pop(k))
-        frontier = frontier[alive[frontier]]
+    while alive.any():
+        k = int(deg[alive].min())
+        frontier = np.flatnonzero(alive & (deg <= k))
         while frontier.size:
             core[frontier] = k
             alive[frontier] = False
             reached = _row_targets(graph, frontier)
             touched, drops = np.unique(reached[alive[reached]], return_counts=True)
             deg[touched] -= drops
-            low = deg[touched] <= k
-            frontier = touched[low]
-            if not low.all():
-                push(touched[~low])
+            frontier = touched[deg[touched] <= k]
     return core
 
 

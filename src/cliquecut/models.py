@@ -151,6 +151,11 @@ class CliqueLossSpec:
         slices = [slice(a, b) for a, b in zip(parts.tolist(), parts[1:].tolist())]
         # Parts of one size (restarts on copies of a graph) sum as the rows of one
         # reshape, each pairwise as ``p.sum()`` sums: the same bits in one call.
+        # Per-slice sums took 11-83 us a step against the reshape's 1.6-4.2 us
+        # at R = 7-58 parts of 100-40 nodes (2-core VM, numpy 2.4).
+        # ``np.add.reduceat`` is one call too, but it sums each part in
+        # sequence, not pairwise: its bits differed from ``p[a:b].sum()`` on
+        # 2,981 of 3,000 random part sets.
         size = int(sizes[0]) if np.all(sizes == sizes[0]) else 0
         neighbor_sums = _neighbor_sums_kernel(graph)
 

@@ -296,10 +296,10 @@ def test_cut_objective_maximize_sign():
 
 # ---------------------------------------------------------------------------
 # Parity with the decode as it ran on numpy scalars.  The reference objectives
-# and loop below keep p and s as numpy arrays, read them element by element
-# and update the neighbour sums with one numpy scatter per node; the shipped
-# code runs the same float operations on Python floats, so every trace must
-# match bit for bit.
+# and loop below keep p and s as numpy arrays and read them element by
+# element; the shipped code reads them as Python floats.  Both update the
+# neighbour sums with one numpy scatter per node and run the same float
+# operations, so every trace must match bit for bit.
 
 
 class _ReferenceCliqueObjective:
@@ -412,8 +412,8 @@ def _reference_decode(graph, probs, objective, order="prob", first=None, cap=Non
 
 
 def _fuzzed_cases(seed, count):
-    """Graphs from sparse to dense, so that both the per-neighbour loop and
-    the numpy scatter update neighbour sums, with p holding exact 0s, 1s and ties."""
+    """Graphs from sparse to dense, so that nodes of a few and of many
+    neighbours update neighbour sums, with p holding exact 0s, 1s and ties."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
         n = int(rng.integers(2, 70))

@@ -190,6 +190,9 @@ def test_node_set():
     assert np.array_equal(same.mask, s.mask)
     with pytest.raises(ValueError, match="out of range"):
         NodeSet.from_indices(g, [6])
+    with pytest.raises(ValueError, match="must be integers"):
+        NodeSet.from_indices(g, [1.5])
+    assert NodeSet.from_indices(g, []).size == 0
 
 
 def test_as_mask_coercions():
@@ -199,6 +202,15 @@ def test_as_mask_coercions():
         as_mask(3, np.array([True, False]))
     with pytest.raises(ValueError, match="out of range"):
         as_mask(3, [3])
+    assert not as_mask(3, []).any()
+    path = path_graph(3)
+    for fractional in ([0.9, 1.2], np.array([1.9]), [0, 1.0]):
+        with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+            as_mask(3, fractional)
+        with pytest.raises(ValueError, match="must be integers"):
+            set_weight(path, fractional)
+        with pytest.raises(ValueError, match="must be integers"):
+            volume(path, fractional)
 
 
 def test_set_evaluations_hand_values():
@@ -313,6 +325,11 @@ def test_core_numbers_match_reference_peel():
     cases = [Graph(0, [], [], []), Graph(5, [], [], []), Graph(6, [1], [4], [0.5])]
     cases += [path_graph(7), complete_graph(6), petersen(), two_triangles()]
     cases.append(Graph(9, np.zeros(8, dtype=np.int64), np.arange(1, 9), np.ones(8)))  # star
+    # K2..K12 side by side: 77 nodes on 11 levels, so the smallest live degree jumps.
+    cases.append(disjoint_union([complete_graph(k) for k in range(2, 13)])[0])
+    # K5 with pendant paths of 1, 2 and 3 edges: level 1 peels each path from its leaf inward, a node a round.
+    k5 = complete_graph(5)
+    cases.append(Graph(11, np.r_[k5.edge_u, 0, 1, 6, 2, 8, 9], np.r_[k5.edge_v, 5, 6, 7, 8, 9, 10], np.ones(16)))
     for _ in range(40):
         n = int(rng.integers(1, 45))
         cases.append(random_graph(rng, n, density=float(rng.uniform(0.0, 0.6)), weighted=True))
