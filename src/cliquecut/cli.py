@@ -187,7 +187,7 @@ def _solve_config(args) -> SolveConfig:
     named = {f.name: getattr(args, f.name) for f in fields(SolveConfig) if f.name not in ("mpnn", "intervals")}
     return SolveConfig(
         **named,
-        mpnn=load_checkpoint(args.checkpoint)[0] if args.checkpoint else None,
+        mpnn=load_checkpoint(args.checkpoint, optimizer=False)[0] if args.checkpoint else None,
         intervals=_parse_intervals(args.intervals) if args.intervals else None,
     )
 
@@ -485,6 +485,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """A new parser, and each subcommand's parser by name, on every call."""
     parser = _Parser(prog="cliquecut", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command")
     subs: dict[str, argparse.ArgumentParser] = {}
@@ -554,8 +555,20 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, subs
 
 
+# ``build_parser()``'s result, built on the first ``main`` call; parsing leaves it unchanged.
+_PARSER: tuple[_Parser, dict[str, argparse.ArgumentParser]] | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, subs = build_parser()
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None); returns the exit code.
+
+    The parser is built on the first call and kept in this module, so a
+    process that calls ``main`` many times builds it once.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser, subs = _PARSER
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("a subcommand is required")

@@ -13,6 +13,7 @@ import hashlib
 import io
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +194,7 @@ class NodeSet:
 
     @classmethod
     def from_indices(cls, graph: Graph, indices) -> "NodeSet":
-        return cls.from_mask(graph, as_mask(graph.n, list(indices)))
+        return cls.from_mask(graph, as_mask(graph.n, indices))
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
@@ -206,10 +207,16 @@ class NodeSet:
 
 
 def as_mask(n: int, members) -> np.ndarray:
-    """Coerce a NodeSet, boolean mask, or array-like of integer indices to a bool mask."""
+    """Coerce a NodeSet, boolean mask, or array-like or iterable of integer indices to a bool mask.
+
+    A set or a generator is listed first: numpy would wrap it whole in a
+    0-d object array rather than iterate it.
+    """
     if isinstance(members, NodeSet):
         return members.mask
     arr = np.asarray(members)
+    if arr.dtype == object and arr.ndim == 0 and isinstance(members, Iterable):
+        arr = np.asarray(list(members))
     if arr.dtype == bool:
         if arr.shape != (n,):
             raise ValueError(f"mask has shape {arr.shape}, expected ({n},)")

@@ -417,11 +417,45 @@ def _neighbor_sum(graph: Graph, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_context(graph: Graph, seed_node: int) -> tuple[np.ndarray, np.ndarray]:
-    """What ``mpnn_forward`` computes from the seed before any weight: node features and hop distances."""
+def _receptive_field(graph: Graph, seed_node: int, rounds: int) -> list[np.ndarray]:
+    """Round k's hop mask, k = 0 .. rounds - 1: 1.0 on the nodes within k + 1 hops of the seed.
+
+    Grown one ring per round from a boolean reach vector over the nodes plus
+    the pad index n, which stays False: each round gathers the vector
+    through the ``gather_layout`` blocks (reordered through ``position``
+    when bucketed) and ORs in every node with a reached neighbour.  The
+    masks equal ``(hop_distances(graph, seed_node) <= k + 1)`` as float64,
+    bit for bit, without a BFS over the whole graph.  That BFS gives an
+    unreached node n + 1 hops, so from round n on every node is kept here
+    too.
+    """
+    n = graph.n
+    blocks, position = gather_layout(graph)
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[seed_node] = True
+    masks = []
+    for k in range(rounds):
+        if k >= n:
+            reach[:n] = True
+        else:
+            # ``reach[block]``, not ``reach.take(block)``: a 1-D take through a
+            # read-only 2-D block ran about 8x slower (numpy 2.4).
+            near = [reach[block].any(axis=0) for block in blocks]
+            reach[:n] |= near[0] if position is None else np.concatenate(near)[position]
+        masks.append(reach[:n].astype(np.float64))
+    return masks
+
+
+def _forward_context(graph: Graph, seed_node: int, rounds: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """What ``mpnn_forward`` computes from the seed before any weight.
+
+    The node features and, for each of ``rounds`` message-passing rounds,
+    its receptive-field mask (``_receptive_field``).  A caller that runs
+    the same (graph, seed) pair many times builds it once and passes it in.
+    """
     if not (0 <= seed_node < graph.n):
         raise ValueError(f"seed node {seed_node} out of range")
-    return _node_features(graph, seed_node), hop_distances(graph, seed_node)
+    return _node_features(graph, seed_node), _receptive_field(graph, seed_node, rounds)
 
 
 def mpnn_forward(
@@ -429,32 +463,32 @@ def mpnn_forward(
 ):
     """Per-node probabilities from the seed-conditioned network.
 
-    After round k, nodes farther than k hops from the seed are zeroed, so
-    depth bounds the receptive field.  The readout scalars are min-max
-    normalized onto [0, 1]; an all-equal readout degenerates to 0.5
-    everywhere.  ``context`` is ``_forward_context(graph, seed_node)``,
-    computed here unless a caller that runs the same (graph, seed) pair many
-    times passes it in.  Message passing gathers through the graph's
-    ``gather_layout``, which is built on the first pass over a graph and
-    kept on it for every later pass, forward or backward.
+    After round k (from 0), nodes farther than k + 1 hops from the seed are
+    zeroed, so depth bounds the receptive field.  The readout scalars are
+    min-max normalized onto [0, 1]; an all-equal readout degenerates to 0.5
+    everywhere.  ``context`` is ``_forward_context(graph, seed_node,
+    params.layers)``: the features and one float mask per round, grown from
+    the seed through the graph's ``gather_layout`` rather than by a BFS.  It
+    is computed here unless a caller that runs the same (graph, seed) pair
+    many times passes it in; the masks go into the cache as they are.
+    Message passing gathers through the same ``gather_layout``, which is
+    built on the first pass over a graph and kept on it for every later
+    pass, forward or backward.
     """
     if context is None:
-        context = _forward_context(graph, seed_node)
+        context = _forward_context(graph, seed_node, params.layers)
     w = params.weights
-    x, dist = context
+    x, masks = context
     h = x @ w["embed_w"].T + w["embed_b"]
     hs = [h]
     aggs: list[np.ndarray] = []
     zs: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
     for k in range(params.layers):
         agg = h + _neighbor_sum(graph, h)
         z = agg @ w[f"layer{k}_w"].T + w[f"layer{k}_b"]
-        mask = (dist <= k + 1).astype(np.float64)
-        h = (np.maximum(z, 0.0) + h) * mask[:, None]
+        h = (np.maximum(z, 0.0) + h) * masks[k][:, None]
         aggs.append(agg)
         zs.append(z)
-        masks.append(mask)
         hs.append(h)
     r_pre = h @ w["head1_w"].T + w["head1_b"]
     r = np.maximum(r_pre, 0.0)
@@ -586,9 +620,9 @@ def train_mpnn(
     Each epoch resamples one seed node per training graph (and, for cut
     losses without a pinned interval, a volume interval inside the seed's
     receptive field).  Validation contexts are drawn once up front so the
-    selection criterion is stable, and so are their features and hop
-    distances; without a validation split the training loss is used
-    instead.  Every forward and backward pass on one graph, over all epochs,
+    selection criterion is stable, and so are their features and
+    receptive-field masks; without a validation split the training loss is
+    used instead.  Every forward and backward pass on one graph, over all epochs,
     gathers through the ``gather_layout`` kept on that graph.  Losses come
     from the spec's ``step_kernel``, as in ``optimize_direct``; its
     neighbour sums are built once per graph and kept there.
@@ -623,7 +657,7 @@ def train_mpnn(
     val_ctx = []
     for g in val_graphs:
         seed, step = _sample_context(loss_spec, g, rng, hops)
-        val_ctx.append((g, seed, step, _forward_context(g, seed)))
+        val_ctx.append((g, seed, step, _forward_context(g, seed, params.layers)))
     history: dict[str, list[float]] = {"train": [], "val": []}
     best_params, best_score = params.copy(), np.inf
     for _ in range(epochs):
@@ -699,11 +733,12 @@ def save_checkpoint(
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_checkpoint(path: Path) -> tuple[dict, dict]:
+def _read_checkpoint(path: Path, optimizer: bool) -> tuple[dict, dict]:
     """Either layout as (header, {group: {name: array-like}}).
 
     A .json document serves as its own header; the arrays inlined in it are
-    ignored there.
+    ignored there.  Without ``optimizer``, a .npz file's moment members are
+    never read.
     """
     if path.suffix == ".npz":
         # Opened here, so that a missing or unreadable file stays an OSError.
@@ -712,7 +747,7 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict]:
                 with np.load(fh) as data:
                     if "__header__" not in data.files:
                         raise ValueError("checkpoint has no __header__ member")
-                    groups: dict = {"weights": {}, "optim_m": {}, "optim_v": {}}
+                    groups: dict = {"weights": {}, "optim_m": {}, "optim_v": {}} if optimizer else {"weights": {}}
                     for name in data.files:
                         group, _, key = name.partition("/")
                         if group in groups:
@@ -725,8 +760,8 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict]:
                 # OSError for a seek outside the file or a bad bzip2 stream.
                 raise ValueError(f"checkpoint is not a readable .npz archive: {exc}") from None
     doc = _object(json.loads(path.read_text(encoding="utf-8")), "top level")
-    optimizer = doc.get("optimizer") if isinstance(doc.get("optimizer"), dict) else {}
-    return doc, {"weights": doc.get("weights"), "optim_m": optimizer.get("m"), "optim_v": optimizer.get("v")}
+    moments = doc.get("optimizer") if isinstance(doc.get("optimizer"), dict) else {}
+    return doc, {"weights": doc.get("weights"), "optim_m": moments.get("m"), "optim_v": moments.get("v")}
 
 
 def _object(value, what: str) -> dict:
@@ -763,16 +798,22 @@ def _arrays(named, what: str, shapes: dict) -> dict[str, np.ndarray]:
     return arrays
 
 
-def load_checkpoint(path) -> tuple[MpnnParams, OptimState | None, dict]:
-    """Read a checkpoint in either format back.
+def load_checkpoint(path, *, optimizer: bool = True) -> tuple[MpnnParams, OptimState | None, dict]:
+    """Read a checkpoint in either format back: (weights, Adam state or None, meta).
+
+    Every weight is read and checked for its name, shape and finiteness.
+    ``optimizer=False`` reads the weights alone, for a caller that only runs
+    the network (``cliquecut solve``): the optimizer section, its scalars
+    and moments, is neither read nor checked, and None comes back for it.
+    On the bench's 37-member .npz that skips 24 of the members.
 
     Raises:
         ValueError: on an unknown format version, an empty, truncated or
             corrupted .npz file, more layers than the file holds weights
-            for, or a field, weight or moment that is missing, unexpected,
-            non-finite or of the wrong type or shape.
+            for, or a field, weight or (when read) moment that is missing,
+            unexpected, non-finite or of the wrong type or shape.
     """
-    header, groups = _read_checkpoint(Path(path))
+    header, groups = _read_checkpoint(Path(path), optimizer)
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
     hidden, layers = _number(header, "hidden", int), _number(header, "layers", int)
@@ -783,10 +824,10 @@ def load_checkpoint(path) -> tuple[MpnnParams, OptimState | None, dict]:
         raise ValueError(f"checkpoint declares {layers} layers but holds {len(weights)} weights")
     shapes = MpnnParams.shapes(hidden, layers)
     params = MpnnParams(hidden, layers, _arrays(weights, "weights", shapes))
-    if header.get("optimizer") is None:
+    if not optimizer or header.get("optimizer") is None:
         return params, None, header.get("meta", {})
-    optimizer = _object(header["optimizer"], "optimizer")
-    scalars = {k: _number(optimizer, k, kind) for k, kind in _OPTIM_SCALARS.items()}
+    state = _object(header["optimizer"], "optimizer")
+    scalars = {k: _number(state, k, kind) for k, kind in _OPTIM_SCALARS.items()}
     # Adam holds moments for every weight once it has taken a step, none before.
     moment_shapes = shapes if scalars["step"] else {}
     m, v = (_arrays(groups[g], f"optimizer {g[-1]}", moment_shapes) for g in ("optim_m", "optim_v"))

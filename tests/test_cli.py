@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cliquecut import Graph, MpnnParams, graph_digest, graphs, save_checkpoint, to_edge_list_text
+from cliquecut import cli
 from cliquecut.cli import main
 
 from helpers import complete_graph, path_graph, random_graph, two_triangles
@@ -561,6 +562,48 @@ def test_train_and_reuse_checkpoint(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["payload"]["producer"] == "mpnn"
+
+
+def test_solve_reads_weights_only(tmp_path, capsys):
+    """``solve`` takes a checkpoint whose moments alone are damaged; ``train --init`` does not."""
+    corpus_dir = tmp_path / "train-corpus"
+    run(capsys, ["generate", "--count", "3", "--nodes", "8", "--prob", "0.6",
+                 "--splits", "none", "--out", str(corpus_dir)])
+    ckpt = tmp_path / "producer.npz"
+    code, _, _ = run(capsys, ["train", "--corpus", str(corpus_dir), "--epochs", "1", "--hidden", "4",
+                              "--layers", "1", "--out", str(ckpt)])
+    assert code == 0
+    graph_path = corpus_dir / "gnp-000.edges"
+    solve = ["solve", "--graph", str(graph_path), "--producer", "mpnn", "--checkpoint", str(ckpt), "--steps", "0"]
+    code, before, _ = run(capsys, solve)
+    assert code == 0
+    _drop_npz_member(ckpt, "optim_v/embed_w")
+    code, after, _ = run(capsys, solve)
+    assert code == 0
+    assert json.loads(after)["payload"] == json.loads(before)["payload"]
+    code, _, err = run(capsys, ["train", "--corpus", str(corpus_dir), "--epochs", "1", "--init", str(ckpt),
+                                "--out", str(tmp_path / "resumed.npz")])
+    assert code == 1
+    assert err.startswith("error:") and "optimizer v do not fit the network: missing ['embed_w']" in err
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    graph_path = write_graph(tmp_path, complete_graph(4))
+    for _ in range(2):
+        code, out, _ = run(capsys, ["solve", "--graph", str(graph_path), "--restarts", "1", "--steps", "5"])
+        assert code == 0 and json.loads(out)["payload"]["node_indices"] == [0, 1, 2, 3]
+    assert len(built) == 1
+    # build_parser itself still returns a new parser on every call.
+    assert build()[0] is not build()[0]
 
 
 @pytest.mark.parametrize(

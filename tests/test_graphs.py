@@ -204,6 +204,21 @@ def test_as_mask_coercions():
         as_mask(3, [3])
     assert not as_mask(3, []).any()
     path = path_graph(3)
+    # A set or a generator of indices gives the result of the equal list.
+    g = two_triangles()
+    for members in ([0, 1, 2], [1, 2, 3]):
+        for evaluate in (set_weight, cut_weight, volume, is_clique, conductance):
+            want = evaluate(g, members)
+            got = evaluate(g, set(members[::-1])), evaluate(g, (i for i in members))
+            assert got == (want, want), (evaluate.__name__, members)
+        want, want_index = induced(g, members)
+        for iterable in (set(members[::-1]), (i for i in members)):
+            sub, index = induced(g, iterable)
+            assert index.tolist() == want_index.tolist()
+            assert (sub.n, sub.edge_u.tolist(), sub.edge_v.tolist(), sub.edge_w.tolist()) == (
+                want.n, want.edge_u.tolist(), want.edge_v.tolist(), want.edge_w.tolist()
+            )
+    assert not as_mask(3, set()).any()
     for fractional in ([0.9, 1.2], np.array([1.9]), [0, 1.0]):
         with pytest.raises(ValueError, match="must be integers, got dtype float64"):
             as_mask(3, fractional)

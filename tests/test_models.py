@@ -29,7 +29,7 @@ from cliquecut import (
     train_mpnn,
 )
 from cliquecut import models, solver
-from cliquecut.graphs import gather_layout
+from cliquecut.graphs import gather_layout, hop_distances
 from cliquecut.models import _draw_interval, _neighbor_sum, _pick_seed, mpnn_backward, sigmoid
 
 from helpers import complete_graph, path_graph, random_graph, reference_neighbor_sums, sparse_planted_clique, two_triangles
@@ -665,6 +665,40 @@ def test_gather_layout_is_built_once_per_graph():
     assert all(not block.flags.writeable for block in layout[0])
 
 
+def test_receptive_field_matches_bfs_masks():
+    rng = np.random.default_rng(63)
+    star, heavy = star_graph(40), heavy_tailed_graph(rng, 120)
+    two_parts, _ = disjoint_union([random_graph(rng, 7, density=0.5), path_graph(5)])
+    graphs = {
+        "single block": random_graph(rng, 12, density=0.3),
+        "star": star,
+        "heavy-tailed": heavy,
+        "isolated node 0": Graph(4, [1, 2], [2, 3], [1.0, 1.0]),
+        "edgeless": Graph(3, [], [], []),
+        "path": path_graph(300),
+        "two components": two_parts,
+    }
+    assert gather_layout(graphs["single block"])[1] is None
+    assert gather_layout(star)[1] is not None and gather_layout(heavy)[1] is not None
+    # The star's centre is a one-node bucket, padded to two columns.
+    assert any(block.shape[1] == 2 for block in gather_layout(star)[0])
+    for name, g in graphs.items():
+        for seed in range(g.n):
+            dist = hop_distances(g, seed)
+            for rounds in range(5):
+                masks = models._receptive_field(g, seed, rounds)
+                assert len(masks) == rounds
+                for k, mask in enumerate(masks):
+                    want = (dist <= k + 1).astype(np.float64)
+                    assert mask.dtype == np.float64 and mask.shape == (g.n,)
+                    assert np.array_equal(mask.view(np.int64), want.view(np.int64)), (name, seed, rounds, k)
+    # The forward pass keeps the context's masks in its cache as they are.
+    params = MpnnParams.init(rng, hidden=4, layers=3)
+    context = models._forward_context(heavy, 5, params.layers)
+    _, cache = mpnn_forward(heavy, params, 5, want_cache=True, context=context)
+    assert all(a is b for a, b in zip(cache["masks"], context[1], strict=True))
+
+
 class KernelCountingGraph(Graph):
     """A Graph that counts the neighbour-sum kernels stored on it, in ``kernels_built``."""
 
@@ -833,20 +867,20 @@ def test_train_mpnn_tracks_validation():
     assert len(result.history["val"]) == 5
 
 
-def test_train_mpnn_runs_validation_bfs_once(monkeypatch):
+def test_train_mpnn_builds_validation_receptive_fields_once(monkeypatch):
     rng = np.random.default_rng(9)
     graphs = [random_graph(rng, 8, density=0.5) for _ in range(5)]
     corpus = _tiny_corpus(graphs, ["train", "train", "train", "val", "val"])
     sources = []
-    bfs = models.hop_distances
+    build = models._receptive_field
 
-    def counted(graph, source):
-        sources.append((graphs.index(graph), source))
-        return bfs(graph, source)
+    def counted(graph, seed_node, rounds):
+        sources.append((graphs.index(graph), seed_node))
+        return build(graph, seed_node, rounds)
 
-    monkeypatch.setattr(models, "hop_distances", counted)
+    monkeypatch.setattr(models, "_receptive_field", counted)
     train_mpnn(corpus, CliqueLossSpec(), epochs=4, hidden=4, layers=1, rng=np.random.default_rng(1))
-    # One BFS per training forward pass, and one per validation graph for the whole run.
+    # One receptive field per training forward pass, and one per validation graph for the whole run.
     assert len(sources) == 4 * 3 + 2
     assert sum(g >= 3 for g, _ in sources) == 2
 
@@ -1064,3 +1098,44 @@ def test_checkpoint_layout_matches_fixture(tmp_path, suffix, with_optimizer):
         assert resaved.read_bytes() == fixture.read_bytes()
     else:
         assert_same_npz(npz_members(resaved), npz_members(fixture))
+
+
+@pytest.mark.parametrize("suffix", [".json", ".npz"])
+def test_weights_only_load_matches_full_load(tmp_path, suffix, monkeypatch):
+    params, state, meta = fixture_checkpoint(True)
+    path = tmp_path / f"ckpt{suffix}"
+    save_checkpoint(path, params, optimizer=state, meta=meta)
+    full, opt, full_meta = load_checkpoint(path)
+    read = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def counted(self, key):
+        read.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+    loaded, none, loaded_meta = load_checkpoint(path, optimizer=False)
+    assert opt is not None and none is None
+    assert loaded_meta == full_meta == meta
+    assert (loaded.hidden, loaded.layers) == (full.hidden, full.layers)
+    assert list(loaded.weights) == list(full.weights)
+    for key, w in full.weights.items():
+        assert np.array_equal(loaded.weights[key].view(np.int64), w.view(np.int64)), key
+    # The moments' members are never opened.
+    if suffix == ".npz":
+        assert sorted(read) == sorted(["__header__", *(f"weights/{k}" for k in params.weights)])
+
+
+def test_weights_only_load_ignores_damaged_moments(tmp_path):
+    params, state, meta = fixture_checkpoint(True)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, optimizer=state, meta=meta)
+    members = npz_members(path)
+    del members["optim_m/layer1_b"]
+    np.savez(path, **members)
+    loaded, opt, _ = load_checkpoint(path, optimizer=False)
+    assert opt is None
+    for key, w in params.weights.items():
+        assert np.array_equal(loaded.weights[key].view(np.int64), w.view(np.int64)), key
+    with pytest.raises(ValueError, match=re.escape("checkpoint optimizer m do not fit the network: missing ['layer1_b']")):
+        load_checkpoint(path)
