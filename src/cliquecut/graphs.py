@@ -626,9 +626,12 @@ def load_dimacs(text: str) -> Graph:
     """Parse DIMACS clique format: ``p edge n m`` header, ``e i j [w]`` lines, 1-based.
 
     A declared n above ``MAX_NODES`` raises before anything is allocated.
+    Every ``e`` line counts toward m; as in ``load_edge_list``, zero-weight
+    edges are then dropped and weights above 1 rescaled by the largest.
     """
     n = None
     m_declared = None
+    records = 0
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
@@ -654,6 +657,7 @@ def load_dimacs(text: str) -> Graph:
             u, v, w = _parse_edge_line(parts[1:], lineno, index_base=1)
             if u >= n or v >= n:
                 raise GraphFormatError(f"line {lineno}: node index exceeds declared count")
+            records += 1
             if w == 0.0:
                 continue
             us.append(u)
@@ -663,8 +667,8 @@ def load_dimacs(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing problem line")
-    if m_declared is not None and len(us) != m_declared:
-        raise GraphFormatError(f"header declares {m_declared} edges, found {len(us)}")
+    if records != m_declared:
+        raise GraphFormatError(f"header declares {m_declared} edges, found {records}")
     w_arr = np.asarray(ws, dtype=np.float64)
     if w_arr.size and w_arr.max() > 1.0:
         w_arr = w_arr / w_arr.max()

@@ -424,24 +424,20 @@ def _receptive_field(graph: Graph, seed_node: int, rounds: int) -> list[np.ndarr
     the pad index n, which stays False: each round gathers the vector
     through the ``gather_layout`` blocks (reordered through ``position``
     when bucketed) and ORs in every node with a reached neighbour.  The
-    masks equal ``(hop_distances(graph, seed_node) <= k + 1)`` as float64,
-    bit for bit, without a BFS over the whole graph.  That BFS gives an
-    unreached node n + 1 hops, so from round n on every node is kept here
-    too.
+    masks equal ``(hop_distances(graph, seed_node) <= min(k + 1, n))`` as
+    float64, bit for bit, without a BFS over the whole graph: a round only
+    grows the reach, so no round takes in a node the seed cannot reach.
     """
     n = graph.n
     blocks, position = gather_layout(graph)
     reach = np.zeros(n + 1, dtype=bool)
     reach[seed_node] = True
     masks = []
-    for k in range(rounds):
-        if k >= n:
-            reach[:n] = True
-        else:
-            # ``reach[block]``, not ``reach.take(block)``: a 1-D take through a
-            # read-only 2-D block ran about 8x slower (numpy 2.4).
-            near = [reach[block].any(axis=0) for block in blocks]
-            reach[:n] |= near[0] if position is None else np.concatenate(near)[position]
+    for _ in range(rounds):
+        # ``reach[block]``, not ``reach.take(block)``: a 1-D take through a
+        # read-only 2-D block ran about 8x slower (numpy 2.4).
+        near = [reach[block].any(axis=0) for block in blocks]
+        reach[:n] |= near[0] if position is None else np.concatenate(near)[position]
         masks.append(reach[:n].astype(np.float64))
     return masks
 
@@ -579,7 +575,8 @@ class TrainResult:
 def _draw_interval(graph: Graph, seed: int, hops: int, rng: np.random.Generator) -> VolumeConstraint:
     d_s = float(graph.degree[seed])
     dist = hop_distances(graph, seed)
-    ball_vol = float(graph.degree[dist <= hops].sum())
+    # Unreached nodes sit at n + 1 hops; the cap keeps them out at any hops.
+    ball_vol = float(graph.degree[dist <= min(hops, graph.n)].sum())
     lo = 2.0 * d_s
     hi = max(ball_vol, lo * 1.001)
     center = float(rng.uniform(lo, hi))

@@ -12,7 +12,9 @@ partitioning scans a schedule of volume intervals around the seed and keeps
 the lowest-conductance feasible decode.  Both run their units (restarts,
 balls or intervals) through one driver, ``_solve``; the units are
 embarrassingly parallel, and one seed stream per unit keeps results
-byte-identical at any thread count.
+byte-identical at any thread count.  A unit only produces and decodes;
+``_solve`` ranks the units and then computes the loss and the certificate
+once, for the distribution of the unit whose set it returns.
 """
 
 from __future__ import annotations
@@ -187,24 +189,6 @@ _STACK_ENTRIES = 2**15
 _STOP_RTOL = 1e-6
 
 
-def _run_indexed(worker, count: int, threads: int, time_budget: float | None) -> list:
-    """Run worker(0..count-1); budget mode is serial and may stop early."""
-    if count < 1:
-        raise ValueError("need at least one unit of work")
-    if time_budget is not None:
-        start = time.perf_counter()
-        results = []
-        for i in range(count):
-            results.append(worker(i))
-            if time.perf_counter() - start > time_budget:
-                break
-        return results
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(i) for i in range(count)]
-
-
 def _check_config(config: SolveConfig) -> None:
     """The checks both solvers share, made before any work."""
     if config.producer not in ("direct", "mpnn", "uniform"):
@@ -232,35 +216,43 @@ def _check_config(config: SolveConfig) -> None:
 
 
 def _solve(
-    graph: Graph, config: SolveConfig, problem: str, decode: str, units, worker, t0: float, chunk: int = 1
+    graph: Graph, config: SolveConfig, problem: str, decode: str, units, worker, certify, t0: float, chunk: int = 1
 ) -> SolveResult:
-    """Run ``worker(units, rngs)`` over ``units`` in chunks and report the best outcome.
+    """Run ``worker(units, rngs)`` over ``units`` in chunks, rank the units, certify the winner.
 
     Each unit draws from its own stream spawned from ``config.seed``, so the
     result depends neither on the thread count nor on ``chunk``, the most
-    units one worker call gets (the threads and the time budget act per
-    call).  A worker returns one ``(key, fields)`` per unit: the smallest key
-    wins, ties go to the lowest index, and the winner's fields fill the
-    ``SolveResult``.  ``t0`` is when the solve began.
+    units one worker call gets.  Calls run on a pool of ``config.threads``
+    threads, or, with a ``time_budget``, one after another until the first
+    call that ends past the budget.  A worker returns one ``(key, fields,
+    state)`` per unit: the smallest key wins, ties go to the lowest index,
+    and the winner's fields plus ``certify(*state)``, its loss and
+    certificate fields, fill the ``SolveResult``.  Only the winner is
+    certified.  ``t0`` is when the solve began.
     """
     seqs = np.random.SeedSequence(config.seed).spawn(len(units))
     starts = range(0, len(units), chunk)
 
-    def run(c: int) -> list:
-        part = slice(starts[c], starts[c] + chunk)
+    def run(start: int) -> list:
+        part = slice(start, start + chunk)
         return worker(units[part], [np.random.default_rng(seq) for seq in seqs[part]])
 
-    batches = _run_indexed(run, len(starts), config.threads, config.time_budget)
-    outcomes = [outcome for batch in batches for outcome in batch]
+    budget = config.time_budget
+    if config.threads > 1 and budget is None:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            outcomes = [outcome for batch in pool.map(run, starts) for outcome in batch]
+    else:
+        clock = time.perf_counter()
+        outcomes = []
+        for start in starts:
+            outcomes += run(start)
+            if budget is not None and time.perf_counter() - clock > budget:
+                break
     # min keeps the first of equal keys, which is the lowest index.
-    _, winner = min(outcomes, key=lambda outcome: outcome[0])
+    _, winner, state = min(outcomes, key=lambda outcome: outcome[0])
     return SolveResult(
-        problem=problem,
-        producer=config.producer,
-        decode=decode,
-        seeds_tried=len(outcomes),
-        wall_time=time.perf_counter() - t0,
-        **winner,
+        problem=problem, producer=config.producer, decode=decode, seeds_tried=len(outcomes),
+        **winner, **certify(*state), wall_time=time.perf_counter() - t0,
     )
 
 
@@ -357,14 +349,16 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         weight = max(weights)
         node_set = grown[weights.index(weight)]
         indices = tuple(int(j) for j in node_set.indices())
-        loss_value = clique_loss(g, p, cert_params).value
-        return (-weight, indices), {
-            "node_indices": list(indices),
-            "objective": weight,
-            "constraint_ok": True,
+        found = {"node_indices": list(indices), "objective": weight, "constraint_ok": True, "volume": node_set.volume}
+        return (-weight, indices), found, (unit, p)
+
+    def certify(unit: _CliqueUnit, p: np.ndarray) -> dict:
+        """The penalty loss of p on the unit's graph and its tail-bound certificate."""
+        cert_params = unit.cert_params
+        loss_value = clique_loss(unit.graph, p, cert_params).value
+        return {
             "certificate": penalty_certificate(loss_value, cert_params.beta, config.t),
             "loss": loss_value,
-            "volume": node_set.volume,
             "gamma": cert_params.gamma,
         }
 
@@ -406,7 +400,7 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
 
     entries = max(1, *(unit.graph.rows.size for unit in units))
     chunk = max(1, _STACK_ENTRIES // entries) if config.producer == "direct" else 1
-    return _solve(graph, config, "clique", decode, units, worker, t0, chunk)
+    return _solve(graph, config, "clique", decode, units, worker, certify, t0, chunk)
 
 
 def uniform_random_baseline(graph: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -429,7 +423,8 @@ def default_interval_schedule(
     if d_s <= 0.0:
         raise ValueError("seed node is isolated; no volume scale to scan")
     dist = hop_distances(graph, seed_node)
-    ball_vol = float(graph.degree[dist <= hops].sum())
+    # Unreached nodes sit at n + 1 hops; the cap keeps them out at any hops.
+    ball_vol = float(graph.degree[dist <= min(hops, graph.n)].sum())
     lo = 2.0 * d_s
     hi = max(min(ball_vol, float(graph.degree.sum()) / 2.0), lo)
     centers = np.geomspace(lo, hi, count) if hi > lo else np.array([lo])
@@ -513,33 +508,35 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
         else:
             p = rng.random(graph.n)
         q = rescale_to_target(p, graph.degree, vc.target)
-        loss_value = expected_cut(graph, q)
         if decode == "conditional":
             res = decode_cut_with_volume(graph, q, vc, seed_node)
             node_set, lower_met = res.node_set, res.lower_met
         else:
             node_set, lower_met = _sampled_cut_decode(graph, q, vc, seed_node, config.k_samples, rng)
         phi = conductance(graph, node_set.mask)
+        return (not lower_met, phi), {
+            "node_indices": [int(i) for i in node_set.indices()],
+            "objective": cut_weight(graph, node_set.mask),
+            "constraint_ok": bool(lower_met),
+            "conductance": phi,
+            "volume": node_set.volume,
+            "interval": (vc.lower, vc.upper),
+        }, (vc, q)
+
+    def worker(vcs: list[VolumeConstraint], rngs: list[np.random.Generator]):
+        return [interval_outcome(vc, rng) for vc, rng in zip(vcs, rngs)]
+
+    def certify(vc: VolumeConstraint, q: np.ndarray) -> dict:
+        """The expected cut of q and its box certificate, void when q misses the interval's target volume."""
+        loss_value = expected_cut(graph, q)
         cert = box_certificate(loss_value, config.t, graph.degree, vc)
         achieved = expected_volume(graph, q)
         if abs(achieved - vc.target) > 1e-6 * max(vc.target, 1.0):
             # Target unreachable (degrees saturated); the box claim does not apply.
             cert = replace(cert, success_prob=-1.0, vacuous=True)
-        return (not lower_met, phi), {
-            "node_indices": [int(i) for i in node_set.indices()],
-            "objective": cut_weight(graph, node_set.mask),
-            "constraint_ok": bool(lower_met),
-            "certificate": cert,
-            "loss": loss_value,
-            "conductance": phi,
-            "volume": node_set.volume,
-            "interval": (vc.lower, vc.upper),
-        }
+        return {"certificate": cert, "loss": loss_value}
 
-    def worker(vcs: list[VolumeConstraint], rngs: list[np.random.Generator]):
-        return [interval_outcome(vc, rng) for vc, rng in zip(vcs, rngs)]
-
-    return _solve(graph, config, "partition", decode, usable, worker, t0)
+    return _solve(graph, config, "partition", decode, usable, worker, certify, t0)
 
 
 def greedy_mis_complement(graph: Graph) -> NodeSet:

@@ -569,6 +569,14 @@ def test_dimacs_parsing():
         load_dimacs("p edge 3 2\ne 1 2\n")
     with pytest.raises(GraphFormatError):
         load_dimacs("e 1 2\n")  # edge before header
+    # A zero-weight record counts toward the header's m, then is dropped.
+    assert load_dimacs("p edge 3 2\ne 1 2 0\ne 2 3\n").num_edges == 1
+    with pytest.raises(GraphFormatError, match="declares 3 edges, found 2"):
+        load_dimacs("p edge 3 3\ne 1 2\ne 2 3\n")
+    # Weights above 1 are rescaled as the edge-list loader rescales them.
+    rescaled = load_dimacs("p edge 3 2\ne 1 2 4\ne 2 3 2\n").edge_w
+    assert np.array_equal(rescaled.view(np.int64), load_edge_list("0 1 4\n1 2 2\n").edge_w.view(np.int64))
+    assert rescaled.tolist() == [1.0, 0.5]
 
 
 def test_loaders_cap_the_node_count(monkeypatch):

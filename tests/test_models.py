@@ -689,7 +689,7 @@ def test_receptive_field_matches_bfs_masks():
                 masks = models._receptive_field(g, seed, rounds)
                 assert len(masks) == rounds
                 for k, mask in enumerate(masks):
-                    want = (dist <= k + 1).astype(np.float64)
+                    want = (dist <= min(k + 1, g.n)).astype(np.float64)
                     assert mask.dtype == np.float64 and mask.shape == (g.n,)
                     assert np.array_equal(mask.view(np.int64), want.view(np.int64)), (name, seed, rounds, k)
     # The forward pass keeps the context's masks in its cache as they are.
@@ -697,6 +697,16 @@ def test_receptive_field_matches_bfs_masks():
     context = models._forward_context(heavy, 5, params.layers)
     _, cache = mpnn_forward(heavy, params, 5, want_cache=True, context=context)
     assert all(a is b for a, b in zip(cache["masks"], context[1], strict=True))
+
+
+def test_hop_balls_stay_in_the_seed_component():
+    # A triangle (volume 6) beside a disjoint K6; BFS puts the K6 at n + 1 hops.
+    g, _ = disjoint_union([complete_graph(3), complete_graph(6)])
+    hops = g.n + 1
+    assert models._receptive_field(g, 0, hops)[-1].tolist() == [1.0] * 3 + [0.0] * 6
+    assert solver.default_interval_schedule(g, 0, hops=hops)[-1].upper == 7.5
+    drawn = _draw_interval(g, 0, hops, np.random.default_rng(0))
+    assert (round(drawn.lower, 2), round(drawn.upper, 2)) == (3.96, 6.59)
 
 
 class KernelCountingGraph(Graph):

@@ -250,6 +250,36 @@ def counted_sizes(monkeypatch) -> list[list[int]]:
     return calls
 
 
+def test_only_the_returned_unit_is_certified(monkeypatch):
+    calls = []
+    for name in ("clique_loss", "penalty_certificate", "expected_cut", "box_certificate"):
+
+        def counted(*args, _name=name, _real=getattr(solver, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    dense, _ = gen_planted_clique(200, 10, 0.1, np.random.default_rng(0))
+    sparse, _ = sparse_planted_clique(np.random.default_rng(9), 3000, 10, 6)
+    cut = gen_gnp(80, 0.1, np.random.default_rng(1))
+    # The 200-node graph's 12 restarts run in two chunks, 7 and 5.
+    assert solver._STACK_ENTRIES // dense.rows.size == 7
+    clique, partition = ["clique_loss", "penalty_certificate"], ["expected_cut", "box_certificate"]
+    runs = [
+        (lambda: solve_max_clique(dense, SolveConfig(restarts=12, steps=10)), 12, clique),
+        (lambda: solve_max_clique(dense, SolveConfig(restarts=12, steps=10, threads=2)), 12, clique),
+        (lambda: solve_max_clique(sparse, SolveConfig(restarts=4, steps=10)), 4, clique),
+        (lambda: solve_local_partition(cut, 0, SolveConfig(steps=30)), 8, partition),
+        (lambda: solve_local_partition(cut, 0, SolveConfig(steps=30, decode="sampled")), 8, partition),
+        # A zero budget stops after the first chunk of 7 restarts.
+        (lambda: solve_max_clique(dense, SolveConfig(restarts=12, steps=10, time_budget=0.0)), 7, clique),
+    ]
+    for solve, units, want in runs:
+        calls.clear()
+        assert solve().seeds_tried == units
+        assert calls == want
+
+
 @pytest.mark.parametrize("n", [2000, 5000, 20000])
 def test_default_config_recovers_sparse_planted_clique(n):
     # Mean degree 10 around a planted 10-clique; whole-graph restarts miss it on some of these.
