@@ -123,8 +123,8 @@ class VolumeConstraint:
     upper: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.lower < self.upper):
-            raise ValueError(f"need 0 <= lower < upper, got [{self.lower}, {self.upper}]")
+        if not (0.0 <= self.lower < self.upper < math.inf):
+            raise ValueError(f"need finite bounds with 0 <= lower < upper, got [{self.lower}, {self.upper}]")
 
     @property
     def target(self) -> float:

@@ -338,6 +338,8 @@ def gather_layout(graph: Graph) -> tuple[list[np.ndarray], np.ndarray | None]:
     then row ``position[i]`` of the blocks' columns laid end to end.  A
     one-node bucket gets one more column, all pads: summing over rows with
     a single output element would take numpy's pairwise order instead.
+    The layout serves the MPNN's neighbour sums (``models._neighbor_sum``)
+    only; every other walk reads the CSR arrays.
     """
     if graph._layout is None:
         n, rows, targets = graph.n, graph.rows, graph.targets
@@ -503,17 +505,29 @@ def load_edge_list(text: str, *, index_base: int = 0, n: int | None = None) -> G
                 _check_line_node_count(n, lineno)
             continue
         u, v, w = _parse_edge_line(line.split(), lineno, index_base)
-        if w == 0.0:
-            continue
         us.append(u)
         vs.append(v)
         ws.append(w)
+    return _edge_graph(n, us, vs, ws)
+
+
+def _edge_graph(n: int | None, u, v, w) -> Graph:
+    """The graph of a loader's parsed edges, one entry per edge record.
+
+    Zero-weight edges are dropped, n is inferred from the largest endpoint
+    left when it is None, and when a weight is above 1 every weight is
+    divided by the largest.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    keep = w != 0.0
+    u, v, w = u[keep], v[keep], w[keep]
     if n is None:
-        n = max((max(us, default=-1), max(vs, default=-1))) + 1
-    w_arr = np.asarray(ws, dtype=np.float64)
-    if w_arr.size and w_arr.max() > 1.0:
-        w_arr = w_arr / w_arr.max()
-    return Graph(n, us, vs, w_arr)
+        n = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
+    if w.size and w.max() > 1.0:
+        w = w / w.max()
+    return Graph(n, u, v, w)
 
 
 _NODES_HEADER = re.compile(r"# nodes ([0-9]+)")
@@ -567,15 +581,8 @@ def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Grap
         return None
     if not np.all(np.isfinite(w) & (w >= 0.0)):
         return None
-    keep = w != 0.0
-    rescale = w.max() > 1.0
-    canonical = header is not None and index_base == 0 and keep.all() and not rescale and header == f"# nodes {n}"
-    u, v, w = u[keep], v[keep], w[keep]
-    if n is None:
-        n = int(max(u.max(initial=-1), v.max(initial=-1))) + 1
-    if rescale:
-        w = w / w.max()
-    graph = Graph(n, u, v, w)
+    canonical = header == f"# nodes {n}" and index_base == 0 and w.min() > 0.0 and w.max() <= 1.0
+    graph = _edge_graph(n, u, v, w)
     if canonical and _spelled_canonically(raw, u, v, w, n):
         graph._digest = hashlib.sha256(text.encode()).hexdigest()
     return graph
@@ -631,7 +638,6 @@ def load_dimacs(text: str) -> Graph:
     """
     n = None
     m_declared = None
-    records = 0
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
@@ -657,9 +663,6 @@ def load_dimacs(text: str) -> Graph:
             u, v, w = _parse_edge_line(parts[1:], lineno, index_base=1)
             if u >= n or v >= n:
                 raise GraphFormatError(f"line {lineno}: node index exceeds declared count")
-            records += 1
-            if w == 0.0:
-                continue
             us.append(u)
             vs.append(v)
             ws.append(w)
@@ -667,12 +670,9 @@ def load_dimacs(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing problem line")
-    if records != m_declared:
-        raise GraphFormatError(f"header declares {m_declared} edges, found {records}")
-    w_arr = np.asarray(ws, dtype=np.float64)
-    if w_arr.size and w_arr.max() > 1.0:
-        w_arr = w_arr / w_arr.max()
-    return Graph(n, us, vs, w_arr)
+    if len(us) != m_declared:
+        raise GraphFormatError(f"header declares {m_declared} edges, found {len(us)}")
+    return _edge_graph(n, us, vs, ws)
 
 
 def load_dimacs_file(path) -> Graph:

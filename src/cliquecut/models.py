@@ -420,25 +420,18 @@ def _neighbor_sum(graph: Graph, h: np.ndarray) -> np.ndarray:
 def _receptive_field(graph: Graph, seed_node: int, rounds: int) -> list[np.ndarray]:
     """Round k's hop mask, k = 0 .. rounds - 1: 1.0 on the nodes within k + 1 hops of the seed.
 
-    Grown one ring per round from a boolean reach vector over the nodes plus
-    the pad index n, which stays False: each round gathers the vector
-    through the ``gather_layout`` blocks (reordered through ``position``
-    when bucketed) and ORs in every node with a reached neighbour.  The
-    masks equal ``(hop_distances(graph, seed_node) <= min(k + 1, n))`` as
-    float64, bit for bit, without a BFS over the whole graph: a round only
-    grows the reach, so no round takes in a node the seed cannot reach.
+    Grown one ring per round from a boolean reach vector over the nodes:
+    each round marks the row of every CSR entry whose target is reached.
+    The masks equal ``(hop_distances(graph, seed_node) <= min(k + 1, n))``
+    as float64, bit for bit, without a BFS over the whole graph: a round
+    only grows the reach, so no round takes in a node the seed cannot reach.
     """
-    n = graph.n
-    blocks, position = gather_layout(graph)
-    reach = np.zeros(n + 1, dtype=bool)
+    reach = np.zeros(graph.n, dtype=bool)
     reach[seed_node] = True
     masks = []
     for _ in range(rounds):
-        # ``reach[block]``, not ``reach.take(block)``: a 1-D take through a
-        # read-only 2-D block ran about 8x slower (numpy 2.4).
-        near = [reach[block].any(axis=0) for block in blocks]
-        reach[:n] |= near[0] if position is None else np.concatenate(near)[position]
-        masks.append(reach[:n].astype(np.float64))
+        reach[graph.rows[reach[graph.targets]]] = True
+        masks.append(reach.astype(np.float64))
     return masks
 
 
@@ -464,11 +457,11 @@ def mpnn_forward(
     min-max normalized onto [0, 1]; an all-equal readout degenerates to 0.5
     everywhere.  ``context`` is ``_forward_context(graph, seed_node,
     params.layers)``: the features and one float mask per round, grown from
-    the seed through the graph's ``gather_layout`` rather than by a BFS.  It
+    the seed through the graph's CSR arrays rather than by a BFS.  It
     is computed here unless a caller that runs the same (graph, seed) pair
     many times passes it in; the masks go into the cache as they are.
-    Message passing gathers through the same ``gather_layout``, which is
-    built on the first pass over a graph and kept on it for every later
+    Message passing gathers through the graph's ``gather_layout``, which
+    is built on the first pass over a graph and kept on it for every later
     pass, forward or backward.
     """
     if context is None:

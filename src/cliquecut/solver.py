@@ -216,7 +216,7 @@ def _check_config(config: SolveConfig) -> None:
 
 
 def _solve(
-    graph: Graph, config: SolveConfig, problem: str, decode: str, units, worker, certify, t0: float, chunk: int = 1
+    config: SolveConfig, problem: str, decode: str, units, worker, certify, t0: float, chunk: int = 1
 ) -> SolveResult:
     """Run ``worker(units, rngs)`` over ``units`` in chunks, rank the units, certify the winner.
 
@@ -400,7 +400,7 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
 
     entries = max(1, *(unit.graph.rows.size for unit in units))
     chunk = max(1, _STACK_ENTRIES // entries) if config.producer == "direct" else 1
-    return _solve(graph, config, "clique", decode, units, worker, certify, t0, chunk)
+    return _solve(config, "clique", decode, units, worker, certify, t0, chunk)
 
 
 def uniform_random_baseline(graph: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -536,7 +536,7 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
             cert = replace(cert, success_prob=-1.0, vacuous=True)
         return {"certificate": cert, "loss": loss_value}
 
-    return _solve(graph, config, "partition", decode, usable, worker, certify, t0)
+    return _solve(config, "partition", decode, usable, worker, certify, t0)
 
 
 def greedy_mis_complement(graph: Graph) -> NodeSet:

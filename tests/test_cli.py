@@ -192,6 +192,25 @@ def test_verify_strict_fails_vacuous_certificate(tmp_path, capsys):
     assert json.loads(out)["payload"]["certificate_vacuous"] is True
 
 
+def test_infinite_volume_bound_is_an_error(tmp_path, capsys):
+    # json.dumps would write the bound as Infinity, which strict JSON parsers reject.
+    graph_path = write_graph(tmp_path, path_graph(4))
+    result_path = tmp_path / "result.json"
+    argv = ["solve", "--graph", str(graph_path), "--problem", "partition", "--seed-node", "0", "--steps", "20"]
+    code, _, err = run(capsys, argv + ["--intervals", "1:inf", "--out", str(result_path)])
+    assert code == 1 and err.startswith("error:") and "finite" in err
+    assert not result_path.exists()
+    # A payload whose interval was edited to [1.0, Infinity] does not verify either.
+    code, _, _ = run(capsys, argv + ["--intervals", "1:5", "--out", str(result_path)])
+    assert code == 0
+    doc = json.loads(result_path.read_text())
+    doc["payload"]["interval"] = [1.0, float("inf")]
+    result_path.write_text(json.dumps(doc))
+    assert "Infinity" in result_path.read_text()
+    code, _, err = run(capsys, ["verify", "--result", str(result_path), "--graph", str(graph_path)])
+    assert code == 1 and err.startswith("error:") and "finite" in err
+
+
 def _solved_weighted(tmp_path, capsys):
     """A weighted graph's canonical file, its edge lines, and a result solved from it."""
     graph = random_graph(np.random.default_rng(21), 16, density=0.4, weighted=True)

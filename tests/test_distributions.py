@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,8 @@ def test_volume_constraint():
         VolumeConstraint(5.0, 3.0)
     with pytest.raises(ValueError, match="lower"):
         VolumeConstraint(-1.0, 3.0)
+    with pytest.raises(ValueError, match="finite"):
+        VolumeConstraint(1.0, math.inf)
 
 
 def test_clique_loss_on_complete_graph_support():

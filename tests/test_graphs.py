@@ -577,6 +577,12 @@ def test_dimacs_parsing():
     rescaled = load_dimacs("p edge 3 2\ne 1 2 4\ne 2 3 2\n").edge_w
     assert np.array_equal(rescaled.view(np.int64), load_edge_list("0 1 4\n1 2 2\n").edge_w.view(np.int64))
     assert rescaled.tolist() == [1.0, 0.5]
+    # Zero-weight records are dropped before the rescale, as the edge-list loader drops them.
+    mixed = load_dimacs("p edge 4 3\ne 1 2 4\ne 2 3 0\ne 3 4 2\n")
+    same = load_edge_list("0 1 4\n1 2 0\n2 3 2\n")
+    assert mixed.n == same.n == 4
+    for name in ("edge_u", "edge_v", "edge_w"):
+        assert np.array_equal(getattr(mixed, name).view(np.int64), getattr(same, name).view(np.int64))
 
 
 def test_loaders_cap_the_node_count(monkeypatch):

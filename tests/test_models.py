@@ -699,6 +699,12 @@ def test_receptive_field_matches_bfs_masks():
     assert all(a is b for a, b in zip(cache["masks"], context[1], strict=True))
 
 
+def test_receptive_field_builds_no_gather_layout():
+    g = random_graph(np.random.default_rng(64), 20, density=0.3)
+    models._receptive_field(g, 0, 3)
+    assert g._layout is None
+
+
 def test_hop_balls_stay_in_the_seed_component():
     # A triangle (volume 6) beside a disjoint K6; BFS puts the K6 at n + 1 hops.
     g, _ = disjoint_union([complete_graph(3), complete_graph(6)])
