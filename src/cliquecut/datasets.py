@@ -54,6 +54,16 @@ class Corpus:
         return [i for i, s in enumerate(self.splits) if s == split]
 
 
+def _gnp_pairs(n: int, p_edge: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u < v of a G(n, p) draw, sorted by (u, v); raises as ``gen_gnp``."""
+    check_node_count(n)
+    if not (0.0 <= p_edge <= 1.0):
+        raise ValueError("edge probability must lie in [0, 1]")
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < p_edge
+    return iu[keep], iv[keep]
+
+
 def gen_gnp(n: int, p_edge: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi G(n, p) with unit weights.
 
@@ -61,12 +71,7 @@ def gen_gnp(n: int, p_edge: float, rng: np.random.Generator) -> Graph:
         ValueError: on n outside [0, ``graphs.MAX_NODES``], checked before
             the O(n**2) pair table is built, or p outside [0, 1].
     """
-    check_node_count(n)
-    if not (0.0 <= p_edge <= 1.0):
-        raise ValueError("edge probability must lie in [0, 1]")
-    iu, iv = np.triu_indices(n, k=1)
-    keep = rng.random(iu.size) < p_edge
-    u, v = iu[keep], iv[keep]
+    u, v = _gnp_pairs(n, p_edge, rng)
     return Graph(n, u, v, np.ones(u.size))
 
 
@@ -80,12 +85,10 @@ def gen_planted_clique(
     """
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    base = gen_gnp(n, p_background, rng)
+    bu, bv = _gnp_pairs(n, p_background, rng)
     planted = np.sort(rng.choice(n, size=k, replace=False))
-    pair_ids = base.edge_u * n + base.edge_v
     pu, pv = np.triu_indices(k, k=1)
-    clique_ids = planted[pu] * n + planted[pv]
-    all_ids = np.union1d(pair_ids, clique_ids)
+    all_ids = np.union1d(bu * n + bv, planted[pu] * n + planted[pv])
     u, v = all_ids // n, all_ids % n
     graph = Graph(n, u, v, np.ones(u.size))
     return graph, NodeSet.from_indices(graph, planted)
@@ -98,8 +101,8 @@ def split_corpus(corpus: Corpus, fractions=(0.6, 0.2, 0.2), rng: np.random.Gener
     deterministic for a given generator.
     """
     frac = np.asarray(fractions, dtype=np.float64)
-    if frac.size != 3 or np.any(frac < 0.0) or abs(frac.sum() - 1.0) > 1e-9:
-        raise ValueError("fractions must be three non-negative numbers summing to 1")
+    if frac.size != 3 or not np.all(np.isfinite(frac)) or np.any(frac < 0.0) or abs(frac.sum() - 1.0) > 1e-9:
+        raise ValueError("fractions must be three finite non-negative numbers summing to 1")
     rng = rng if rng is not None else np.random.default_rng(0)
     total = len(corpus)
     exact = frac * total

@@ -5,7 +5,8 @@ each one to the branch with the smaller conditional expectation, and rely on
 multilinearity to make every conditional a cheap substitution.  Because the
 chosen branch never exceeds the convex combination it replaces, the
 expectation trace is non-increasing and the final integral value is at most
-the starting loss.  Sweep and best-of-k decoders are simpler alternatives.
+the starting loss.  Best-of-k sampling is a simpler alternative, and one
+greedy loop grows cliques to maximal ones: the sweep, the polish, the baseline.
 """
 
 from __future__ import annotations
@@ -169,15 +170,6 @@ class DecodeTrace:
         }
 
 
-def _visit_order(probs: np.ndarray, order: str) -> np.ndarray:
-    if order == "prob":
-        # Stable sort on the negated vector: decreasing p, ties by index.
-        return np.argsort(-probs, kind="stable")
-    if order == "index":
-        return np.arange(probs.size)
-    raise ValueError(f"unknown visit order {order!r}")
-
-
 def decode_conditional(
     graph: Graph,
     p,
@@ -189,8 +181,9 @@ def decode_conditional(
 ) -> tuple[NodeSet, DecodeTrace]:
     """Derandomize a product distribution against a multilinear objective.
 
-    Nodes are visited in decreasing-probability order (ties broken by index;
-    ``order="index"`` visits in natural order instead).  Each node is included
+    Nodes are visited in decreasing-probability order, ties broken by index
+    (``order="index"`` visits in natural order; any other order raises
+    ``ValueError``).  Each node is included
     iff inclusion gives a strictly smaller conditional expectation, so ties
     bias toward sparser sets.  Probability-0 and probability-1 nodes are
     forced (conditioning on the other branch would condition on a null
@@ -210,7 +203,13 @@ def decode_conditional(
     the same bit for bit.
     """
     probs = check_probs(graph, p)
-    visit = _visit_order(probs, order)
+    if order == "prob":
+        # Stable sort on the negated vector: decreasing p, ties by index.
+        visit = np.argsort(-probs, kind="stable")
+    elif order == "index":
+        visit = np.arange(graph.n)
+    else:
+        raise ValueError(f"unknown visit order {order!r}")
     if first is not None:
         if not (0 <= first < graph.n):
             raise ValueError(f"first node {first} out of range")
@@ -260,52 +259,60 @@ def decode_maxcut_half(graph: Graph) -> NodeSet:
     return side
 
 
-def decode_clique_sweep(graph: Graph, p) -> NodeSet:
-    """Greedy sweep in decreasing-probability order; keeps mutual adjacency.
+def _greedy_clique(graph: Graph, mask: np.ndarray, rank: np.ndarray | None) -> NodeSet:
+    """Grow the clique ``mask`` in place until it is maximal.
 
-    Always returns a clique: a node joins only if adjacent to everything
-    already chosen.
+    Each step adds the node adjacent to every member that ranks highest,
+    ties to the lowest index, until no node is adjacent to every member.
+    ``rank=None`` ranks a node by its live gain, the edge weight it would
+    bring to the current members.
     """
-    probs = check_probs(graph, p)
-    visit = _visit_order(probs, "prob")
-    chosen = 0
     adj_count = np.zeros(graph.n, dtype=np.int64)
-    mask = np.zeros(graph.n, dtype=bool)
-    for i in visit:
-        if adj_count[i] == chosen:
-            mask[i] = True
-            chosen += 1
-            adj_count[graph.neighbors(int(i))] += 1
+    gain = np.zeros(graph.n)
+    offsets = memoryview(graph.offsets)
+
+    def join(v: int) -> None:
+        lo, hi = offsets[v], offsets[v + 1]
+        targets = graph.targets[lo:hi]
+        adj_count[targets] += 1
+        if rank is None:
+            gain[targets] += graph.weights[lo:hi]
+
+    for v in np.flatnonzero(mask).tolist():
+        join(v)
+    size = int(mask.sum())
+    score = gain if rank is None else rank
+    # Eligibility only shrinks, so each step filters the last step's nodes;
+    # the node just added drops out, as it is not its own neighbour.
+    eligible = np.flatnonzero(~mask & (adj_count == size))
+    while eligible.size:
+        v = int(eligible[np.argmax(score[eligible])])
+        mask[v] = True
+        size += 1
+        join(v)
+        eligible = eligible[adj_count[eligible] == size]
     return NodeSet.from_mask(graph, mask)
+
+
+def decode_clique_sweep(graph: Graph, p) -> NodeSet:
+    """Greedy maximal clique: the greedy clique loop ranked by p.
+
+    Each step adds the most probable node adjacent to every member, ties to
+    the lowest index.  A node once ineligible stays so, which makes this the
+    sweep over nodes in decreasing p that keeps each one adjacent to all kept.
+    """
+    return _greedy_clique(graph, np.zeros(graph.n, dtype=bool), check_probs(graph, p))
 
 
 def grow_to_maximal(graph: Graph, members) -> NodeSet:
     """Extend a clique to a maximal one, best weight gain first.
 
-    Repeatedly adds the node adjacent to every current member that brings the
-    most edge weight (ties to the lowest index).  The input must already be a
-    clique; a non-maximal clique is strictly dominated by its grown version,
-    so decoders run this as a final polish.
+    The greedy clique loop from ``members``, ranked by the edge weight a node
+    brings (ties to the lowest index).  The input must already be a clique; a
+    non-maximal clique is strictly dominated by its grown version, so
+    decoders run this as a final polish.
     """
-    mask = as_mask(graph.n, members).copy()
-    adj_count = np.zeros(graph.n, dtype=np.int64)
-    gain = np.zeros(graph.n)
-    for v in np.flatnonzero(mask):
-        lo, hi = graph.offsets[v], graph.offsets[v + 1]
-        adj_count[graph.targets[lo:hi]] += 1
-        gain[graph.targets[lo:hi]] += graph.weights[lo:hi]
-    size = int(mask.sum())
-    while True:
-        eligible = np.flatnonzero(~mask & (adj_count == size))
-        if eligible.size == 0:
-            break
-        v = int(eligible[np.argmax(gain[eligible])])
-        mask[v] = True
-        size += 1
-        lo, hi = graph.offsets[v], graph.offsets[v + 1]
-        adj_count[graph.targets[lo:hi]] += 1
-        gain[graph.targets[lo:hi]] += graph.weights[lo:hi]
-    return NodeSet.from_mask(graph, mask)
+    return _greedy_clique(graph, as_mask(graph.n, members).copy(), None)
 
 
 @dataclass

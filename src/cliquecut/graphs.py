@@ -450,6 +450,8 @@ def _check_line_node_count(n: int, lineno: int) -> None:
 
 
 def _parse_edge_line(parts: list[str], lineno: int, index_base: int) -> tuple[int, int, float]:
+    if len(parts) > 3:
+        raise GraphFormatError(f"line {lineno}: extra field {parts[3]!r} after the edge weight")
     try:
         u = int(parts[0]) - index_base
         v = int(parts[1]) - index_base

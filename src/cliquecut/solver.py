@@ -29,6 +29,7 @@ import numpy as np
 from .certificates import Certificate, _check_t, box_certificate, penalty_certificate
 from .decoding import (
     CliquePenaltyObjective,
+    _greedy_clique,
     decode_clique_sweep,
     decode_conditional,
     decode_cut_with_volume,
@@ -286,9 +287,9 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     """Multi-restart clique search; returns the heaviest decoded clique.
 
     The decoded set is a clique unconditionally: candidate decodes that come
-    out non-clique are dropped, the greedy sweep (which cannot) always runs
-    last as a backstop, and every surviving candidate is grown to a maximal
-    clique before selection.
+    out non-clique are dropped, the greedy sweep always runs last as a
+    backstop, and every surviving candidate is grown to a maximal clique
+    before selection; the sweep and the growth are one greedy loop.
 
     The default "hybrid" decode tries the conditional decode under both the
     certificate parameters and the optimization parameters, plus the sweep,
@@ -542,21 +543,12 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
 def greedy_mis_complement(graph: Graph) -> NodeSet:
     """Greedy clique baseline: max independent set on the complement.
 
-    Repeatedly takes the highest-degree node (ties to the lowest index) among
-    the remaining mutual neighbors.
+    The greedy clique loop ranked by weighted degree: repeatedly takes the
+    highest-degree node (ties to the lowest index) among the mutual neighbours.
     """
     if graph.n == 0:
         raise ValueError("empty graph")
-    candidates = np.ones(graph.n, dtype=bool)
-    chosen: list[int] = []
-    while candidates.any():
-        idx = np.flatnonzero(candidates)
-        pick = int(idx[np.argmax(graph.degree[idx])])
-        chosen.append(pick)
-        keep = np.zeros(graph.n, dtype=bool)
-        keep[graph.neighbors(pick)] = True
-        candidates &= keep
-    return NodeSet.from_indices(graph, chosen)
+    return _greedy_clique(graph, np.zeros(graph.n, dtype=bool), graph.degree)
 
 
 def approximation_ratio(found: float, optimal: float) -> float:

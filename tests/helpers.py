@@ -89,3 +89,54 @@ def naive_max_clique(graph: Graph) -> tuple[float, tuple[int, ...]]:
             ):
                 best_w, best_size, best_tup = w, size, combo
     return best_w, best_tup
+
+
+def reference_visit_order(probs: np.ndarray, order: str) -> np.ndarray:
+    """The conditional decode's visit order: decreasing p with ties by index, or natural order."""
+    if order == "prob":
+        return np.argsort(-probs, kind="stable")
+    if order == "index":
+        return np.arange(probs.size)
+    raise ValueError(f"unknown visit order {order!r}")
+
+
+def reference_clique_sweep(graph: Graph, probs: np.ndarray) -> np.ndarray:
+    """The clique sweep as a per-node loop: visit nodes in decreasing p (ties
+    by index) and keep each one adjacent to every node kept so far."""
+    chosen = 0
+    adj_count = np.zeros(graph.n, dtype=np.int64)
+    mask = np.zeros(graph.n, dtype=bool)
+    for i in reference_visit_order(probs, "prob"):
+        if adj_count[i] == chosen:
+            mask[i] = True
+            chosen += 1
+            adj_count[graph.neighbors(int(i))] += 1
+    return mask
+
+
+def reference_greedy_mis_complement(graph: Graph) -> np.ndarray:
+    """The greedy baseline on a candidate vector: take the highest-degree
+    candidate (ties to the lowest index), then keep only its neighbours."""
+    candidates = np.ones(graph.n, dtype=bool)
+    mask = np.zeros(graph.n, dtype=bool)
+    while candidates.any():
+        idx = np.flatnonzero(candidates)
+        pick = int(idx[np.argmax(graph.degree[idx])])
+        mask[pick] = True
+        keep = np.zeros(graph.n, dtype=bool)
+        keep[graph.neighbors(pick)] = True
+        candidates &= keep
+    return mask
+
+
+def reference_grow_to_maximal(graph: Graph, mask: np.ndarray) -> np.ndarray:
+    """Grow a clique by the largest edge weight to the current members (ties
+    to the lowest index), recomputed from the adjacency matrix every step."""
+    adj = graph.adjacency_matrix()
+    mask = mask.copy()
+    while True:
+        eligible = np.flatnonzero(~mask & ((adj[:, mask] > 0.0).sum(axis=1) == mask.sum()))
+        if eligible.size == 0:
+            return mask
+        gain = adj[np.ix_(eligible, np.flatnonzero(mask))].sum(axis=1)
+        mask[eligible[np.argmax(gain)]] = True

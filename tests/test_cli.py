@@ -63,6 +63,15 @@ def test_generate_rejects_too_many_nodes(tmp_path, capsys, monkeypatch):
         assert err.startswith("error:") and "101 nodes exceed the limit of 100" in err
 
 
+@pytest.mark.parametrize("splits", ["nan,0.5,0.5", "inf,0.5,0.5"])
+def test_generate_rejects_non_finite_splits(tmp_path, capsys, splits):
+    out_dir = tmp_path / "corpus"
+    code, out, err = run(capsys, ["generate", "--count", "3", "--nodes", "10", "--splits", splits, "--out", str(out_dir)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "finite" in err and "Warning" not in err
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_generate_planted_records_metadata(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     code, out, _ = run(
@@ -353,6 +362,14 @@ def test_nan_weight_is_input_error(tmp_path, capsys):
     assert code == 1
     assert err.splitlines()[0].startswith("error:")
     assert "non-finite edge weight" in err
+
+
+def test_extra_edge_field_is_input_error(tmp_path, capsys):
+    path = tmp_path / "extra.edges"
+    path.write_text("0 1 1\n1 2 0.5 9\n", encoding="utf-8")
+    code, _, err = run(capsys, ["solve", "--graph", str(path), "--out", str(tmp_path / "extra.json")])
+    assert code == 1 and not (tmp_path / "extra.json").exists()
+    assert err == "error: line 2: extra field '9' after the edge weight\n"
 
 
 @pytest.mark.parametrize(

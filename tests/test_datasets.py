@@ -89,6 +89,9 @@ def test_split_corpus_counts_and_determinism():
 
     with pytest.raises(ValueError, match="summing to 1"):
         split_corpus(c, (0.5, 0.2, 0.2))
+    for bad in ((float("nan"), 0.5, 0.5), (float("inf"), 0.5, 0.5), (0.5, float("-inf"), 0.5)):
+        with pytest.raises(ValueError, match="three finite non-negative numbers"):
+            split_corpus(c, bad)
 
 
 def test_corpus_round_trip(tmp_path):

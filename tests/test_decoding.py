@@ -22,10 +22,20 @@ from cliquecut import (
     set_weight,
     volume,
 )
-from cliquecut.decoding import _visit_order
 from cliquecut.distributions import _penalty_value
+from cliquecut.solver import greedy_mis_complement
 
-from helpers import complete_graph, path_graph, random_graph, reference_neighbor_sums, two_triangles
+from helpers import (
+    complete_graph,
+    path_graph,
+    random_graph,
+    reference_clique_sweep,
+    reference_greedy_mis_complement,
+    reference_grow_to_maximal,
+    reference_neighbor_sums,
+    reference_visit_order,
+    two_triangles,
+)
 
 
 def _clique_objective(graph, gamma=None, beta=None):
@@ -34,11 +44,16 @@ def _clique_objective(graph, gamma=None, beta=None):
 
 
 def test_visit_orders():
+    g = path_graph(4)
     p = np.array([0.5, 0.9, 0.5, 0.1])
-    assert _visit_order(p, "prob").tolist() == [1, 0, 2, 3]
-    assert _visit_order(p, "index").tolist() == [0, 1, 2, 3]
+
+    def visit(order):
+        return decode_conditional(g, p, CutObjective(g), order=order)[1].visit_order.tolist()
+
+    assert visit("prob") == [1, 0, 2, 3]
+    assert visit("index") == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="unknown visit order"):
-        _visit_order(p, "random")
+        visit("random")
 
 
 def test_conditional_path_monotone_and_consistent():
@@ -105,6 +120,35 @@ def test_sweep_always_returns_clique():
         p = rng.random(n)
         members = decode_clique_sweep(g, p)
         assert is_clique(g, members)
+        _assert_maximal(g, members.mask)
+
+
+def _assert_maximal(graph, mask):
+    """No node outside the clique mask is adjacent to all its members."""
+    adj = graph.adjacency_matrix() > 0.0
+    outside = np.flatnonzero(~mask)
+    assert not np.any(adj[np.ix_(outside, np.flatnonzero(mask))].all(axis=1))
+
+
+def test_greedy_clique_loops_match_references():
+    # The sweep, the polish and the greedy baseline share one loop; each
+    # must return the set its own reference loop returns, mask for mask.
+    rng = np.random.default_rng(71)
+    graphs = [Graph(1, [], [], []), Graph(5, [], [], []), complete_graph(4), two_triangles()]
+    for trial in range(120):
+        n = int(rng.integers(1, 30))
+        graphs.append(random_graph(rng, n, density=float(rng.uniform(0.1, 0.9)), weighted=trial % 2 == 1))
+    for g in graphs:
+        for p in (np.round(rng.random(g.n), 1), np.full(g.n, 0.5), rng.random(g.n)):
+            sweep = decode_clique_sweep(g, p).mask
+            np.testing.assert_array_equal(sweep, reference_clique_sweep(g, p))
+            _assert_maximal(g, sweep)
+            # Any subset of a clique is a clique to grow from.
+            seed = sweep & (rng.random(g.n) < 0.5)
+            np.testing.assert_array_equal(grow_to_maximal(g, seed).mask, reference_grow_to_maximal(g, seed))
+        baseline = greedy_mis_complement(g).mask
+        np.testing.assert_array_equal(baseline, reference_greedy_mis_complement(g))
+        _assert_maximal(g, baseline)
 
 
 def test_sweep_known_example():
@@ -204,7 +248,7 @@ def _reference_volume_decode(graph, probs, interval, seed_node):
     """The volume decode as its own loop, before it was folded into
     ``decode_conditional``: returns (visit, decisions, path, lower_met)."""
     objective = CutObjective(graph)
-    order = _visit_order(probs, "prob")
+    order = reference_visit_order(probs, "prob")
     visit = np.concatenate([[seed_node], order[order != seed_node]])
     path = np.empty(graph.n + 1)
     decisions = np.zeros(graph.n, dtype=bool)
@@ -382,7 +426,7 @@ class _ReferenceCutObjective:
 
 def _reference_decode(graph, probs, objective, order="prob", first=None, cap=None):
     """decode_conditional on numpy scalars: returns (visit, decisions, path)."""
-    visit = _visit_order(probs, order)
+    visit = reference_visit_order(probs, order)
     if first is not None:
         visit = np.concatenate([[first], visit[visit != first]])
     path = np.empty(graph.n + 1)

@@ -555,6 +555,11 @@ def test_edge_list_parsing_rules():
         load_edge_list("0 1\n", index_base=1)
     with pytest.raises(ValueError, match="index_base"):
         load_edge_list("0 1\n", index_base=2)
+    # A field after the weight is an error naming its line, not ignored.
+    with pytest.raises(GraphFormatError, match="line 1: extra field '9' after the edge weight"):
+        load_edge_list("0 1 0.5 9\n1 2 1 junk\n")
+    with pytest.raises(GraphFormatError, match="line 2: extra field 'junk' after the edge weight"):
+        load_edge_list("# nodes 3\n1 2 1 junk\n")
 
 
 def test_dimacs_parsing():
@@ -569,6 +574,8 @@ def test_dimacs_parsing():
         load_dimacs("p edge 3 2\ne 1 2\n")
     with pytest.raises(GraphFormatError):
         load_dimacs("e 1 2\n")  # edge before header
+    with pytest.raises(GraphFormatError, match="line 2: extra field '7' after the edge weight"):
+        load_dimacs("p edge 3 2\ne 1 2 0.5 7\ne 2 3\n")
     # A zero-weight record counts toward the header's m, then is dropped.
     assert load_dimacs("p edge 3 2\ne 1 2 0\ne 2 3\n").num_edges == 1
     with pytest.raises(GraphFormatError, match="declares 3 edges, found 2"):
