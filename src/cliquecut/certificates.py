@@ -219,7 +219,7 @@ def verify_solution(graph: Graph, members, certificate: Certificate, problem, *,
     require the bound and the constraint.  Box certificates accept either the
     bound or the constraint by default, because sequential decoding under a
     hard volume cap guarantees one of the two; pass ``strict=True`` to demand
-    both (appropriate for sampled solutions).
+    both, as the claim does of a sample from the certified distribution.
 
     Raises:
         ValueError: when the certificate kind and problem type disagree.

@@ -152,7 +152,7 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--decode",
         default=None,
-        help="hybrid|conditional|sweep for cliques (default hybrid), conditional|sampled for partitions (default conditional)",
+        help="hybrid|conditional|sweep for cliques (default hybrid); partitions have one decode, conditional",
     )
     sub.add_argument(
         "--restarts",
@@ -169,13 +169,12 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lr", type=float, default=SolveConfig.lr)
     sub.add_argument("--opt-beta", type=float, default=SolveConfig.opt_beta, help="penalty weight used during optimization")
     sub.add_argument("--init-jitter", type=float, default=SolveConfig.init_jitter, help="logit noise spread for restarts after the first")
-    sub.add_argument("--gamma", type=float, default=None, help="certified offset (default: total edge weight)")
-    sub.add_argument("--beta", type=float, default=None, help="certified penalty weight (default: total edge weight)")
+    sub.add_argument("--gamma", type=float, default=None, help="certified offset; below the total edge weight the clique certificate is vacuous (default: total edge weight)")
+    sub.add_argument("--beta", type=float, default=None, help="certified penalty weight, at least gamma (default: total edge weight)")
     sub.add_argument("--t", type=float, default=SolveConfig.t, help="Markov split point for certificates")
     sub.add_argument("--seed", type=int, default=SolveConfig.seed)
     sub.add_argument("--threads", type=int, default=SolveConfig.threads)
     sub.add_argument("--time-budget", type=float, default=None, help="seconds; forces serial execution, may stop early")
-    sub.add_argument("--k-samples", type=int, default=SolveConfig.k_samples, help="draws for the sampled partition decode")
     sub.add_argument("--checkpoint", default=None, help="trained producer weights (.json or .npz)")
     sub.add_argument("--intervals", default=None, help="explicit volume intervals, lo:hi,lo:hi")
     sub.add_argument("--num-intervals", type=int, default=SolveConfig.num_intervals)

@@ -5,8 +5,9 @@ each one to the branch with the smaller conditional expectation, and rely on
 multilinearity to make every conditional a cheap substitution.  Because the
 chosen branch never exceeds the convex combination it replaces, the
 expectation trace is non-increasing and the final integral value is at most
-the starting loss.  Best-of-k sampling is a simpler alternative, and one
-greedy loop grows cliques to maximal ones: the sweep, the polish, the baseline.
+the starting loss.  Every decode runs that one loop, ``decode_conditional``;
+besides it, one greedy loop grows cliques to maximal ones: the sweep, the
+polish, the baseline.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .distributions import (
     _penalty_value,
     check_probs,
     expected_set_weight,
-    sample,
     weighted_neighbor_sums,
 )
 from .graphs import Graph, NodeSet, as_mask
@@ -36,7 +36,6 @@ __all__ = [
     "decode_maxcut_half",
     "decode_clique_sweep",
     "decode_cut_with_volume",
-    "decode_best_of_k",
     "grow_to_maximal",
 ]
 
@@ -175,20 +174,17 @@ def decode_conditional(
     p,
     objective,
     *,
-    order: str = "prob",
     first: int | None = None,
     cap: float | None = None,
 ) -> tuple[NodeSet, DecodeTrace]:
     """Derandomize a product distribution against a multilinear objective.
 
-    Nodes are visited in decreasing-probability order, ties broken by index
-    (``order="index"`` visits in natural order; any other order raises
-    ``ValueError``).  Each node is included
-    iff inclusion gives a strictly smaller conditional expectation, so ties
-    bias toward sparser sets.  Probability-0 and probability-1 nodes are
-    forced (conditioning on the other branch would condition on a null
-    event), which is what makes decode of an integral vector return exactly
-    its support.
+    Nodes are visited in decreasing-probability order, ties broken by index.
+    Each node is included iff inclusion gives a strictly smaller conditional
+    expectation, so ties bias toward sparser sets.  Probability-0 and
+    probability-1 nodes are forced (conditioning on the other branch would
+    condition on a null event), which is what makes decode of an integral
+    vector return exactly its support.
 
     ``first`` is visited before every other node and included whatever its
     probability.  With ``cap`` set, an inclusion that would push the summed
@@ -203,13 +199,8 @@ def decode_conditional(
     the same bit for bit.
     """
     probs = check_probs(graph, p)
-    if order == "prob":
-        # Stable sort on the negated vector: decreasing p, ties by index.
-        visit = np.argsort(-probs, kind="stable")
-    elif order == "index":
-        visit = np.arange(graph.n)
-    else:
-        raise ValueError(f"unknown visit order {order!r}")
+    # Stable sort on the negated vector: decreasing p, ties by index.
+    visit = np.argsort(-probs, kind="stable")
     if first is not None:
         if not (0 <= first < graph.n):
             raise ValueError(f"first node {first} out of range")
@@ -350,23 +341,3 @@ def decode_cut_with_volume(
     return VolumeDecodeResult(
         node_set=node_set, trace=trace, lower_met=node_set.volume >= interval.lower
     )
-
-
-def decode_best_of_k(graph: Graph, p, objective, k: int, rng: np.random.Generator) -> NodeSet:
-    """Sample k sets and keep the one with the smallest objective value.
-
-    Ties keep the earliest draw, so the result is reproducible for a given
-    generator state.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    probs = check_probs(graph, p)
-    best_mask: np.ndarray | None = None
-    best_value = np.inf
-    for _ in range(k):
-        mask = sample(probs, rng)
-        value = objective.start(mask.astype(np.float64))
-        if value < best_value:
-            best_value = value
-            best_mask = mask
-    return NodeSet.from_mask(graph, best_mask)

@@ -87,10 +87,12 @@ def _neighbor_sums_kernel(graph: Graph):
 class CliqueLossParams:
     """Penalty-loss parameters.
 
-    ``gamma`` must dominate the weight of every clique for the certified
-    bound to mean anything, and ``beta`` must be at least ``gamma``; the
-    per-graph default gamma = beta = total edge weight satisfies both.  Both
-    must be finite: an infinite beta makes the loss, and so the bound, NaN.
+    ``beta`` must be at least ``gamma``, and both must be finite: an
+    infinite beta makes the loss, and so the bound, NaN.  A penalty
+    certificate from them holds on a graph when every non-clique scores at
+    least beta there.  Dominating every clique's weight is not enough for
+    that; gamma at least the graph's total edge weight is (``certifies``).
+    The per-graph default gamma = beta = total edge weight meets both.
     """
 
     gamma: float
@@ -99,6 +101,18 @@ class CliqueLossParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma <= self.beta and math.isfinite(self.beta)):
             raise ValueError(f"need finite 0 < gamma <= beta, got gamma={self.gamma}, beta={self.beta}")
+
+    def certifies(self, total_weight: float) -> bool:
+        """Whether a penalty certificate from these parameters holds on a graph of this total edge weight.
+
+        A set S scores gamma - w(S) + beta * v(S), where v(S) sums 1 - w_ij
+        over the pairs in S (w_ij = 0 off the edges).  The certificate needs
+        every clique to cost gamma - w(S) >= 0 and every non-clique to score
+        at least beta.  Weights lie in (0, 1], so v(S) >= 1 off cliques, and
+        gamma >= total weight >= w(S) gives both.  The check is sufficient,
+        not necessary: a smaller gamma can be sound on a given graph.
+        """
+        return self.gamma >= total_weight
 
     @classmethod
     def for_graph(cls, graph: Graph, *, gamma: float | None = None, beta: float | None = None) -> "CliqueLossParams":

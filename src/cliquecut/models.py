@@ -75,12 +75,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class CliqueLossSpec:
     """Clique penalty loss with per-graph defaults.
 
-    Leaving ``gamma`` unset picks min(total weight, beta) so that a small
+    Without ``beta``, gamma = beta = the total weight (``CliqueLossParams.
+    for_graph``).  With it, gamma is min(total weight, beta) so that a small
     optimization beta stays a valid parameter set; gamma only shifts the loss
     by a constant, so this never changes the optimization.
     """
 
-    gamma: float | None = None
     beta: float | None = None
 
     def resolve(self, graph: Graph) -> CliqueLossParams:
@@ -88,10 +88,9 @@ class CliqueLossSpec:
 
     def _resolve(self, total_weight: float) -> CliqueLossParams:
         if self.beta is None:
-            return CliqueLossParams.for_weight(total_weight, gamma=self.gamma)
+            return CliqueLossParams.for_weight(total_weight)
         default = total_weight if total_weight > 0.0 else 1.0
-        gamma = min(default, self.beta) if self.gamma is None else self.gamma
-        return CliqueLossParams(gamma=gamma, beta=self.beta)
+        return CliqueLossParams(gamma=min(default, self.beta), beta=self.beta)
 
     def step_kernel(self, graph: Graph, parts=None):
         """Bind the loss to ``graph`` for an optimizer loop: returns p -> (value, gradient).

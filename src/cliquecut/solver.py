@@ -42,7 +42,6 @@ from .distributions import (
     expected_cut,
     expected_volume,
     rescale_to_target,
-    sample,
 )
 from .graphs import (
     Graph,
@@ -55,7 +54,8 @@ from .graphs import (
     induced,
     is_clique,
     set_weight,
-    volume,
+    # Unused here, but bench/spans.py wraps it in this namespace by name.
+    volume,  # noqa: F401
 )
 from .models import CliqueLossSpec, CutLossSpec, MpnnParams, NonFiniteLossError, mpnn_forward, optimize_direct
 
@@ -83,6 +83,9 @@ class SolveConfig:
     so beta must exceed d/(1-d) of the densest non-clique pocket or the
     optimizer settles on dense blobs instead of cliques; 2.0 rules out
     density <= 2/3 blobs while keeping gradients informative.
+
+    ``decode`` is ``hybrid`` (the default), ``conditional`` or ``sweep`` for
+    a clique solve; a partition solve has one decode, ``conditional``.
 
     ``restarts`` is the number of restarts over the whole graph, except on
     a clique solve of a sparse graph, where it is the number of seed balls
@@ -115,7 +118,6 @@ class SolveConfig:
     seed: int = 0
     threads: int = 1
     time_budget: float | None = None
-    k_samples: int = 32
     mpnn: MpnnParams | None = None
     intervals: tuple[tuple[float, float], ...] | None = None
     num_intervals: int = 8
@@ -354,14 +356,14 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
         return (-weight, indices), found, (unit, p)
 
     def certify(unit: _CliqueUnit, p: np.ndarray) -> dict:
-        """The penalty loss of p on the unit's graph and its tail-bound certificate."""
+        """The penalty loss of p on the unit's graph and its tail-bound
+        certificate, vacuous unless the parameters certify on that graph."""
         cert_params = unit.cert_params
         loss_value = clique_loss(unit.graph, p, cert_params).value
-        return {
-            "certificate": penalty_certificate(loss_value, cert_params.beta, config.t),
-            "loss": loss_value,
-            "gamma": cert_params.gamma,
-        }
+        cert = penalty_certificate(loss_value, cert_params.beta, config.t)
+        if not cert_params.certifies(unit.graph.total_weight):
+            cert = replace(cert, vacuous=True)
+        return {"certificate": cert, "loss": loss_value, "gamma": cert_params.gamma}
 
     seeds = _seed_balls(graph, config.restarts)
     if seeds is None:
@@ -432,46 +434,23 @@ def default_interval_schedule(
     return [VolumeConstraint(0.75 * float(c), 1.25 * float(c)) for c in centers]
 
 
-def _sampled_cut_decode(
-    graph: Graph, q: np.ndarray, vc: VolumeConstraint, seed_node: int, k: int, rng: np.random.Generator
-) -> tuple[NodeSet, bool]:
-    """Best of k samples with the seed forced in; hard cap on volume."""
-    forced = q.copy()
-    forced[seed_node] = 1.0
-    best: tuple[bool, float] | None = None
-    best_mask: np.ndarray | None = None
-    for _ in range(k):
-        mask = sample(forced, rng)
-        vol = volume(graph, mask)
-        if vol > vc.upper:
-            continue
-        key = (not vc.contains(vol), conductance(graph, mask))
-        if best is None or key < best:
-            best = key
-            best_mask = mask
-    if best_mask is None:
-        best_mask = np.zeros(graph.n, dtype=bool)
-        best_mask[seed_node] = True
-    node_set = NodeSet.from_mask(graph, best_mask)
-    return node_set, vc.contains(node_set.volume)
-
-
 def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | None = None) -> SolveResult:
     """Scan volume intervals around the seed for a low-conductance set.
 
-    Every candidate contains the seed and respects its interval's upper
-    volume bound; reaching the lower bound is best-effort and reflected in
-    ``constraint_ok``.  Among candidates that land inside their interval the
-    lowest conductance wins (falling back to all candidates if none do).
+    Each interval's distribution is rescaled to the interval's midpoint
+    volume and decoded by conditional expectation, seed first, under a hard
+    cap at the upper bound (``decode_cut_with_volume``); that is the only
+    partition decode, ``conditional``.  So every candidate contains the seed
+    and respects its interval's upper volume bound; reaching the lower bound
+    is best-effort and reflected in ``constraint_ok``.  Among candidates that
+    land inside their interval the lowest conductance wins (falling back to
+    all candidates if none do).
     """
     config = config or SolveConfig()
-    decode = config.decode or "conditional"
-    if decode not in ("conditional", "sampled"):
-        raise ValueError(f"unknown partition decode {decode!r}")
+    if config.decode not in (None, "conditional"):
+        raise ValueError(f"unknown partition decode {config.decode!r}")
     if config.num_intervals < 1 or (config.intervals is not None and not config.intervals):
         raise ValueError("need at least one volume interval (num_intervals >= 1 and intervals not empty)")
-    if config.k_samples < 1:
-        raise ValueError("need at least one sample (k_samples >= 1)")
     _check_config(config)
     if graph.n == 0:
         raise ValueError("cannot solve on an empty graph")
@@ -509,11 +488,8 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
         else:
             p = rng.random(graph.n)
         q = rescale_to_target(p, graph.degree, vc.target)
-        if decode == "conditional":
-            res = decode_cut_with_volume(graph, q, vc, seed_node)
-            node_set, lower_met = res.node_set, res.lower_met
-        else:
-            node_set, lower_met = _sampled_cut_decode(graph, q, vc, seed_node, config.k_samples, rng)
+        res = decode_cut_with_volume(graph, q, vc, seed_node)
+        node_set, lower_met = res.node_set, res.lower_met
         phi = conductance(graph, node_set.mask)
         return (not lower_met, phi), {
             "node_indices": [int(i) for i in node_set.indices()],
@@ -537,7 +513,7 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
             cert = replace(cert, success_prob=-1.0, vacuous=True)
         return {"certificate": cert, "loss": loss_value}
 
-    return _solve(config, "partition", decode, usable, worker, certify, t0)
+    return _solve(config, "partition", "conditional", usable, worker, certify, t0)
 
 
 def greedy_mis_complement(graph: Graph) -> NodeSet:

@@ -24,6 +24,12 @@ def two_triangles() -> Graph:
     return Graph(6, u, v, np.ones(7))
 
 
+def k5_minus_edge() -> Graph:
+    """K5 without the edge 0-1: total weight 9, and its largest cliques are the two K4s."""
+    u, v = np.triu_indices(5, k=1)  # the first pair is (0, 1)
+    return Graph(5, u[1:], v[1:], np.ones(9))
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -91,13 +97,9 @@ def naive_max_clique(graph: Graph) -> tuple[float, tuple[int, ...]]:
     return best_w, best_tup
 
 
-def reference_visit_order(probs: np.ndarray, order: str) -> np.ndarray:
-    """The conditional decode's visit order: decreasing p with ties by index, or natural order."""
-    if order == "prob":
-        return np.argsort(-probs, kind="stable")
-    if order == "index":
-        return np.arange(probs.size)
-    raise ValueError(f"unknown visit order {order!r}")
+def reference_visit_order(probs: np.ndarray) -> np.ndarray:
+    """The conditional decode's visit order: decreasing p with ties by index."""
+    return np.argsort(-probs, kind="stable")
 
 
 def reference_clique_sweep(graph: Graph, probs: np.ndarray) -> np.ndarray:
@@ -106,7 +108,7 @@ def reference_clique_sweep(graph: Graph, probs: np.ndarray) -> np.ndarray:
     chosen = 0
     adj_count = np.zeros(graph.n, dtype=np.int64)
     mask = np.zeros(graph.n, dtype=bool)
-    for i in reference_visit_order(probs, "prob"):
+    for i in reference_visit_order(probs):
         if adj_count[i] == chosen:
             mask[i] = True
             chosen += 1

@@ -5,17 +5,19 @@ import pytest
 
 from cliquecut import (
     Certificate,
+    CliqueLossParams,
     CliqueObjective,
     CutVolumeObjective,
     VolumeConstraint,
     box_certificate,
+    clique_loss,
     markov_certificate,
     penalty_certificate,
     sampling_success,
     verify_solution,
 )
 
-from helpers import complete_graph, two_triangles
+from helpers import complete_graph, k5_minus_edge, random_graph, two_triangles
 
 
 def test_markov_certificate_values():
@@ -174,3 +176,63 @@ def test_verify_kind_problem_mismatch_raises():
     bogus = Certificate(kind="mystery", t=0.5, bound=1.0, success_prob=0.5)
     with pytest.raises(ValueError, match="unknown certificate kind"):
         verify_solution(g, [0], bogus, CliqueObjective(gamma=1.0))
+
+
+# ---------------------------------------------------------------------------
+# which penalty parameters certify
+
+
+def _set_terms(graph, sets):
+    """For each row of the 0/1 matrix ``sets``: w(S), v(S) = sum over the pairs of S of 1 - w_ij, and whether S is a clique."""
+    weights = np.zeros((graph.n, graph.n))
+    weights[graph.edge_u, graph.edge_v] = weights[graph.edge_v, graph.edge_u] = graph.edge_w
+    size = sets.sum(axis=1)
+    pairs = size * (size - 1) / 2
+    w = 0.5 * np.einsum("si,ij,sj->s", sets, weights, sets)
+    edges = 0.5 * np.einsum("si,ij,sj->s", sets, (weights > 0).astype(float), sets)
+    return w, pairs - w, edges == pairs
+
+
+def test_unsound_penalty_parameters_are_refused_under_monte_carlo():
+    # Every clique of K5 minus an edge weighs at most 6 = gamma, yet the whole
+    # node set, a non-clique, scores 6 - 9 + 6 * 1 = 3 < beta.
+    g = k5_minus_edge()
+    p = np.full(5, 0.99)
+    params = CliqueLossParams(gamma=6.0, beta=6.0)
+    cert = penalty_certificate(clique_loss(g, p, params).value, params.beta, 0.4)
+    assert not cert.vacuous and cert.bound == pytest.approx(5.0995)
+    draws = (np.random.default_rng(26).random((100_000, 5)) < p).astype(float)
+    w, _, clique = _set_terms(g, draws)
+    held = float(np.mean(clique & (params.gamma - w <= cert.bound)))
+    assert held < 0.03  # the claim is 0.4
+    assert not params.certifies(g.total_weight)
+    assert CliqueLossParams.for_graph(g).certifies(g.total_weight)
+
+
+def test_certifying_parameters_pass_brute_force_on_every_subset():
+    rng = np.random.default_rng(126)
+    refused_and_broken = 0
+    for trial in range(120):
+        n = int(rng.integers(3, 9))
+        g = random_graph(rng, n, density=float(rng.uniform(0.3, 0.9)), weighted=bool(trial % 2))
+        if g.num_edges == 0:
+            continue
+        total = g.total_weight
+        sets = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+        w, v, clique = _set_terms(g, sets)
+        for gamma in (total, 1.5 * total, 0.5 * total, float(w[clique].max()), float(rng.uniform(0.1, 2.0 * total))):
+            gamma = max(gamma, 0.1)
+            for beta in (gamma, 2.0 * gamma, gamma + float(rng.uniform(0.0, total))):
+                params = CliqueLossParams(gamma=gamma, beta=beta)
+                score = gamma - w + beta * v
+                sound = bool(np.all(score[~clique] >= beta - 1e-9) and np.all(gamma - w[clique] >= -1e-9))
+                if params.certifies(total):
+                    assert sound, (trial, gamma, beta)
+                refused_and_broken += not sound
+        # The closed-form score is the penalty loss of each set's indicator.
+        params = CliqueLossParams.for_graph(g)
+        for row in rng.choice(2**n, size=4, replace=False):
+            want = params.gamma - w[row] + params.beta * v[row]
+            assert clique_loss(g, sets[row], params).value == pytest.approx(want, abs=1e-9)
+    # Parameters the check refuses do break the claim's premise on some graphs.
+    assert refused_and_broken > 0

@@ -7,7 +7,7 @@ from cliquecut import Graph, MpnnParams, graph_digest, graphs, save_checkpoint, 
 from cliquecut import cli
 from cliquecut.cli import main
 
-from helpers import complete_graph, path_graph, random_graph, two_triangles
+from helpers import complete_graph, k5_minus_edge, path_graph, random_graph, two_triangles
 
 
 def run(capsys, argv):
@@ -199,6 +199,39 @@ def test_verify_strict_fails_vacuous_certificate(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(out)["payload"]["certificate_vacuous"] is True
+
+
+def test_unsound_gamma_writes_a_vacuous_certificate(tmp_path, capsys):
+    # gamma = beta = 6 is below K5-minus-an-edge's total weight 9, where samples
+    # from this solve's distribution break the tail bound the loss would give.
+    graph_path = write_graph(tmp_path, k5_minus_edge())
+    result_path = tmp_path / "result.json"
+    code, _, _ = run(
+        capsys,
+        ["solve", "--graph", str(graph_path), "--gamma", "6", "--beta", "6", "--t", "0.4", "--out", str(result_path)],
+    )
+    assert code == 0
+    certificate = json.loads(result_path.read_text())["payload"]["certificate"]
+    assert certificate["vacuous"] is True and certificate["bound"] < 6.0
+    code, _, _ = run(capsys, ["verify", "--result", str(result_path), "--graph", str(graph_path)])
+    assert code == 0
+    code, _, _ = run(capsys, ["verify", "--result", str(result_path), "--graph", str(graph_path), "--strict"])
+    assert code == 2
+
+
+def test_removed_sampling_options_are_usage_errors(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, two_triangles())
+    code, out, err = run(
+        capsys, ["solve", "--graph", str(graph_path), "--problem", "partition", "--seed-node", "0", "--decode", "sampled"]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: unknown partition decode 'sampled'")
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("k_samples = 32\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--graph", str(graph_path), "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "unknown config key 'k_samples'" in capsys.readouterr().err
 
 
 def test_infinite_volume_bound_is_an_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from cliquecut import (
     clique_loss,
     conductance,
     cut_weight,
-    decode_best_of_k,
     decode_clique_sweep,
     decode_conditional,
     decode_cut_with_volume,
@@ -47,13 +46,12 @@ def test_visit_orders():
     g = path_graph(4)
     p = np.array([0.5, 0.9, 0.5, 0.1])
 
-    def visit(order):
-        return decode_conditional(g, p, CutObjective(g), order=order)[1].visit_order.tolist()
+    def visit(**kwargs):
+        return decode_conditional(g, p, CutObjective(g), **kwargs)[1].visit_order.tolist()
 
-    assert visit("prob") == [1, 0, 2, 3]
-    assert visit("index") == [0, 1, 2, 3]
-    with pytest.raises(ValueError, match="unknown visit order"):
-        visit("random")
+    # Decreasing p, ties by index; ``first`` goes ahead of all of them.
+    assert visit() == [1, 0, 2, 3]
+    assert visit(first=2) == [2, 1, 0, 3]
 
 
 def test_conditional_path_monotone_and_consistent():
@@ -248,7 +246,7 @@ def _reference_volume_decode(graph, probs, interval, seed_node):
     """The volume decode as its own loop, before it was folded into
     ``decode_conditional``: returns (visit, decisions, path, lower_met)."""
     objective = CutObjective(graph)
-    order = reference_visit_order(probs, "prob")
+    order = reference_visit_order(probs)
     visit = np.concatenate([[seed_node], order[order != seed_node]])
     path = np.empty(graph.n + 1)
     decisions = np.zeros(graph.n, dtype=bool)
@@ -309,24 +307,6 @@ def test_conditional_first_node_range_checked():
     g = path_graph(3)
     with pytest.raises(ValueError, match="out of range"):
         decode_conditional(g, np.full(3, 0.5), CutObjective(g), first=3)
-
-
-def test_best_of_k_improves_and_reproduces():
-    g = complete_graph(5)
-    p = np.full(5, 0.6)
-    objective, params = _clique_objective(g)
-    rng = np.random.default_rng(3)
-    best = decode_best_of_k(g, p, objective, 64, rng)
-    ind = np.zeros(5)
-    ind[list(best.indices())] = 1.0
-    # With 64 draws on K5 the best draw should do at least as well as the mean.
-    assert clique_loss(g, ind, params).value <= clique_loss(g, p, params).value + 1e-9
-
-    a = decode_best_of_k(g, p, objective, 8, np.random.default_rng(11))
-    b = decode_best_of_k(g, p, objective, 8, np.random.default_rng(11))
-    assert sorted(a.indices()) == sorted(b.indices())
-    with pytest.raises(ValueError, match="at least 1"):
-        decode_best_of_k(g, p, objective, 0, rng)
 
 
 def test_cut_objective_maximize_sign():
@@ -424,9 +404,9 @@ class _ReferenceCutObjective:
             self.p[i] = v
 
 
-def _reference_decode(graph, probs, objective, order="prob", first=None, cap=None):
+def _reference_decode(graph, probs, objective, first=None, cap=None):
     """decode_conditional on numpy scalars: returns (visit, decisions, path)."""
-    visit = reference_visit_order(probs, order)
+    visit = reference_visit_order(probs)
     if first is not None:
         visit = np.concatenate([[first], visit[visit != first]])
     path = np.empty(graph.n + 1)
@@ -503,10 +483,8 @@ def test_clique_decode_matches_numpy_scalar_reference():
         high_degree += int(np.diff(g.offsets).max(initial=0) > 24)
         # The solver's two penalty settings: the certificate's and the optimizer's.
         for params in (CliqueLossParams.for_graph(g), CliqueLossSpec(beta=2.0).resolve(g)):
-            for order in ("prob", "index"):
-                _, trace = decode_conditional(g, p, CliquePenaltyObjective(g, params), order=order)
-                reference = _reference_decode(g, p, _ReferenceCliqueObjective(g, params), order=order)
-                _assert_same_trace(trace, reference)
+            _, trace = decode_conditional(g, p, CliquePenaltyObjective(g, params))
+            _assert_same_trace(trace, _reference_decode(g, p, _ReferenceCliqueObjective(g, params)))
     assert high_degree >= 10
 
 
@@ -520,21 +498,11 @@ def test_cut_decodes_match_numpy_scalar_reference():
         side[reference[0][reference[1]]] = True
         assert np.array_equal(decode_maxcut_half(g).mask, side)
 
+        # decode_cut_with_volume's path: the seed first, then decreasing p under the cap.
         seed = int(rng.integers(g.n))
         cap = float(g.degree[seed]) + float(rng.uniform(0.0, 0.5)) * float(g.degree.sum())
-        _, trace = decode_conditional(g, p, CutObjective(g), order="index", first=seed, cap=cap)
-        reference = _reference_decode(g, p, _ReferenceCutObjective(g), order="index", first=seed, cap=cap)
+        _, trace = decode_conditional(g, p, CutObjective(g), first=seed, cap=cap)
+        reference = _reference_decode(g, p, _ReferenceCutObjective(g), first=seed, cap=cap)
         _assert_same_trace(trace, reference)
-
-
-def test_best_of_k_matches_numpy_scalar_reference():
-    for rng, g, p in _fuzzed_cases(303, 40):
-        params = CliqueLossParams.for_graph(g)
-        objective, reference = CliquePenaltyObjective(g, params), _ReferenceCliqueObjective(g, params)
-        for _ in range(3):
-            draw = (rng.random(g.n) < p).astype(np.float64)
-            assert objective.start(draw) == reference.start(draw)
-        seed = int(rng.integers(1 << 30))
-        best = decode_best_of_k(g, p, objective, 6, np.random.default_rng(seed))
-        expected = decode_best_of_k(g, p, reference, 6, np.random.default_rng(seed))
-        assert np.array_equal(best.mask, expected.mask)
+        if cap > 0.0:  # an edgeless graph has no volume interval
+            _assert_same_trace(decode_cut_with_volume(g, p, VolumeConstraint(0.0, cap), seed).trace, reference)

@@ -48,7 +48,6 @@ def test_clique_loss_spec_resolution():
     assert CliqueLossSpec().resolve(g) == CliqueLossParams(gamma=3.0, beta=3.0)
     assert CliqueLossSpec(beta=1.0).resolve(g) == CliqueLossParams(gamma=1.0, beta=1.0)
     assert CliqueLossSpec(beta=9.0).resolve(g) == CliqueLossParams(gamma=3.0, beta=9.0)
-    assert CliqueLossSpec(gamma=2.0, beta=5.0).resolve(g) == CliqueLossParams(gamma=2.0, beta=5.0)
     empty = Graph(3, [], [], [])
     assert CliqueLossSpec().resolve(empty) == CliqueLossParams(gamma=1.0, beta=1.0)
 
@@ -491,7 +490,7 @@ def test_union_kernel_matches_each_part_kernel():
     balls = seed_ball_sets()["weighted"]
     union, offsets = disjoint_union(balls)
     p = np.random.default_rng(2).random(union.n)
-    for spec in (CliqueLossSpec(beta=2.0), CliqueLossSpec(), CliqueLossSpec(gamma=0.5, beta=3.0)):
+    for spec in (CliqueLossSpec(beta=2.0), CliqueLossSpec(), CliqueLossSpec(beta=0.5)):
         values, gradient = spec.step_kernel(union, parts=offsets)(p)
         for i, ball in enumerate(balls):
             part = slice(offsets[i], offsets[i + 1])
@@ -798,7 +797,7 @@ def _tiny_corpus(graphs, splits):
 def test_train_mpnn_improves_on_single_graph():
     g = triangle_with_pendant()
     corpus = _tiny_corpus([g], ["train"])
-    spec = CliqueLossSpec(gamma=4.0, beta=4.0)
+    spec = CliqueLossSpec(beta=4.0)  # gamma = min(total weight 4, beta) = 4
     result = train_mpnn(corpus, spec, epochs=150, hidden=8, layers=2, lr=0.02, rng=np.random.default_rng(5))
     assert result.epochs_trained == 150
     assert len(result.history["train"]) == 150

@@ -64,7 +64,6 @@ CLIQUE_PATH_GOLDEN = {
 PARTITION_PATH_GOLDEN = {
     "uniform": "f1e217dd50e3c80ddefd34da12eb26a482b1a74e90d05661ec3de053b9c673fe",
     "mpnn": "02e2f712a682bf63827a86b13913c5d76a912cc38352ccd4a70a459f7b181cae",
-    "sampled": "5d9b31db300cf5bc568ed0135b4b71227b2206c12d01d067e969c9c390e0739b",
 }
 
 # The default config and the conditional decode on sparse_golden_graph(), which

@@ -17,6 +17,7 @@ from cliquecut import (
     greedy_mis_complement,
     induced,
     is_clique,
+    penalty_certificate,
     set_weight,
     solve_local_partition,
     solve_max_clique,
@@ -28,7 +29,15 @@ from cliquecut import solver
 from cliquecut.certificates import CliqueObjective, CutVolumeObjective
 from cliquecut.distributions import VolumeConstraint
 
-from helpers import complete_graph, path_graph, petersen, random_graph, sparse_planted_clique, two_triangles
+from helpers import (
+    complete_graph,
+    k5_minus_edge,
+    path_graph,
+    petersen,
+    random_graph,
+    sparse_planted_clique,
+    two_triangles,
+)
 
 FAST = SolveConfig(restarts=2, steps=60)
 
@@ -51,6 +60,30 @@ def test_clique_certificate_is_checkable():
     problem = CliqueObjective(gamma=result.gamma)
     if not result.certificate.vacuous:
         assert verify_solution(g, result.node_indices, result.certificate, problem)
+
+
+def test_unsound_certificate_parameters_give_a_vacuous_certificate():
+    # gamma = 6 is below the total weight 9, so the tail bound 5.01 from loss
+    # 3.007 is flagged vacuous: samples break such claims (test_certificates).
+    result = solve_max_clique(k5_minus_edge(), SolveConfig(gamma=6.0, beta=6.0, t=0.4))
+    assert result.certificate.vacuous and result.certificate.kind == "penalty"
+    assert result.certificate.bound == pytest.approx(5.0122, abs=1e-4)
+    assert result.loss == pytest.approx(3.0073, abs=1e-4)
+    assert result.objective == 6.0 and result.gamma == 6.0
+
+
+def test_certificate_check_uses_the_seed_ball_weight():
+    g, _ = sparse_planted_clique(np.random.default_rng(9), 3000, 10, 6)
+    balls = [induced(g, np.append(g.neighbors(v), v))[0] for v in solver._seed_balls(g, 4).tolist()]
+    weights = [ball.total_weight for ball in balls]
+    assert max(weights) < g.total_weight
+    # At the heaviest ball's weight every ball certifies, so the certificate is
+    # the tail bound itself; just below the lightest, none does.
+    for gamma, forced in ((max(weights), False), (min(weights) - 1.0, True)):
+        result = solve_max_clique(g, SolveConfig(restarts=4, gamma=gamma, beta=gamma, t=0.3))
+        plain = penalty_certificate(result.loss, gamma, 0.3)
+        assert not plain.vacuous
+        assert result.certificate == (replace(plain, vacuous=True) if forced else plain)
 
 
 def test_clique_finds_planted_triangle_among_noise():
@@ -270,7 +303,6 @@ def test_only_the_returned_unit_is_certified(monkeypatch):
         (lambda: solve_max_clique(dense, SolveConfig(restarts=12, steps=10, threads=2)), 12, clique),
         (lambda: solve_max_clique(sparse, SolveConfig(restarts=4, steps=10)), 4, clique),
         (lambda: solve_local_partition(cut, 0, SolveConfig(steps=30)), 8, partition),
-        (lambda: solve_local_partition(cut, 0, SolveConfig(steps=30, decode="sampled")), 8, partition),
         # A zero budget stops after the first chunk of 7 restarts.
         (lambda: solve_max_clique(dense, SolveConfig(restarts=12, steps=10, time_budget=0.0)), 7, clique),
     ]
@@ -413,15 +445,6 @@ def test_partition_candidate_cap_always_holds():
         assert volume(g, result.node_indices) <= result.interval[1] + 1e-9
 
 
-def test_partition_sampled_decode():
-    g = two_triangles()
-    cfg = SolveConfig(steps=120, intervals=((5.0, 9.0),), decode="sampled", k_samples=64)
-    result = solve_local_partition(g, 0, cfg)
-    assert result.decode == "sampled"
-    assert 0 in result.node_indices
-    assert volume(g, result.node_indices) <= 9.0
-
-
 def test_partition_certificate_checkable_when_live():
     g = two_triangles()
     result = solve_local_partition(g, 0, SolveConfig(steps=200, intervals=((5.0, 9.0),)))
@@ -446,15 +469,14 @@ def test_partition_input_validation():
         solve_local_partition(lonely, 2, FAST)
     with pytest.raises(ValueError, match="empty graph"):
         solve_local_partition(Graph(0, [], [], []), 0, FAST)
-    with pytest.raises(ValueError, match="unknown partition decode"):
-        solve_local_partition(g, 0, SolveConfig(decode="magic"))
+    for decode in ("magic", "sampled", "hybrid"):
+        with pytest.raises(ValueError, match=f"unknown partition decode '{decode}'"):
+            solve_local_partition(g, 0, SolveConfig(decode=decode))
     with pytest.raises(ValueError, match="exceeds every interval"):
         solve_local_partition(g, 0, SolveConfig(intervals=((0.0, 1.0),)))
     for count in (0, -1):
         with pytest.raises(ValueError, match="num_intervals"):
             solve_local_partition(g, 0, SolveConfig(num_intervals=count))
-    with pytest.raises(ValueError, match="k_samples"):
-        solve_local_partition(g, 0, SolveConfig(decode="sampled", k_samples=0))
     # The producer is checked before any interval is scanned.
     with pytest.raises(ValueError, match="unknown producer"):
         solve_local_partition(g, 0, SolveConfig(producer="magic", intervals=((0.0, 1.0),)))
