@@ -168,17 +168,14 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--lr", type=float, default=SolveConfig.lr)
     sub.add_argument("--opt-beta", type=float, default=SolveConfig.opt_beta, help="penalty weight used during optimization")
-    sub.add_argument("--init-jitter", type=float, default=SolveConfig.init_jitter, help="logit noise spread for restarts after the first")
     sub.add_argument("--gamma", type=float, default=None, help="certified offset; below the total edge weight the clique certificate is vacuous (default: total edge weight)")
     sub.add_argument("--beta", type=float, default=None, help="certified penalty weight, at least gamma (default: total edge weight)")
     sub.add_argument("--t", type=float, default=SolveConfig.t, help="Markov split point for certificates")
     sub.add_argument("--seed", type=int, default=SolveConfig.seed)
     sub.add_argument("--threads", type=int, default=SolveConfig.threads)
-    sub.add_argument("--time-budget", type=float, default=None, help="seconds; forces serial execution, may stop early")
     sub.add_argument("--checkpoint", default=None, help="trained producer weights (.json or .npz)")
     sub.add_argument("--intervals", default=None, help="explicit volume intervals, lo:hi,lo:hi")
     sub.add_argument("--num-intervals", type=int, default=SolveConfig.num_intervals)
-    sub.add_argument("--ball-hops", type=int, default=SolveConfig.ball_hops)
 
 
 def _solve_config(args) -> SolveConfig:
@@ -187,7 +184,7 @@ def _solve_config(args) -> SolveConfig:
     return SolveConfig(
         **named,
         mpnn=load_checkpoint(args.checkpoint, optimizer=False)[0] if args.checkpoint else None,
-        intervals=_parse_intervals(args.intervals) if args.intervals else None,
+        intervals=None if args.intervals is None else _parse_intervals(args.intervals),
     )
 
 
@@ -196,6 +193,8 @@ def _solve_config(args) -> SolveConfig:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"need count >= 1, got {args.count}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     graphs, names, meta = [], [], []

@@ -220,9 +220,13 @@ def clique_loss(graph: Graph, p, params: CliqueLossParams) -> LossReport:
 
 
 def expected_cut(graph: Graph, p) -> float:
-    """E of the cut weight: sum_i d_i p_i - 2 * sum over edges of w_ij p_i p_j."""
+    """E of the cut weight: sum_i d_i p_i - 2 * sum over edges of w_ij p_i p_j.
+
+    Clamped at 0: on a set with no edge leaving it (p exactly 0 or 1 on each
+    side) the difference can round below zero, and a cut is never negative.
+    """
     probs = check_probs(graph, p)
-    return _cut_value(float(graph.degree @ probs), expected_set_weight(graph, probs))
+    return max(_cut_value(float(graph.degree @ probs), expected_set_weight(graph, probs)), 0.0)
 
 
 def expected_volume(graph: Graph, p) -> float:

@@ -92,11 +92,7 @@ class SolveConfig:
     (see ``solve_max_clique``).
 
     The direct producer is ``optimize_direct``: Adam on a kernel the solver
-    binds, from logits the solver draws.  ``init_jitter`` is their spread.  A
-    clique solve starts its first restart and every seed ball at zero logits
-    (p = 0.5) and each later restart at ``init_jitter`` times standard
-    normals from its own stream.  A partition interval always draws, with
-    spread max(``init_jitter``, 1e-3), and pins its seed node.
+    binds, from logits the solver draws (see ``_INIT_JITTER``).
 
     ``steps`` is the most Adam steps the direct producer takes per unit.  A
     clique solve always takes all of them.  A partition interval stops at
@@ -111,17 +107,14 @@ class SolveConfig:
     steps: int = 300
     lr: float = 0.1
     opt_beta: float = 2.0
-    init_jitter: float = 1.0
     gamma: float | None = None
     beta: float | None = None
     t: float = 0.9
     seed: int = 0
     threads: int = 1
-    time_budget: float | None = None
     mpnn: MpnnParams | None = None
     intervals: tuple[tuple[float, float], ...] | None = None
     num_intervals: int = 8
-    ball_hops: int = 3
 
     def describe(self) -> dict:
         """JSON-safe echo of the configuration (weights elided, shape kept)."""
@@ -191,6 +184,12 @@ _STACK_ENTRIES = 2**15
 # non-vacuous certificate on one seed).
 _STOP_RTOL = 1e-6
 
+# The spread of the direct producer's random starts, in standard normals from
+# the unit's stream: every clique restart after the first and every partition
+# interval draws one.  The first restart and every seed ball start at zero
+# logits (p = 0.5).
+_INIT_JITTER = 1.0
+
 
 def _check_config(config: SolveConfig) -> None:
     """The checks both solvers share, made before any work."""
@@ -203,15 +202,8 @@ def _check_config(config: SolveConfig) -> None:
         raise ValueError(f"need steps >= 0, got {config.steps}")
     if not (math.isfinite(config.lr) and config.lr > 0.0):
         raise ValueError(f"lr must be finite and positive, got {config.lr}")
-    if not (math.isfinite(config.init_jitter) and config.init_jitter >= 0.0):
-        raise ValueError(f"init_jitter must be finite and non-negative, got {config.init_jitter}")
     if config.threads < 1:
         raise ValueError(f"need threads >= 1, got {config.threads}")
-    budget = config.time_budget
-    if budget is not None and not (math.isfinite(budget) and budget >= 0.0):
-        raise ValueError(f"time_budget must be finite and non-negative, got {budget}")
-    if config.ball_hops < 0:
-        raise ValueError(f"need ball_hops >= 0, got {config.ball_hops}")
     for name in ("opt_beta", "gamma", "beta"):
         value = getattr(config, name)
         if value is not None and not (math.isfinite(value) and value > 0.0):
@@ -226,12 +218,11 @@ def _solve(
     Each unit draws from its own stream spawned from ``config.seed``, so the
     result depends neither on the thread count nor on ``chunk``, the most
     units one worker call gets.  Calls run on a pool of ``config.threads``
-    threads, or, with a ``time_budget``, one after another until the first
-    call that ends past the budget.  A worker returns one ``(key, fields,
-    state)`` per unit: the smallest key wins, ties go to the lowest index,
-    and the winner's fields plus ``certify(*state)``, its loss and
-    certificate fields, fill the ``SolveResult``.  Only the winner is
-    certified.  ``t0`` is when the solve began.
+    threads, or in order with one thread; every unit runs.  A worker returns
+    one ``(key, fields, state)`` per unit: the smallest key wins, ties go to
+    the lowest index, and the winner's fields plus ``certify(*state)``, its
+    loss and certificate fields, fill the ``SolveResult``.  Only the winner
+    is certified.  ``t0`` is when the solve began.
     """
     seqs = np.random.SeedSequence(config.seed).spawn(len(units))
     starts = range(0, len(units), chunk)
@@ -240,17 +231,12 @@ def _solve(
         part = slice(start, start + chunk)
         return worker(units[part], [np.random.default_rng(seq) for seq in seqs[part]])
 
-    budget = config.time_budget
-    if config.threads > 1 and budget is None:
+    if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = [outcome for batch in pool.map(run, starts) for outcome in batch]
+            batches = list(pool.map(run, starts))
     else:
-        clock = time.perf_counter()
-        outcomes = []
-        for start in starts:
-            outcomes += run(start)
-            if budget is not None and time.perf_counter() - clock > budget:
-                break
+        batches = [run(start) for start in starts]
+    outcomes = [outcome for batch in batches for outcome in batch]
     # min keeps the first of equal keys, which is the lowest index.
     _, winner, state = min(outcomes, key=lambda outcome: outcome[0])
     return SolveResult(
@@ -316,8 +302,7 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     ``_STACK_ENTRIES``), one ``optimize_direct`` call on the clique kernel
     bound to the disjoint union of a chunk's graphs, from the units' starts
     laid end to end; each unit's p keeps the bits of its own run.
-    ``threads`` and ``time_budget`` act per chunk.  Other producers run one
-    unit per chunk.
+    ``threads`` acts per chunk.  Other producers run one unit per chunk.
 
     Raises:
         ValueError: on an unknown decode, an empty graph or a bad setting.
@@ -369,7 +354,7 @@ def solve_max_clique(graph: Graph, config: SolveConfig | None = None) -> SolveRe
     if seeds is None:
         cert = CliqueLossParams.for_graph(graph, gamma=config.gamma, beta=config.beta)
         opt = opt_spec.resolve(graph)
-        scales = [0.0] + [config.init_jitter] * (config.restarts - 1)
+        scales = [0.0] + [_INIT_JITTER] * (config.restarts - 1)
         units = [_CliqueUnit(f"in restart {i}", graph, None, cert, opt, scale) for i, scale in enumerate(scales)]
     else:
         units = []
@@ -462,9 +447,7 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
     if config.intervals is not None:
         intervals = [VolumeConstraint(float(lo), float(hi)) for lo, hi in config.intervals]
     else:
-        intervals = default_interval_schedule(
-            graph, seed_node, hops=config.ball_hops, count=config.num_intervals
-        )
+        intervals = default_interval_schedule(graph, seed_node, count=config.num_intervals)
     d_s = float(graph.degree[seed_node])
     usable = [vc for vc in intervals if vc.upper >= d_s]
     if not usable:
@@ -482,7 +465,7 @@ def solve_local_partition(graph: Graph, seed_node: int, config: SolveConfig | No
             # seed keeps the optimizer on the seed's side of the graph; decode
             # forces the seed into the set regardless.
             p, _ = optimize_direct(
-                CutLossSpec(vc).step_kernel(graph), max(config.init_jitter, 1e-3) * rng.standard_normal(graph.n),
+                CutLossSpec(vc).step_kernel(graph), _INIT_JITTER * rng.standard_normal(graph.n),
                 config.steps, lr=config.lr, pin=seed_node, rtol=_STOP_RTOL,
             )
         else:

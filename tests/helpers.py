@@ -24,6 +24,15 @@ def two_triangles() -> Graph:
     return Graph(6, u, v, np.ones(7))
 
 
+def disjoint_triangles() -> Graph:
+    """Two weighted triangles, {0,1,2} and {3,4,5}, with no edge between them.
+
+    The expected cut of {0,1,2}'s indicator rounds to -4.4e-16 when summed
+    as volume minus twice the weight inside.
+    """
+    return Graph(6, [0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5], [0.54, 0.95, 0.19] * 2)
+
+
 def k5_minus_edge() -> Graph:
     """K5 without the edge 0-1: total weight 9, and its largest cliques are the two K4s."""
     u, v = np.triu_indices(5, k=1)  # the first pair is (0, 1)

@@ -7,7 +7,7 @@ from cliquecut import Graph, MpnnParams, graph_digest, graphs, save_checkpoint, 
 from cliquecut import cli
 from cliquecut.cli import main
 
-from helpers import complete_graph, k5_minus_edge, path_graph, random_graph, two_triangles
+from helpers import complete_graph, disjoint_triangles, k5_minus_edge, path_graph, random_graph, two_triangles
 
 
 def run(capsys, argv):
@@ -70,6 +70,15 @@ def test_generate_rejects_non_finite_splits(tmp_path, capsys, splits):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "finite" in err and "Warning" not in err
     assert not (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_generate_rejects_an_empty_corpus(tmp_path, capsys, count):
+    out_dir = tmp_path / "corpus"
+    code, out, err = run(capsys, ["generate", "--count", count, "--nodes", "-5", "--out", str(out_dir)])
+    assert code == 1 and out == ""
+    assert err == f"error: need count >= 1, got {count}\n"
+    assert not out_dir.exists()
 
 
 def test_generate_planted_records_metadata(tmp_path, capsys):
@@ -232,6 +241,51 @@ def test_removed_sampling_options_are_usage_errors(tmp_path, capsys):
         main(["solve", "--graph", str(graph_path), "--config", str(cfg)])
     assert exc.value.code == 1
     assert "unknown config key 'k_samples'" in capsys.readouterr().err
+
+
+def test_removed_solver_options_are_usage_errors(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, complete_graph(4))
+    for flag, key, value in (("--time-budget", "time_budget", "0"), ("--init-jitter", "init_jitter", "1"),
+                             ("--ball-hops", "ball_hops", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--graph", str(graph_path), flag, value])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--graph", str(graph_path), "--config", str(cfg)])
+        assert exc.value.code == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_empty_interval_list_is_input_error(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, two_triangles())
+    result_path = tmp_path / "result.json"
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text('intervals = ""\n')
+    partition = ["solve", "--graph", str(graph_path), "--problem", "partition", "--seed-node", "0", "--out", str(result_path)]
+    for source in (["--intervals", ""], ["--config", str(cfg)]):
+        code, out, err = run(capsys, [*partition, *source])
+        assert code == 1 and out == "" and not result_path.exists()
+        assert err == "error: bad interval '', expected lo:hi\n"
+
+
+def test_partition_of_a_closed_component_solves_and_verifies(tmp_path, capsys):
+    graph_path = write_graph(tmp_path, disjoint_triangles())
+    checkpoint = tmp_path / "net.json"
+    save_checkpoint(checkpoint, MpnnParams.init(np.random.default_rng(0), hidden=4, layers=2))
+    result_path = tmp_path / "result.json"
+    code, _, err = run(
+        capsys,
+        ["solve", "--graph", str(graph_path), "--problem", "partition", "--seed-node", "0", "--producer", "mpnn",
+         "--checkpoint", str(checkpoint), "--intervals", "3.36:6.72", "--out", str(result_path)],
+    )
+    assert code == 0, err
+    payload = json.loads(result_path.read_text())["payload"]
+    assert payload["node_indices"] == [0, 1, 2] and payload["loss"] == 0.0
+    code, out, _ = run(capsys, ["verify", "--result", str(result_path), "--graph", str(graph_path)])
+    assert code == 0 and json.loads(out)["payload"]["verified"] is True
 
 
 def test_infinite_volume_bound_is_an_error(tmp_path, capsys):
@@ -411,13 +465,9 @@ def test_extra_edge_field_is_input_error(tmp_path, capsys):
         ("--lr", "nan", "lr must be finite and positive, got nan"),
         ("--lr", "-1", "lr must be finite and positive, got -1.0"),
         ("--steps", "-5", "need steps >= 0, got -5"),
-        ("--init-jitter", "-1", "init_jitter must be finite and non-negative, got -1.0"),
-        ("--init-jitter", "nan", "init_jitter must be finite and non-negative, got nan"),
         ("--threads", "0", "need threads >= 1, got 0"),
-        ("--time-budget", "-1", "time_budget must be finite and non-negative, got -1.0"),
-        ("--ball-hops", "-1", "need ball_hops >= 0, got -1"),
     ],
-    ids=["lr=nan", "lr=-1", "steps=-5", "init-jitter=-1", "init-jitter=nan", "threads=0", "time-budget=-1", "ball-hops=-1"],
+    ids=["lr=nan", "lr=-1", "steps=-5", "threads=0"],
 )
 def test_bad_solver_setting_is_input_error(tmp_path, capsys, flag, value, message):
     graph_path = write_graph(tmp_path, complete_graph(4))
