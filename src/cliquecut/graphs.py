@@ -536,8 +536,6 @@ _NODES_HEADER = re.compile(r"# nodes ([0-9]+)")
 # Everything an edge line of canonical text holds, besides its two spaces and newline.
 _EDGE_CHARS = b"0123456789.eE+-"
 _EDGE_FIELDS = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
-# 10, 100, ..., 10**18: a non-negative int64 x has searchsorted(_TENS, x, "right") + 1 digits.
-_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Graph | None:
@@ -550,9 +548,11 @@ def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Grap
     Returns None for any other text, and for any text the line loop would
     reject, so that the line loop reports the error with its line number.
 
-    When the text is exactly ``to_edge_list_text`` of the graph it yields,
-    the graph's digest is set to the SHA-256 of the text, so that
-    ``graph_digest`` does not serialize the graph again.
+    A text with the ``# nodes N`` line, read with index base 0, is then
+    compared with ``to_edge_list_text`` of the graph it yields.  When the two
+    are equal, the graph's digest is set to the SHA-256 of the text, so the
+    graph is serialized once, here, and ``graph_digest`` does not do it
+    again.  Any other text cannot be the canonical text, and is not written.
     """
     body = text
     header = None
@@ -583,47 +583,10 @@ def _load_canonical_edge_list(text: str, index_base: int, n: int | None) -> Grap
         return None
     if not np.all(np.isfinite(w) & (w >= 0.0)):
         return None
-    canonical = header == f"# nodes {n}" and index_base == 0 and w.min() > 0.0 and w.max() <= 1.0
     graph = _edge_graph(n, u, v, w)
-    if canonical and _spelled_canonically(raw, u, v, w, n):
+    if header is not None and index_base == 0 and to_edge_list_text(graph) == text:
         graph._digest = hashlib.sha256(text.encode()).hexdigest()
     return graph
-
-
-def _spelled_canonically(raw: bytes, u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> bool:
-    """Whether ``raw`` is exactly the edge lines ``to_edge_list_text`` writes for the parsed fields.
-
-    ``raw`` has the shape ``_load_canonical_edge_list`` accepts.  The lines
-    must be in the graph's edge order, which needs ``u < v`` and
-    ``u * n + v`` strictly increasing, and each must be spelled
-    ``f"{u} {v} {w!r}"``.
-    """
-    key = u * n + v
-    if not ((u < v).all() and (key[1:] > key[:-1]).all()):
-        return False
-    chars = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(chars == ord("\n"))
-    spaces = np.flatnonzero(chars == ord(" ")).reshape(-1, 2)
-    begins = np.concatenate([[0], ends[:-1] + 1])
-    # str(x) is the shortest spelling of an int x and the only one of its
-    # length, so each int token must merely have the length of str(x).
-    digits_u = np.searchsorted(_TENS, u, side="right") + 1
-    digits_v = np.searchsorted(_TENS, v, side="right") + 1
-    if not ((spaces[:, 0] - begins == digits_u).all() and (spaces[:, 1] - spaces[:, 0] - 1 == digits_v).all()):
-        return False
-    # A float has spellings shorter than its repr ('.5', '1.', '1') and others
-    # of the same length ('1e0'), so each weight token's bytes are compared
-    # with the repr of its value, formatted once per distinct weight.
-    distinct, which = np.unique(w, return_inverse=True)
-    spelled = np.array(list(map(repr, distinct.tolist())), dtype=bytes)  # null-padded to one width
-    width, sizes = spelled.itemsize, np.char.str_len(spelled)[which]
-    starts = spaces[:, 1] + 1
-    if not (ends - starts == sizes).all():
-        return False
-    # Each line's weight token, null-padded to the same width.
-    tokens = chars[np.minimum(starts[:, None] + np.arange(width), chars.size - 1)]
-    tokens[np.arange(width) >= sizes[:, None]] = 0
-    return bool((tokens == spelled.view(np.uint8).reshape(-1, width)[which]).all())
 
 
 def load_edge_list_file(path, *, index_base: int = 0, n: int | None = None) -> Graph:
@@ -685,22 +648,46 @@ def load_dimacs_file(path) -> Graph:
 def to_edge_list_text(graph: Graph) -> str:
     """Canonical serialization: node-count header plus sorted ``u v w`` lines.
 
-    Each weight is written as its shortest round-tripping ``repr``.  Weights
-    lie in (0, 1], where equal floats have equal reprs, so each distinct
-    weight is formatted once.
+    Each edge's line is ``f"{u} {v} {w!r}"`` of its endpoints and weight as
+    Python numbers: each weight is its shortest round-tripping ``repr``.
+    Weights lie in (0, 1], where equal floats have equal reprs, so each
+    distinct weight is formatted once.  The lines are built in numpy, one
+    fixed-width byte row per edge: the endpoints' decimal digits,
+    right-aligned in the width of n - 1, the weight's repr, left-aligned in
+    the width of the longest, and the fixed spaces and newline.  Null bytes
+    fill what a field leaves of its width, and one boolean compress drops
+    them.
     """
+    header = f"# nodes {graph.n}\n"
+    m = graph.num_edges
+    if m == 0:
+        return header
     distinct, which = np.unique(graph.edge_w, return_inverse=True)
-    text = [repr(w) for w in distinct.tolist()]
-    lines = [f"# nodes {graph.n}"]
-    lines += [f"{u} {v} {text[i]}" for u, v, i in zip(graph.edge_u.tolist(), graph.edge_v.tolist(), which.tolist())]
-    return "\n".join(lines) + "\n"
+    spelled = np.array(list(map(repr, distinct.tolist())), dtype=bytes)  # null-padded to one width
+    digits = len(str(graph.n - 1))
+    line = np.zeros((m, 2 * digits + 3 + spelled.itemsize), dtype=np.uint8)
+    last = np.array([digits - 1, 2 * digits])  # the columns of u's and v's last digits
+    value = np.stack([graph.edge_u, graph.edge_v]).astype(np.uint32)  # below MAX_NODES = 2**24
+    for k in range(digits):
+        done = value == 0  # no digit left: padding, but for a 0 in the last column
+        value, digit = np.divmod(value, 10)
+        digit += ord("0")
+        if k:
+            digit[done] = 0
+        line[:, last - k] = digit.T
+    line[:, last + 1] = ord(" ")
+    line[:, 2 * digits + 2 : -1] = spelled.view(np.uint8).reshape(-1, spelled.itemsize)[which]
+    line[:, -1] = ord("\n")
+    chars = line.reshape(-1)
+    return header + chars[chars != 0].tobytes().decode("ascii")
 
 
 def graph_digest(graph: Graph) -> str:
     """SHA-256 of the canonical serialization; used to pin results to inputs.
 
     Computed once per graph.  A graph that ``load_edge_list`` read from its
-    own canonical text already holds the hash of that text.
+    own canonical text already holds the hash of that text: the loader
+    wrote the text to compare it, so it is not written again here.
     """
     if graph._digest is None:
         graph._digest = hashlib.sha256(to_edge_list_text(graph).encode()).hexdigest()

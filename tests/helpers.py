@@ -71,6 +71,13 @@ def sparse_planted_clique(rng: np.random.Generator, n: int, k: int, mean_degree:
     return Graph(n, keys // n, keys % n, np.ones(keys.size)), planted
 
 
+def reference_edge_list_text(graph: Graph) -> str:
+    """``to_edge_list_text`` one line at a time: a header, then ``f"{u} {v} {w!r}"`` per edge."""
+    lines = [f"# nodes {graph.n}"]
+    lines += [f"{u} {v} {w!r}" for u, v, w in zip(graph.edge_u.tolist(), graph.edge_v.tolist(), graph.edge_w.tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def reference_neighbor_sums(graph: Graph, p: np.ndarray) -> np.ndarray:
     """s = A p as one bincount over the CSR rows: each node adds w_ij * p_j in adjacency order.
 

@@ -31,6 +31,7 @@ from helpers import (
     path_graph,
     petersen,
     random_graph,
+    reference_edge_list_text,
     sparse_planted_clique,
     two_triangles,
 )
@@ -451,6 +452,31 @@ def test_canonical_edge_list_fast_path_matches_line_loop(tmp_path, weighted):
         assert graph_digest(other) == serialized_digest(other) == graph_digest(load_edge_list_by_lines(body))
 
 
+def test_a_loaded_graph_is_serialized_at_most_once(tmp_path, monkeypatch):
+    g, _ = sparse_planted_clique(np.random.default_rng(2), 500, 8, 6)
+    text = to_edge_list_text(g)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    body = text.partition("\n")[2]
+    shifted = "".join(f"{int(u) + 1} {int(v) + 1} {w}\n" for u, v, w in (line.split() for line in body.splitlines()))
+    calls = []
+    write = graphs.to_edge_list_text
+    monkeypatch.setattr(graphs, "to_edge_list_text", lambda graph: calls.append(graph) or write(graph))
+    # The canonical file is written once, by the loader's check, and the digest reuses it.
+    loaded = graphs.load_edge_list_file(path)
+    assert graph_digest(loaded) == graph_digest(loaded) == digest
+    assert calls == [loaded]
+    # The same graph from a text without the header, or in index base 1, is
+    # not written at load; the first digest writes it, the second reuses that.
+    for other, index_base in ((body, 0), (shifted, 1)):
+        calls.clear()
+        graph = load_edge_list(other, index_base=index_base)
+        assert calls == []
+        assert graph_digest(graph) == graph_digest(graph) == digest
+        assert calls == [graph]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -639,11 +665,33 @@ def test_canonical_text_matches_per_edge_formatting():
     weights[weights == 0.0] = 1.0
     weights[::7] = 0.5  # repeated weights next to distinct ones
     weighted = Graph(g.n, g.edge_v, g.edge_u, weights)
-    for graph in (g, weighted):
-        lines = [f"# nodes {graph.n}"]
-        for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-            lines.append(f"{int(u)} {int(v)} {float(w)!r}")
-        assert to_edge_list_text(graph) == "\n".join(lines) + "\n"
+    sparse, _ = sparse_planted_clique(np.random.default_rng(1), 4000, 45, 8)
+    for graph in (g, weighted, sparse):
+        assert to_edge_list_text(graph) == reference_edge_list_text(graph)
+
+
+# Weights whose reprs are 3 to 19 characters long: a subnormal, an exponent,
+# a decimal, a sum that is not its decimal, and the unit weight.
+ODD_WEIGHTS = [5e-324, 1e-05, 0.1, 0.30000000000000004, 1.0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 1000, 2**24])
+def test_edge_list_writer_matches_reference_at_every_id_width(n):
+    """Ids of one to eight digits, next to ids of fewer in the same column, and every weight shape."""
+    rng = np.random.default_rng(n)
+    cases = [Graph(n, [], [], [])]
+    if n >= 2:
+        # Edges at both ends of the id range, then random pairs.
+        a = np.concatenate([[0, 0, n - 2], rng.integers(0, n, 40)])
+        b = np.concatenate([[1, n - 1, n - 1], rng.integers(0, n, 40)])
+        keys = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+        u, v = keys // n, keys % n
+        distinct = rng.uniform(1e-9, 1.0, keys.size)
+        distinct[: len(ODD_WEIGHTS)] = ODD_WEIGHTS[: keys.size]
+        for w in (np.ones(keys.size), np.resize(ODD_WEIGHTS, keys.size), distinct):
+            cases.append(Graph(n, u, v, w))
+    for graph in cases:
+        assert to_edge_list_text(graph) == reference_edge_list_text(graph)
 
 
 def test_digest_tracks_content():
