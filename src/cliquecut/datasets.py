@@ -68,8 +68,9 @@ def gen_gnp(n: int, p_edge: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi G(n, p) with unit weights.
 
     Raises:
-        ValueError: on n outside [0, ``graphs.MAX_NODES``], checked before
-            the O(n**2) pair table is built, or p outside [0, 1].
+        ValueError: on n that is not an integer or lies outside
+            [0, ``graphs.MAX_NODES``], checked before the O(n**2) pair table
+            is built, or p outside [0, 1].
     """
     u, v = _gnp_pairs(n, p_edge, rng)
     return Graph(n, u, v, np.ones(u.size))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import operator
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -51,12 +52,21 @@ __all__ = [
 MAX_NODES = 1 << 24
 
 
-def check_node_count(n: int) -> None:
-    """Raise ValueError unless 0 <= n <= ``MAX_NODES``."""
+def check_node_count(n: int) -> int:
+    """Return n as an int; raise ValueError unless it is an integer in [0, ``MAX_NODES``].
+
+    Integers are what ``operator.index`` accepts, numpy's included; a float,
+    even a whole one, is refused.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"node count must be an integer, got {n!r}") from None
     if n < 0:
         raise ValueError("node count must be non-negative")
     if n > MAX_NODES:
         raise ValueError(f"{n} nodes exceed the limit of {MAX_NODES}")
+    return n
 
 
 class GraphFormatError(ValueError):
@@ -93,66 +103,90 @@ class Graph:
     def __init__(self, n: int, edge_u, edge_v, edge_w) -> None:
         """Build from arrays of endpoints and weights, one entry per edge.
 
+        Edges handed over in strictly increasing (min, max) endpoint order,
+        as every graph's own edge list is, are taken in that order; any
+        other order is sorted first.  Either way the arrays are the same.
+
         Args:
-            n: number of nodes; endpoints must lie in [0, n).
+            n: number of nodes, an integer (numpy's included); endpoints
+                must lie in [0, n).
             edge_u, edge_v: integer endpoint arrays (either orientation).
-            edge_w: weights, each in (0, 1].
+            edge_w: weights, each in (0, 1].  The graph keeps a copy.
 
         Raises:
-            ValueError: on a node count outside [0, ``MAX_NODES``] (raised
-                before anything is allocated), self-loops, duplicate edges,
-                out-of-range endpoints, or weights outside (0, 1].
+            ValueError: on a node count that is not an integer or lies
+                outside [0, ``MAX_NODES``] (raised before anything is
+                allocated), edge arrays of unequal length, out-of-range
+                endpoints, self-loops, weights outside (0, 1], or duplicate
+                edges, naming the first duplicate pair in (min, max) order.
         """
-        check_node_count(n)
+        n = check_node_count(n)
         u = np.asarray(edge_u, dtype=np.int64).reshape(-1)
         v = np.asarray(edge_v, dtype=np.int64).reshape(-1)
-        w = np.asarray(edge_w, dtype=np.float64).reshape(-1)
+        w = np.array(edge_w, dtype=np.float64).reshape(-1)
         if not (u.shape == v.shape == w.shape):
             raise ValueError("edge arrays must have equal length")
-        if u.size:
-            if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n:
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        if lo.size:
+            if lo.min() < 0 or hi.max() >= n:
                 raise ValueError("edge endpoint out of range")
-            if np.any(u == v):
+            if np.any(lo == hi):
                 raise ValueError("self-loops are not allowed")
             # Written so that NaN, which fails every comparison, is rejected too.
             if not np.all((w > 0.0) & (w <= 1.0)):
                 raise ValueError("edge weights must lie in (0, 1]")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
         # lo * n + hi orders edges by (lo, hi) and stays below MAX_NODES**2 = 2**48.
-        # Two edges share a key only if they are duplicates, which raise below
+        # Strictly increasing keys are in order and hold no duplicate.  Otherwise
+        # two edges share a key only if they are duplicates, which raise below
         # naming the same pair whatever their relative order, so any sort kind
         # yields the lexicographic permutation; the default kind is the fastest.
-        order = np.argsort(lo * n + hi)
-        lo, hi, w = lo[order], hi[order], w[order]
-        del order  # freed before the adjacency arrays are built, lowering the peak
-        dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        if np.any(dup):
-            i = int(np.flatnonzero(dup)[0])
-            raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
+        key = lo * n + hi
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key)
+            lo, hi, w = lo[order], hi[order], w[order]
+            dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+            if np.any(dup):
+                i = int(np.flatnonzero(dup)[0])
+                raise ValueError(f"duplicate edge ({lo[i]}, {hi[i]})")
+        del key  # freed before the adjacency arrays are built, lowering the peak
 
-        self.n = int(n)
+        # The CSR adjacency in (source, target) order, built from its two
+        # halves.  The forward half, lo to hi, is the edge list itself, in that
+        # order already; one stable sort of hi alone puts the reversed half,
+        # hi to lo, in it too (numpy radix-sorts keys of up to 16 bits).  A
+        # node's row holds its reversed entries, whose targets lie below it,
+        # then its forward ones, so forward entry e sits after the e forward
+        # entries before it and after every reversed entry whose source is at
+        # most lo[e]; the reversed entries fill the other slots in order.
+        m = lo.size
+        narrow = np.uint8 if n <= 1 << 8 else np.uint16 if n <= 1 << 16 else np.uint32
+        by_hi = np.argsort(hi.astype(narrow), kind="stable")
+        into = np.bincount(hi, minlength=n)
+        counts = into + np.bincount(lo, minlength=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        forward = np.arange(m) + np.cumsum(into)[lo]
+        is_reverse = np.ones(2 * m, dtype=bool)
+        is_reverse[forward] = False
+        reverse = np.flatnonzero(is_reverse)
+        targets = np.empty(2 * m, dtype=np.int64)
+        targets[forward] = hi
+        targets[reverse] = lo[by_hi]
+        weights = np.empty(2 * m)
+        weights[forward] = w
+        weights[reverse] = w[by_hi]
+        rows = np.repeat(np.arange(n), counts)
+
+        self.n = n
         self.edge_u = lo
         self.edge_v = hi
         self.edge_w = w
-
-        # Adjacency in (src, dst) order from one stable sort of src alone: the
-        # reversed half goes first, and within one source its neighbours are
-        # all lower than those of the forward half; each half already lists a
-        # source's neighbours in increasing order, because the edges are
-        # sorted by (lo, hi).  numpy radix-sorts keys of up to 16 bits.
-        src = np.concatenate([hi, lo])
-        dst = np.concatenate([lo, hi])
-        ww = np.concatenate([w, w])
-        key = np.uint8 if n <= 1 << 8 else np.uint16 if n <= 1 << 16 else np.uint32
-        adj_order = np.argsort(src.astype(key), kind="stable")
-        src, dst, ww = src[adj_order], dst[adj_order], ww[adj_order]
-        counts = np.bincount(src, minlength=n)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.targets = dst
-        self.weights = ww
-        self.rows = src
-        self.degree = np.bincount(src, weights=ww, minlength=n)
+        self.offsets = offsets
+        self.targets = targets
+        self.weights = weights
+        self.rows = rows
+        self.degree = np.bincount(rows, weights=weights, minlength=n)
         self.total_weight = float(w.sum())
         self._digest = self._layout = self._sums = None
         for name in ("offsets", "targets", "weights", "rows", "edge_u", "edge_v", "edge_w", "degree"):

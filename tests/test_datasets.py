@@ -33,6 +33,8 @@ def test_gen_gnp_determinism_and_density():
         gen_gnp(5, 1.5, np.random.default_rng(0))
     with pytest.raises(ValueError, match="non-negative"):
         gen_gnp(-1, 0.5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="node count must be an integer, got 5.0"):
+        gen_gnp(5.0, 0.5, np.random.default_rng(0))
 
 
 def test_gen_planted_clique():

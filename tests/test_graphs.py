@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,113 @@ def test_graph_names_the_same_duplicate_as_the_reference():
         with pytest.raises(ValueError) as got:
             Graph(g.n, u, v, w)
         assert str(got.value) == str(want.value)
+
+
+GRAPH_ARRAYS = ("edge_u", "edge_v", "edge_w", "offsets", "targets", "weights", "rows")
+
+
+def assert_reference_build(n, u, v, w):
+    """Graph(n, u, v, w) holds the arrays, dtypes included, of lexsort_build."""
+    g = Graph(n, u, v, w)
+    want = lexsort_build(n, u, v, w)
+    for name, b in zip(GRAPH_ARRAYS, want):
+        a = getattr(g, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(g.degree, np.bincount(want[6], weights=want[5], minlength=n))
+    return g
+
+
+def top_node_graph(rng, n):
+    """About 400 random edges on n nodes, with edges at the top node n - 1."""
+    ends = np.concatenate([rng.integers(0, n, size=(400, 2)), [[n - 1, 0], [n - 2, n - 1], [255, n - 1]]])
+    ends = np.unique(np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1), axis=0)
+    return Graph(n, ends[:, 0], ends[:, 1], rng.uniform(0.1, 1.0, len(ends)))
+
+
+def test_graph_build_of_ordered_edges_matches_lexsort_reference():
+    # Edges in strictly increasing (lo, hi) order skip the edge sort: as a
+    # graph stores them, and the same keys in flipped orientation (u > v).
+    rng = np.random.default_rng(43)
+    graphs_ = [random_graph(rng, int(rng.integers(1, 60)), density=float(rng.uniform(0.0, 0.9)), weighted=bool(rng.integers(2))) for _ in range(40)]
+    graphs_ += [top_node_graph(rng, n) for n in (256, 257, 65536, 65537)]
+    for g in graphs_:
+        assert_reference_build(g.n, g.edge_u, g.edge_v, g.edge_w)
+        assert_reference_build(g.n, g.edge_v, g.edge_u, g.edge_w)
+        flip = rng.random(g.num_edges) < 0.5
+        assert_reference_build(g.n, np.where(flip, g.edge_v, g.edge_u), np.where(flip, g.edge_u, g.edge_v), g.edge_w)
+
+
+def test_graph_build_sorts_only_unordered_edges(monkeypatch):
+    # One argsort orders the adjacency's reversed half; unordered edges take
+    # one more, over the edge keys.
+    g = random_graph(np.random.default_rng(44), 30, density=0.3)
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: calls.append(a.dtype) or argsort(a, *args, **kwargs))
+    Graph(g.n, g.edge_v, g.edge_u, g.edge_w)
+    assert calls == [np.uint8]
+    calls.clear()
+    Graph(g.n, g.edge_u[::-1], g.edge_v[::-1], g.edge_w[::-1])
+    assert calls == [np.int64, np.uint8]
+
+
+def test_graph_names_a_duplicate_in_sorted_edges():
+    # A repeated edge next to its twin breaks strict order, so the edges are
+    # sorted and the duplicate is named as the reference names it.
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        g = random_graph(rng, int(rng.integers(3, 30)), density=0.5)
+        if g.num_edges == 0:
+            continue
+        at = np.insert(np.arange(g.num_edges), int(rng.integers(g.num_edges)), int(rng.integers(g.num_edges)))
+        at.sort()
+        u, v, w = g.edge_u[at], g.edge_v[at], g.edge_w[at]
+        if rng.random() < 0.5:
+            u, v = v, u
+        with pytest.raises(ValueError) as want:
+            lexsort_build(g.n, u, v, w)
+        with pytest.raises(ValueError, match="duplicate edge") as got:
+            Graph(g.n, u, v, w)
+        assert str(got.value) == str(want.value)
+
+
+def test_derived_graphs_equal_their_rebuild_from_shuffled_edges(tmp_path):
+    # induced, disjoint_union and the canonical loader hand the constructor
+    # ordered edges; each result equals the graph rebuilt from its edges in
+    # random order and orientation, and the reference build of them.
+    rng = np.random.default_rng(46)
+    base = random_graph(rng, 50, density=0.3, weighted=True)
+    sub, _ = induced(base, rng.choice(50, 30, replace=False))
+    union, _ = disjoint_union([base, sub, base])
+    path = tmp_path / "base.edges"
+    path.write_text(to_edge_list_text(base), encoding="utf-8")
+    loaded = graphs.load_edge_list_file(path)
+    assert loaded._digest is not None  # read through the canonical fast path
+    for g in (sub, union, loaded):
+        rebuilt = assert_reference_build(g.n, *shuffled_edges(rng, g))
+        for name in GRAPH_ARRAYS + ("degree",):
+            assert np.array_equal(getattr(g, name), getattr(rebuilt, name)), name
+        assert g.total_weight == rebuilt.total_weight
+
+
+def test_graph_keeps_its_own_copy_of_the_weights():
+    w = np.array([0.5, 1.0])
+    g = Graph(3, np.array([0, 1]), np.array([1, 2]), w)
+    w[0] = 0.25
+    assert w.flags.writeable and g.edge_w.tolist() == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("bad", [3.5, 3.0, np.float64(4), "4", None])
+def test_graph_node_count_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match=f"node count must be an integer, got {re.escape(repr(bad))}"):
+        Graph(bad, [0], [1], [1.0])
+
+
+def test_graph_node_count_takes_numpy_integers():
+    for n in (np.int64(4), np.uint16(4), np.int32(4)):
+        g = Graph(n, [0, 1], [1, 3], [1.0, 1.0])
+        assert type(g.n) is int and g.n == 4
+        assert np.array_equal(g.offsets, [0, 1, 3, 3, 4])
 
 
 def test_graph_caps_the_node_count(monkeypatch):
