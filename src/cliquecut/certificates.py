@@ -20,14 +20,11 @@ __all__ = [
     "Certificate",
     "CliqueObjective",
     "CutVolumeObjective",
-    "markov_certificate",
     "penalty_certificate",
     "box_certificate",
-    "sampling_success",
     "verify_solution",
 ]
 
-KIND_MARKOV = "markov"
 KIND_PENALTY = "penalty"
 KIND_BOX = "box_constrained"
 
@@ -39,7 +36,7 @@ class Certificate:
     """A tail-bound claim over samples from a node distribution.
 
     Attributes:
-        kind: one of ``markov``, ``penalty``, ``box_constrained``.
+        kind: ``penalty`` or ``box_constrained``.
         t: the Markov split point the bound was derived at.
         bound: certified objective threshold (loss / (1 - t)).
         success_prob: probability with which a sample satisfies the claim;
@@ -99,14 +96,6 @@ def _json_number(value, name: str) -> float:
 def _check_t(t: float) -> None:
     if not (0.0 <= t < 1.0):
         raise ValueError(f"t must lie in [0, 1), got {t}")
-
-
-def markov_certificate(loss_value: float, t: float = 0.9) -> Certificate:
-    """P(f(S) < loss / (1 - t)) > t for any non-negative objective with mean loss."""
-    _check_t(t)
-    if loss_value < 0.0:
-        raise ValueError("Markov requires a non-negative expected objective")
-    return Certificate(kind=KIND_MARKOV, t=t, bound=loss_value / (1.0 - t), success_prob=t)
 
 
 def penalty_certificate(loss_value: float, beta: float, t: float = 0.9) -> Certificate:
@@ -171,15 +160,6 @@ def box_certificate(
     )
 
 
-def sampling_success(t: float, k: int) -> float:
-    """Probability that at least one of k independent samples meets a level-t claim."""
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"t must lie in (0, 1], got {t}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return 1.0 - (1.0 - t) ** k
-
-
 @dataclass(frozen=True)
 class CliqueObjective:
     """Clique problem view: cost gamma - set weight, constraint cliqueness."""
@@ -215,11 +195,11 @@ def _meets_bound(cost: float, bound: float) -> bool:
 def verify_solution(graph: Graph, members, certificate: Certificate, problem, *, strict: bool = False) -> bool:
     """Check a concrete solution against a certificate's claim.
 
-    Markov certificates check the cost bound only.  Penalty certificates
-    require the bound and the constraint.  Box certificates accept either the
-    bound or the constraint by default, because sequential decoding under a
-    hard volume cap guarantees one of the two; pass ``strict=True`` to demand
-    both, as the claim does of a sample from the certified distribution.
+    Penalty certificates require the bound and the constraint.  Box
+    certificates accept either the bound or the constraint by default,
+    because sequential decoding under a hard volume cap guarantees one of the
+    two; pass ``strict=True`` to demand both, as the claim does of a sample
+    from the certified distribution.
 
     Raises:
         ValueError: when the certificate kind and problem type disagree.
@@ -228,12 +208,10 @@ def verify_solution(graph: Graph, members, certificate: Certificate, problem, *,
         raise ValueError("penalty certificates apply to clique objectives")
     if certificate.kind == KIND_BOX and not isinstance(problem, CutVolumeObjective):
         raise ValueError("box certificates apply to cut-with-volume objectives")
-    if certificate.kind not in (KIND_MARKOV, KIND_PENALTY, KIND_BOX):
+    if certificate.kind not in (KIND_PENALTY, KIND_BOX):
         raise ValueError(f"unknown certificate kind {certificate.kind!r}")
 
     cost_ok = _meets_bound(problem.cost(graph, members), certificate.bound)
-    if certificate.kind == KIND_MARKOV:
-        return cost_ok
     constraint_ok = problem.constraint_ok(graph, members)
     if certificate.kind == KIND_PENALTY:
         return cost_ok and constraint_ok

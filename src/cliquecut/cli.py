@@ -437,10 +437,8 @@ def _recheck(graph: Graph, payload: dict, strict: bool) -> dict:
         raise ValueError(f"result field 'constraint_ok' must be true or false, got {payload.get('constraint_ok')!r}")
     constraint_ok = constraint_now == payload["constraint_ok"]
     certificate = Certificate.from_json(payload.get("certificate"))
-    if certificate.vacuous:
-        certificate_ok = not strict
-    else:
-        certificate_ok = verify_solution(graph, members, certificate, problem, strict=strict)
+    claim_ok = verify_solution(graph, members, certificate, problem, strict=strict)
+    certificate_ok = not strict if certificate.vacuous else claim_ok
     return {
         "verified": objective_ok and constraint_ok and certificate_ok,
         "digest_ok": True,

@@ -66,7 +66,6 @@ __all__ = [
     "solve_local_partition",
     "uniform_random_baseline",
     "greedy_mis_complement",
-    "approximation_ratio",
     "default_interval_schedule",
 ]
 
@@ -508,10 +507,3 @@ def greedy_mis_complement(graph: Graph) -> NodeSet:
     if graph.n == 0:
         raise ValueError("empty graph")
     return _greedy_clique(graph, np.zeros(graph.n, dtype=bool), graph.degree)
-
-
-def approximation_ratio(found: float, optimal: float) -> float:
-    """found / optimal, guarding against meaningless denominators."""
-    if optimal <= 0.0:
-        raise ValueError(f"optimal value must be positive, got {optimal}")
-    return found / optimal

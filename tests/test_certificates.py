@@ -11,25 +11,11 @@ from cliquecut import (
     VolumeConstraint,
     box_certificate,
     clique_loss,
-    markov_certificate,
     penalty_certificate,
-    sampling_success,
     verify_solution,
 )
 
 from helpers import complete_graph, k5_minus_edge, random_graph, two_triangles
-
-
-def test_markov_certificate_values():
-    cert = markov_certificate(0.9, t=0.9)
-    assert cert.kind == "markov"
-    assert cert.bound == pytest.approx(9.0)
-    assert cert.success_prob == 0.9
-    assert not cert.vacuous
-    with pytest.raises(ValueError, match="lie in"):
-        markov_certificate(1.0, t=1.0)
-    with pytest.raises(ValueError, match="non-negative"):
-        markov_certificate(-0.1)
 
 
 def test_penalty_certificate_vacuity_boundary():
@@ -90,40 +76,13 @@ def test_box_certificate_validation():
         box_certificate(0.5, 0.5, np.zeros(3), interval)
 
 
-def test_sampling_success():
-    assert sampling_success(0.5, 3) == pytest.approx(0.875)
-    assert sampling_success(1.0, 1) == 1.0
-    assert sampling_success(0.9, 1) == pytest.approx(0.9)
-    with pytest.raises(ValueError, match="lie in"):
-        sampling_success(0.0, 3)
-    with pytest.raises(ValueError, match="at least 1"):
-        sampling_success(0.5, 0)
-
-
 def test_certificate_json_round_trip():
     for cert in (
-        markov_certificate(0.5, t=0.8),
         penalty_certificate(0.3, beta=2.0),
         box_certificate(0.1, 0.5, np.ones(2), VolumeConstraint(0.0, 4.0)),
     ):
         data = cert.to_json()
         assert Certificate.from_json(data) == cert
-
-
-def test_verify_markov_checks_bound_only():
-    g = complete_graph(3)
-    problem = CliqueObjective(gamma=3.0)
-    cert = markov_certificate(0.1, t=0.9)  # bound 1.0
-    # Full triangle: cost 0 <= 1.
-    assert verify_solution(g, [0, 1, 2], cert, problem)
-    # Empty set: cost 3 > 1, fails regardless of constraint.
-    assert not verify_solution(g, [], cert, problem)
-    # A non-clique passes markov as long as the cost clears.
-    from cliquecut import Graph
-
-    path = Graph(3, [0, 1], [1, 2], [1.0, 1.0])
-    loose = markov_certificate(0.5, t=0.9)  # bound 5.0
-    assert verify_solution(path, [0, 2], loose, CliqueObjective(gamma=2.0))
 
 
 def test_verify_penalty_needs_bound_and_constraint():

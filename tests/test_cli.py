@@ -228,6 +228,36 @@ def test_unsound_gamma_writes_a_vacuous_certificate(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "problem, kind, message",
+    [
+        ("partition", "mystery", "unknown certificate kind 'mystery'"),
+        ("partition", "markov", "unknown certificate kind 'markov'"),
+        ("partition", "penalty", "penalty certificates apply to clique objectives"),
+        ("clique", "box_constrained", "box certificates apply to cut-with-volume objectives"),
+    ],
+)
+def test_verify_rejects_a_vacuous_certificate_of_the_wrong_kind(tmp_path, capsys, problem, kind, message):
+    # Both solves write a vacuous certificate (see the two tests above); the
+    # kind check still applies to it.
+    if problem == "partition":
+        graph_path = write_graph(tmp_path, path_graph(4))
+        argv = ["--problem", "partition", "--seed-node", "0", "--steps", "80", "--intervals", "2.5:3.5"]
+    else:
+        graph_path = write_graph(tmp_path, k5_minus_edge())
+        argv = ["--gamma", "6", "--beta", "6", "--t", "0.4"]
+    result_path = tmp_path / "result.json"
+    code, _, _ = run(capsys, ["solve", "--graph", str(graph_path), *argv, "--out", str(result_path)])
+    assert code == 0
+    doc = json.loads(result_path.read_text())
+    assert doc["payload"]["certificate"]["vacuous"] is True
+    doc["payload"]["certificate"]["kind"] = kind
+    result_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["verify", "--result", str(result_path), "--graph", str(graph_path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_removed_sampling_options_are_usage_errors(tmp_path, capsys):
     graph_path = write_graph(tmp_path, two_triangles())
     code, out, err = run(

@@ -8,7 +8,6 @@ from cliquecut import (
     Graph,
     MpnnParams,
     SolveConfig,
-    approximation_ratio,
     brute_force_max_clique,
     conductance,
     default_interval_schedule,
@@ -122,7 +121,7 @@ def test_clique_matches_brute_force_on_small_graphs():
             continue
         best = brute_force_max_clique(g)
         got = solve_max_clique(g, SolveConfig(restarts=4, steps=150))
-        ratio = approximation_ratio(got.objective, set_weight(g, best.mask))
+        ratio = got.objective / set_weight(g, best.mask)
         assert ratio <= 1.0 + 1e-9
         hits += ratio > 0.999
     assert hits >= 15  # overwhelmingly exact at this size
@@ -521,12 +520,6 @@ def test_greedy_mis_complement_is_clique():
         assert len(ns) >= 1
     with pytest.raises(ValueError, match="empty"):
         greedy_mis_complement(Graph(0, [], [], []))
-
-
-def test_approximation_ratio():
-    assert approximation_ratio(3.0, 4.0) == pytest.approx(0.75)
-    with pytest.raises(ValueError, match="positive"):
-        approximation_ratio(1.0, 0.0)
 
 
 def test_solve_config_describe_is_json_safe():
